@@ -2,15 +2,15 @@
 scene composition, and policy-evaluation metrics."""
 
 from .geometry import (Aabb, GeometryError, Plane, PointCloud, PointIndex,
-                       RigidTransform, compose, nearest_neighbor,
-                       pose_difference, transform_point, voxel_downsample)
+                       RigidTransform, compose, pose_difference,
+                       voxel_downsample)
 from .ply import PlyError, read_ply, write_ply
 from .panorama import (BearingMatchSet, MatchFileError, PanoramaSpec,
                        bearing_to_pixel, load_matches, pixel_to_bearing)
 from .epipolar import (CheiralityError, EssentialEstimate, EstimationError,
                        RansacConfig, RelativePose, TriangulatedSet,
                        decompose_essential, essential_from_pose,
-                       estimate_essential, triangulate, triangulate_set)
+                       estimate_essential, triangulate_set)
 from .scale import (GroundConfig, GroundModel, GroundPlaneError, apply_scale,
                     recover_scale, select_ground_points)
 from .icp import (IcpConfig, IcpError, IcpResult, estimate_normals,

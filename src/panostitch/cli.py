@@ -3,29 +3,31 @@
 Subcommands: stitch, plane, place, eval, synth. Every command is
 deterministic given identical inputs and --seed; all randomness forks
 from that seed by stable stage labels. Output files are written
-atomically (temp file + rename). Structured JSON-lines progress logs,
-including stage timings, go to stderr; result artifacts never contain
-timings so repeated runs are byte-identical.
+atomically (temp file + rename), creating missing parent directories.
+Structured JSON-lines progress logs, including stage timings, go to
+stderr; result artifacts never contain timings so repeated runs are
+byte-identical.
 
-Exit codes: 0 success, 2 input error, 3 graph error, 4 placement error,
-5 numerical failure. PANOSTITCH_THREADS caps internal thread use.
+Exit codes: 0 success, 2 input error (bad gravity_axis included), 3
+graph error, 4 placement error, 5 numerical failure. PANOSTITCH_THREADS
+caps internal thread use.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 
 from . import scene as scene_mod
+from ._atomic import write_atomic, write_json
 from .epipolar import CheiralityError, EstimationError, RansacConfig
-from .geometry import Aabb, GeometryError, PointCloud, RigidTransform, rot_z
+from .geometry import (Aabb, GeometryError, PointCloud, RigidTransform, rot_z,
+                       unit)
 from .icp import IcpConfig, IcpError
 from .metrics import (MetricError, generalization_report, parse_tier,
                       read_episode_csv, read_rates_csv, simreal_correlation,
@@ -59,31 +61,6 @@ def _log(stage: str, event: str, **fields) -> None:
     rec = {"stage": stage, "event": event}
     rec.update(fields)
     print(json.dumps(rec, sort_keys=True), file=sys.stderr)
-
-
-def _write_json_atomic(path: Path, data) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(data, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-
-
-def _write_text_atomic(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
 
 
 def _load_json(path: Path, what: str) -> dict:
@@ -122,35 +99,14 @@ def _pair_config(entry: dict) -> PairConfig:
         ransac = RansacConfig(**ransac_over)
         ground = GroundConfig(**ground_over)
         icp = IcpConfig(**entry.get("icp", {}))
+        gravity = tuple(entry.get("gravity_axis", (0.0, 0.0, -1.0)))
+        unit(gravity)  # zero, non-finite or not 3 components
     except (TypeError, ValueError) as e:
         raise CliError(EXIT_INPUT, f"bad pair config: {e}") from e
-    gravity = tuple(entry.get("gravity_axis", (0.0, 0.0, -1.0)))
     voxel = entry.get("voxel_size", DEFAULT_VOXEL_SIZE)
     return PairConfig(ransac=ransac, ground=ground, icp=icp,
                       gravity_axis=gravity, voxel_size=voxel,
                       ransac_seed=None if ransac_seed is None else int(ransac_seed))
-
-
-def _check_tree(rooms: set[str], pairs: list[dict]) -> None:
-    """The declared pairs must form a spanning tree over the rooms."""
-    parent = {r: r for r in rooms}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for p in pairs:
-        a, b = find(p["room_a"]), find(p["room_b"])
-        if a == b:
-            raise CliError(EXIT_GRAPH,
-                           f"registration graph has a cycle through "
-                           f"{p['room_a']!r} and {p['room_b']!r}")
-        parent[a] = b
-    roots = {find(r) for r in rooms}
-    if len(roots) > 1:
-        raise CliError(EXIT_GRAPH, "registration graph disconnected")
 
 
 def cmd_stitch(args) -> int:
@@ -173,10 +129,14 @@ def cmd_stitch(args) -> int:
             if not (base / f).exists():
                 raise CliError(EXIT_INPUT, f"file not found: {base / f}")
 
-    _check_tree(set(rooms), pairs)
     root = data.get("root_room", pairs[0]["room_a"])
     if root not in rooms:
         raise CliError(EXIT_INPUT, f"root room {root!r} not present in pairs")
+    try:
+        scene_mod.spanning_tree_order(
+            rooms, [(p["room_a"], p["room_b"]) for p in pairs], root)
+    except SceneGraphError as e:
+        raise CliError(EXIT_GRAPH, str(e)) from e
 
     clouds = {rid: _read_cloud(path) for rid, path in rooms.items()}
     registrations = []
@@ -222,11 +182,10 @@ def cmd_stitch(args) -> int:
     for room in manifest.rooms:
         room.local_to_world = merged.world_transforms[room.id]
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_ply(out_dir / "merged.ply", merged.cloud, binary=True,
               room_ids=merged.room_ids)
     scene_mod.save_manifest(out_dir / "scene_manifest.json", manifest)
-    _write_json_atomic(out_dir / "diagnostics.json", {
+    write_json(out_dir / "diagnostics.json", {
         "root_room": root,
         "pairs": [{"room_a": e["room_a"], "room_b": e["room_b"],
                    **r.diagnostics()} for e, r in registrations],
@@ -239,6 +198,15 @@ def cmd_stitch(args) -> int:
 # ---------------------------------------------------------------------------
 # plane
 # ---------------------------------------------------------------------------
+
+def _load_scene_manifest(path: Path) -> scene_mod.SceneManifest:
+    if not path.exists():
+        raise CliError(EXIT_INPUT, f"file not found: {path}")
+    try:
+        return scene_mod.load_manifest(path)
+    except (ManifestError, json.JSONDecodeError, KeyError, ValueError) as e:
+        raise CliError(EXIT_INPUT, f"bad scene manifest: {e}") from e
+
 
 def cmd_plane(args) -> int:
     cloud = _read_cloud(Path(args.cloud))
@@ -267,12 +235,7 @@ def cmd_plane(args) -> int:
         report["post_flatten_stddev_m"] = inlier_stddev(flat, plane, inliers)
     if args.add_to_manifest:
         manifest_path = Path(args.add_to_manifest)
-        if not manifest_path.exists():
-            raise CliError(EXIT_INPUT, f"file not found: {manifest_path}")
-        try:
-            manifest = scene_mod.load_manifest(manifest_path)
-        except (ManifestError, json.JSONDecodeError, KeyError, ValueError) as e:
-            raise CliError(EXIT_INPUT, f"bad scene manifest: {e}") from e
+        manifest = _load_scene_manifest(manifest_path)
         plane_id = args.plane_id or f"plane{len(manifest.planes)}"
         if any(p.id == plane_id for p in manifest.planes):
             raise CliError(EXIT_INPUT,
@@ -282,7 +245,7 @@ def cmd_plane(args) -> int:
         scene_mod.save_manifest(manifest_path, manifest)
         report["plane_id"] = plane_id
     if args.report:
-        _write_json_atomic(Path(args.report), report)
+        write_json(Path(args.report), report)
     else:
         print(json.dumps(report, indent=2, sort_keys=True))
     return EXIT_OK
@@ -294,13 +257,7 @@ def cmd_plane(args) -> int:
 
 def cmd_place(args) -> int:
     path = Path(args.manifest)
-    if not path.exists():
-        raise CliError(EXIT_INPUT, f"file not found: {path}")
-    try:
-        manifest = scene_mod.load_manifest(path)
-    except (ManifestError, json.JSONDecodeError, KeyError, ValueError) as e:
-        raise CliError(EXIT_INPUT, f"bad scene manifest: {e}") from e
-
+    manifest = _load_scene_manifest(path)
     try:
         aabb = Aabb(np.array(args.aabb_min), np.array(args.aabb_max))
     except GeometryError as e:
@@ -338,9 +295,9 @@ def cmd_eval(args) -> int:
         csv_text = "\n".join(",".join(r) for r in report.to_csv_rows()) + "\n"
         detail_text = "\n".join(",".join(r) for r in report.detail_rows()) + "\n"
         if args.report:
-            _write_text_atomic(Path(args.report), csv_text)
+            write_atomic(Path(args.report), csv_text)
         if args.detail:
-            _write_text_atomic(Path(args.detail), detail_text)
+            write_atomic(Path(args.detail), detail_text)
         if not args.report and not args.detail:
             print(report.to_text())
         summary["episodes"] = len(episodes)
@@ -394,7 +351,6 @@ def _scene_config(data: dict, seed: int) -> SynthSceneConfig:
 def cmd_synth(args) -> int:
     config = _load_json(Path(args.config), "synth config")
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     seed = args.seed if args.seed is not None else int(config.get("seed", 0))
 
     if "scene" in config:
@@ -402,11 +358,11 @@ def cmd_synth(args) -> int:
             pair = synth_room_pair(_scene_config(config["scene"], seed))
         except SynthError as e:
             raise CliError(EXIT_INPUT, str(e)) from e
-        _write_json_atomic(out_dir / "matches.json", pair.match_data)
+        write_json(out_dir / "matches.json", pair.match_data)
         # Clouds ship positions only; the pipeline estimates normals itself.
         write_ply(out_dir / "room_a.ply", PointCloud(pair.cloud_a.points))
         write_ply(out_dir / "room_b.ply", PointCloud(pair.cloud_b.points))
-        _write_json_atomic(out_dir / "ground_truth.json", {
+        write_json(out_dir / "ground_truth.json", {
             "gt_a_to_b": pair.gt.to_quat_xyz(),
             "scale_factor_k": pair.scale_factor_k,
             "camera_height_m": pair.camera_height,
@@ -414,7 +370,7 @@ def cmd_synth(args) -> int:
             "outlier_indices": [int(i) for i in np.flatnonzero(pair.outlier_mask)],
             "floor_match_count": int(pair.floor_mask.sum()),
         })
-        _write_json_atomic(out_dir / "stitch_manifest.json", {
+        write_json(out_dir / "stitch_manifest.json", {
             "root_room": "room_a",
             "pairs": [{
                 "room_a": "room_a", "room_b": "room_b",
@@ -440,7 +396,7 @@ def cmd_synth(args) -> int:
         except (SynthError, MetricError, KeyError) as e:
             raise CliError(EXIT_INPUT, f"bad episode spec: {e}") from e
         write_episode_csv(out_dir / "episodes.csv", synth.episodes)
-        _write_json_atomic(out_dir / "episodes_empirical.json", {
+        write_json(out_dir / "episodes_empirical.json", {
             f"{task}/{tier.value}": rate
             for (task, tier), rate in synth.empirical_sr.items()})
         _log("synth", "episodes_written", count=len(synth.episodes))

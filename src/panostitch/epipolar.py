@@ -73,49 +73,26 @@ class TriangulatedSet:
         return self.points.shape[0]
 
 
-def _eight_point(ba: np.ndarray, bb: np.ndarray) -> np.ndarray | None:
-    """Least-squares essential matrix from >= 8 bearing pairs.
+def _eight_point(sa: np.ndarray, sb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares essential matrices for a stack of samples.
 
-    Returns the matrix projected onto the essential manifold
-    (singular values (1, 1, 0), Frobenius norm sqrt(2)), or None when
-    the constraint system is rank-deficient.
+    sa, sb hold C samples of m >= 8 bearing pairs, shape (C, m, 3).
+    Returns (E, valid): E of shape (C, 3, 3) projected onto the essential
+    manifold (singular values (1, 1, 0), Frobenius norm sqrt(2)), and
+    valid False where a sample does not constrain all 8 degrees of
+    freedom.
     """
     # Row for pair i is outer(b_b, b_a) flattened row-major, matching E.ravel().
-    A = np.einsum("ni,nj->nij", bb, ba).reshape(-1, 9)
-    try:
-        _, s, vt = np.linalg.svd(A)
-    except np.linalg.LinAlgError:
-        return None
-    if s[7] < 1e-12:
-        return None  # sample does not constrain all 8 degrees of freedom
-    E = vt[-1].reshape(3, 3)
-    u, _, v = np.linalg.svd(E)
-    return u @ np.diag([1.0, 1.0, 0.0]) @ v
-
-
-def _residuals(E: np.ndarray, ba: np.ndarray, bb: np.ndarray) -> np.ndarray:
-    return np.abs(np.einsum("ni,ij,nj->n", bb, E, ba))
-
-
-_RANSAC_BATCH = 512
-
-
-def _batched_candidates(ba: np.ndarray, bb: np.ndarray,
-                        idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Essential-manifold candidates for a batch of 8-point samples.
-
-    Returns (E, valid) with E of shape (C, 3, 3); invalid rows come from
-    rank-deficient samples.
-    """
-    sa = ba[idx]                                   # (C, 8, 3)
-    sb = bb[idx]
-    A = np.einsum("cni,cnj->cnij", sb, sa).reshape(idx.shape[0], 8, 9)
+    A = np.einsum("cni,cnj->cnij", sb, sa).reshape(sa.shape[0], sa.shape[1], 9)
     _, s, vt = np.linalg.svd(A)
     valid = s[:, 7] >= 1e-12
     E = vt[:, -1].reshape(-1, 3, 3)
     u3, _, v3 = np.linalg.svd(E)
     E = u3 @ np.diag([1.0, 1.0, 0.0])[None, :, :] @ v3
     return E, valid
+
+
+_RANSAC_BATCH = 512
 
 
 def estimate_essential(matches: BearingMatchSet, cfg: RansacConfig = RansacConfig(),
@@ -146,7 +123,7 @@ def estimate_essential(matches: BearingMatchSet, cfg: RansacConfig = RansacConfi
         # (kth=7 places the 8 smallest in the leading positions).
         keys = rng.random((count, n))
         idx = np.argpartition(keys, 7, axis=1)[:, :8]
-        E, valid = _batched_candidates(ba, bb, idx)
+        E, valid = _eight_point(ba[idx], bb[idx])
         res = np.abs(np.einsum("ni,cij,nj->cn", bb, E, ba))
         counts = (res <= cfg.threshold).sum(axis=1)
         counts[~valid] = 0
@@ -159,10 +136,14 @@ def estimate_essential(matches: BearingMatchSet, cfg: RansacConfig = RansacConfi
         raise EstimationError(
             f"no model with >= {cfg.min_inliers} inliers after {cfg.iterations} iterations")
 
-    E = _eight_point(ba[best_mask], bb[best_mask])
-    if E is None:
+    try:
+        E, valid = _eight_point(ba[best_mask][None], bb[best_mask][None])
+    except np.linalg.LinAlgError as e:
+        raise EstimationError("inlier refit did not converge") from e
+    if not valid[0]:
         raise EstimationError("inlier refit is degenerate")
-    mask = _residuals(E, ba, bb) <= cfg.threshold
+    E = E[0]
+    mask = np.abs(np.einsum("ni,ij,nj->n", bb, E, ba)) <= cfg.threshold
     if int(mask.sum()) < cfg.min_inliers:
         raise EstimationError("refit model lost its inlier support")
     inliers = np.flatnonzero(mask)
@@ -238,21 +219,6 @@ def decompose_essential(E: np.ndarray, matches: BearingMatchSet,
             f"depth vote is ambiguous: candidate supports {counts}")
     R, t = candidates[best]
     return RelativePose(R, t / np.linalg.norm(t))
-
-
-def triangulate(pair: tuple[np.ndarray, np.ndarray],
-                pose: RelativePose) -> np.ndarray | None:
-    """Midpoint triangulation of one bearing pair at unit baseline.
-
-    Returns the frame-a point minimizing summed squared ray distance, or
-    None when the rays are parallel or either depth is non-positive.
-    """
-    ba = np.asarray(pair[0], dtype=np.float64).reshape(1, 3)
-    bb = np.asarray(pair[1], dtype=np.float64).reshape(1, 3)
-    pts, la, lb = _midpoint_depths(ba, bb, pose.rotation, pose.direction)
-    if la[0] <= 0 or lb[0] <= 0:
-        return None
-    return pts[0]
 
 
 def triangulate_set(matches: BearingMatchSet, pose: RelativePose,

@@ -108,14 +108,6 @@ def rotation_angle(R) -> float:
     return float(np.arccos(c))
 
 
-def rot_x(angle: float) -> np.ndarray:
-    return rotation_from_axis_angle((1.0, 0.0, 0.0), angle)
-
-
-def rot_y(angle: float) -> np.ndarray:
-    return rotation_from_axis_angle((0.0, 1.0, 0.0), angle)
-
-
 def rot_z(angle: float) -> np.ndarray:
     return rotation_from_axis_angle((0.0, 0.0, 1.0), angle)
 
@@ -219,11 +211,6 @@ def compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:
     """Transform equal to applying b first, then a: compose(a, b)(p) = a(b(p))."""
     return RigidTransform(a.rotation @ b.rotation,
                           a.rotation @ b.translation + a.translation)
-
-
-def transform_point(T: RigidTransform, p) -> np.ndarray:
-    """R @ p + t for a single point."""
-    return T.apply(as_vec3(p))
 
 
 def pose_difference(a: RigidTransform, b: RigidTransform) -> tuple[float, float]:
@@ -391,9 +378,6 @@ class Aabb:
     def overlaps(self, other: "Aabb") -> bool:
         return bool(np.all(self.min <= other.max) and np.all(other.min <= self.max))
 
-    def extent(self) -> np.ndarray:
-        return self.max - self.min
-
 
 # ---------------------------------------------------------------------------
 # Nearest-neighbor index
@@ -443,8 +427,3 @@ class PointIndex:
         qs = as_points(qs)
         dist, idx = self._tree.query(qs, k=k, workers=workers)
         return np.asarray(idx, dtype=np.int64), np.asarray(dist, dtype=np.float64)
-
-
-def nearest_neighbor(index: PointIndex, query) -> tuple[int, float]:
-    """Nearest point in the indexed cloud; ties break to the lowest index."""
-    return index.query(query)

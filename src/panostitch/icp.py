@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import os
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -114,22 +114,31 @@ def _overlap_crop(src: np.ndarray, dst: PointCloud, T: RigidTransform,
     return keep
 
 
-def _correspond(moved: np.ndarray, moved_normals: np.ndarray | None,
-                dst: PointCloud, index: PointIndex, max_dist: float,
-                cos_max: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest-neighbor pairs surviving distance and normal gating.
+def _correspond(src: np.ndarray, src_normals: np.ndarray | None,
+                T: RigidTransform, dst: PointCloud, index: PointIndex,
+                max_dist: float | None, cfg: IcpConfig
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Nearest-neighbor pairs of T(src) surviving distance and normal gating.
 
-    Returns (source row indices, target indices). The normal gate uses
+    One KD-tree query. A max_dist of None resolves to 3x the median
+    distance of this same query. Returns (T(src), surviving source rows,
+    their target indices, max_dist). The normal gate uses
     |n_src . n_dst| so PCA sign flips cannot starve the match set; it
-    only applies when the source carries normals.
+    only applies when the source carries normals, with the angle bound
+    cfg.normal_angle_max_deg.
     """
+    moved = T.apply(src)
     idx, dist = index.query_many(moved, workers=worker_count())
+    if max_dist is None:
+        med = float(np.median(dist))
+        max_dist = 3.0 * med if med > 0 else 1e-9
     ok = dist <= max_dist
-    if moved_normals is not None and dst.normals is not None:
+    if src_normals is not None and dst.normals is not None:
+        moved_normals = src_normals @ T.rotation.T
         agree = np.abs(np.einsum("ni,ni->n", moved_normals, dst.normals[idx]))
-        ok &= agree >= cos_max
+        ok &= agree >= float(np.cos(np.deg2rad(cfg.normal_angle_max_deg)))
     rows = np.flatnonzero(ok)
-    return rows, idx[rows]
+    return moved, rows, idx[rows], max_dist
 
 
 def _residuals(moved: np.ndarray, q: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -168,13 +177,11 @@ def _solve_step(moved: np.ndarray, q: np.ndarray, n: np.ndarray) -> np.ndarray:
     return np.linalg.solve(H, -(J.T @ r))
 
 
-def _resolve_max_dist(cfg: IcpConfig, moved: np.ndarray,
-                      index: PointIndex) -> float:
-    if cfg.max_corr_dist is not None:
-        return cfg.max_corr_dist
-    _, dist = index.query_many(moved, workers=worker_count())
-    med = float(np.median(dist))
-    return 3.0 * med if med > 0 else 1e-9
+def _check_inputs(source: PointCloud, target: PointCloud) -> None:
+    if len(source) == 0 or len(target) == 0:
+        raise IcpError("registration inputs must be nonempty")
+    if not target.has_normals():
+        raise IcpError("target cloud needs normals (see estimate_normals)")
 
 
 def point_to_plane_icp(source: PointCloud, target: PointCloud,
@@ -188,17 +195,12 @@ def point_to_plane_icp(source: PointCloud, target: PointCloud,
     cfg.rel_tol or the iteration cap is hit. Deterministic for identical
     inputs and config.
     """
-    if len(source) == 0 or len(target) == 0:
-        raise IcpError("registration inputs must be nonempty")
-    if not target.has_normals():
-        raise IcpError("target cloud needs normals (see estimate_normals)")
-
+    _check_inputs(source, target)
     index = PointIndex(target.points)
     crop = _overlap_crop(source.points, target, T_init, cfg.overlap_margin)
     src = source.points[crop]
     src_normals = source.normals[crop] if source.has_normals() else None
-    max_dist = _resolve_max_dist(cfg, T_init.apply(src), index)
-    cos_max = float(np.cos(np.deg2rad(cfg.normal_angle_max_deg)))
+    max_dist = cfg.max_corr_dist
 
     T = T_init
     prev_err: float | None = None
@@ -209,9 +211,8 @@ def point_to_plane_icp(source: PointCloud, target: PointCloud,
     iterations = 0
 
     for iterations in range(1, cfg.max_iterations + 1):
-        moved = T.apply(src)
-        moved_n = None if src_normals is None else src_normals @ T.rotation.T
-        rows, tgt_idx = _correspond(moved, moved_n, target, index, max_dist, cos_max)
+        moved, rows, tgt_idx, max_dist = _correspond(
+            src, src_normals, T, target, index, max_dist, cfg)
         if rows.size == 0:
             raise IcpError(
                 f"zero correspondences within {max_dist:.3g} m; clouds do not overlap")
@@ -236,12 +237,26 @@ def point_to_plane_icp(source: PointCloud, target: PointCloud,
             break
         prev_err = err
 
-    final_err = eval_icp_error(source, target, T,
-                               replace(cfg, max_corr_dist=max_dist))
+    final_err = _pose_error(source, target, index, T, max_dist, cfg)
     return IcpResult(transform=T, final_error=final_err,
                      initial_error=float(initial_err), iterations=iterations,
                      correspondence_count=corr_count, converged=converged,
                      error_trace=tuple(trace), max_corr_dist=max_dist)
+
+
+def _pose_error(source: PointCloud, target: PointCloud, index: PointIndex,
+                T: RigidTransform, max_dist: float | None, cfg: IcpConfig) -> float:
+    """Point-to-plane error of T over the overlap crop at T; an empty
+    correspondence set returns 0.0 with a warning."""
+    crop = _overlap_crop(source.points, target, T, cfg.overlap_margin)
+    moved, rows, tgt_idx, _ = _correspond(
+        source.points[crop], source.normals[crop] if source.has_normals() else None,
+        T, target, index, max_dist, cfg)
+    if rows.size == 0:
+        warnings.warn("eval_icp_error: empty correspondence set, returning 0.0")
+        return 0.0
+    r = _residuals(moved[rows], target.points[tgt_idx], target.normals[tgt_idx])
+    return float(r @ r)
 
 
 def eval_icp_error(source: PointCloud, target: PointCloud, T: RigidTransform,
@@ -252,23 +267,6 @@ def eval_icp_error(source: PointCloud, target: PointCloud, T: RigidTransform,
     point_to_plane_icp. An empty correspondence set returns 0.0 with a
     warning rather than raising.
     """
-    if len(source) == 0 or len(target) == 0:
-        raise IcpError("registration inputs must be nonempty")
-    if not target.has_normals():
-        raise IcpError("target cloud needs normals (see estimate_normals)")
-    index = PointIndex(target.points)
-    crop = _overlap_crop(source.points, target, T, cfg.overlap_margin)
-    src = source.points[crop]
-    moved = T.apply(src)
-    max_dist = cfg.max_corr_dist if cfg.max_corr_dist is not None \
-        else _resolve_max_dist(cfg, moved, index)
-    moved_n = None
-    if source.has_normals():
-        moved_n = source.normals[crop] @ T.rotation.T
-    rows, tgt_idx = _correspond(moved, moved_n, target, index, max_dist,
-                                float(np.cos(np.deg2rad(cfg.normal_angle_max_deg))))
-    if rows.size == 0:
-        warnings.warn("eval_icp_error: empty correspondence set, returning 0.0")
-        return 0.0
-    r = _residuals(moved[rows], target.points[tgt_idx], target.normals[tgt_idx])
-    return float(r @ r)
+    _check_inputs(source, target)
+    return _pose_error(source, target, PointIndex(target.points), T,
+                       cfg.max_corr_dist, cfg)

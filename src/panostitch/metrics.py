@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import csv
 import enum
+import io
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from ._atomic import write_atomic
 from .geometry import Aabb
 
 
@@ -392,16 +394,18 @@ def read_episode_csv(path, load_trajectories: bool = False) -> list[EpisodeRecor
 
 
 def write_episode_csv(path, episodes: list[EpisodeRecord]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(EPISODE_HEADER)
-        for e in episodes:
-            writer.writerow([
-                e.task, e.tier.value, int(e.success),
-                "" if e.shortest_path_len is None else f"{e.shortest_path_len:.6g}",
-                "" if e.actual_path_len is None else f"{e.actual_path_len:.6g}",
-                "",
-            ])
+    """Write episodes atomically, keeping csv's CRLF line ends."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(EPISODE_HEADER)
+    for e in episodes:
+        writer.writerow([
+            e.task, e.tier.value, int(e.success),
+            "" if e.shortest_path_len is None else f"{e.shortest_path_len:.6g}",
+            "" if e.actual_path_len is None else f"{e.actual_path_len:.6g}",
+            "",
+        ])
+    write_atomic(path, buf.getvalue())
 
 
 RATES_HEADER = ["method", "task", "tier", "sim_rate", "real_rate"]

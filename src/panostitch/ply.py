@@ -7,12 +7,11 @@ payload does not match the declared vertex count are rejected.
 
 from __future__ import annotations
 
-import os
-import tempfile
 from pathlib import Path
 
 import numpy as np
 
+from ._atomic import write_atomic
 from .geometry import PointCloud
 
 _FLOAT_NAMES = {"float", "float32"}
@@ -125,7 +124,6 @@ def read_ply(path) -> tuple[PointCloud, np.ndarray | None]:
 def write_ply(path, cloud: PointCloud, binary: bool = True,
               room_ids: np.ndarray | None = None) -> None:
     """Write a PLY point cloud atomically (temp file + rename)."""
-    path = Path(path)
     n = len(cloud)
     if room_ids is not None and len(room_ids) != n:
         raise PlyError("room_ids length does not match point count")
@@ -140,35 +138,29 @@ def write_ply(path, cloud: PointCloud, binary: bool = True,
         header.append("property int room_id")
     header.append("end_header")
 
-    cols: list[np.ndarray] = [cloud.points.astype(np.float32)]
-    if cloud.has_normals():
-        cols.append(cloud.normals.astype(np.float32))
-
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".ply.tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(("\n".join(header) + "\n").encode("ascii"))
-            if binary:
-                fields = [("x", "<f4"), ("y", "<f4"), ("z", "<f4")]
-                if cloud.has_normals():
-                    fields += [("nx", "<f4"), ("ny", "<f4"), ("nz", "<f4")]
-                if room_ids is not None:
-                    fields.append(("room_id", "<i4"))
-                rec = np.zeros(n, dtype=np.dtype(fields))
-                rec["x"], rec["y"], rec["z"] = cloud.points.T.astype(np.float32)
-                if cloud.has_normals():
-                    rec["nx"], rec["ny"], rec["nz"] = cloud.normals.T.astype(np.float32)
-                if room_ids is not None:
-                    rec["room_id"] = np.asarray(room_ids, dtype=np.int32)
-                fh.write(rec.tobytes())
-            else:
-                flat = np.hstack(cols)
-                for i in range(n):
-                    row = " ".join(f"{v:.7g}" for v in flat[i])
-                    if room_ids is not None:
-                        row += f" {int(room_ids[i])}"
-                    fh.write((row + "\n").encode("ascii"))
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+    if binary:
+        fields = [("x", "<f4"), ("y", "<f4"), ("z", "<f4")]
+        if cloud.has_normals():
+            fields += [("nx", "<f4"), ("ny", "<f4"), ("nz", "<f4")]
+        if room_ids is not None:
+            fields.append(("room_id", "<i4"))
+        rec = np.zeros(n, dtype=np.dtype(fields))
+        rec["x"], rec["y"], rec["z"] = cloud.points.T.astype(np.float32)
+        if cloud.has_normals():
+            rec["nx"], rec["ny"], rec["nz"] = cloud.normals.T.astype(np.float32)
+        if room_ids is not None:
+            rec["room_id"] = np.asarray(room_ids, dtype=np.int32)
+        body = rec.tobytes()
+    else:
+        cols: list[np.ndarray] = [cloud.points.astype(np.float32)]
+        if cloud.has_normals():
+            cols.append(cloud.normals.astype(np.float32))
+        flat = np.hstack(cols)
+        rows = []
+        for i in range(n):
+            row = " ".join(f"{v:.7g}" for v in flat[i])
+            if room_ids is not None:
+                row += f" {int(room_ids[i])}"
+            rows.append(row + "\n")
+        body = "".join(rows).encode("ascii")
+    write_atomic(path, ("\n".join(header) + "\n").encode("ascii") + body)

@@ -12,14 +12,12 @@ reads are safe from any thread.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 import warnings
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
+from ._atomic import write_json
 from ._plane_search import best_plane_support
 from .geometry import (Aabb, GeometryError, Plane, PointCloud, PointIndex,
                        RigidTransform, as_vec3, compose, fit_plane_lsq, rot_z,
@@ -152,48 +150,67 @@ class MergeResult:
     world_transforms: dict[str, RigidTransform]
 
 
+def spanning_tree_order(room_ids, edges, root: str) -> list[tuple[int, str, str, bool]]:
+    """Depth-first walk of the registration graph from the root room.
+
+    edges lists (room_a, room_b) per registration. Returns one
+    (edge index, reached-from room, reached room, reached room is
+    room_b) entry per tree edge, in visit order, so a parent always
+    precedes its children. Raises when the graph has a cycle or does
+    not reach every room.
+    """
+    adj: dict[str, list[tuple[int, str, bool]]] = {i: [] for i in room_ids}
+    if root not in adj:
+        raise ManifestError(f"root room {root!r} is not in the manifest")
+    for k, (a, b) in enumerate(edges):
+        for endpoint in (a, b):
+            if endpoint not in adj:
+                raise ManifestError(f"registration references unknown room {endpoint!r}")
+        adj[a].append((k, b, True))
+        adj[b].append((k, a, False))
+
+    order = []
+    reached = {root}
+    stack = [root]
+    visited_edges: set[int] = set()
+    while stack:
+        cur = stack.pop()
+        for edge_key, other, forward in adj[cur]:
+            if edge_key in visited_edges:
+                continue
+            visited_edges.add(edge_key)
+            if other in reached:
+                raise SceneGraphError(
+                    f"registration graph has a cycle through {cur!r} and {other!r}")
+            reached.add(other)
+            order.append((edge_key, cur, other, forward))
+            stack.append(other)
+
+    missing = [i for i in adj if i not in reached]
+    if missing:
+        raise SceneGraphError(f"registration graph disconnected; unreachable: {missing}")
+    return order
+
+
 def resolve_world_transforms(manifest: SceneManifest) -> dict[str, RigidTransform]:
     """World pose per room from the pairwise registration tree.
 
     For a pair (a, b) with transform T mapping a-frame into b-frame,
     world(b) = world(a) o T^-1, which keeps the tree-exactness identity
-    world(b)^-1 o world(a) = T. Raises when the graph has a cycle or
-    does not reach every room.
+    world(b)^-1 o world(a) = T. Poses compose along spanning_tree_order,
+    which raises on a cycle or an unreachable room.
     """
     if not manifest.rooms:
         raise SceneGraphError("manifest has no rooms")
     ids = [r.id for r in manifest.rooms]
     root = manifest.root_room or ids[0]
-    if root not in ids:
-        raise ManifestError(f"root room {root!r} is not in the manifest")
-
-    adj: dict[str, list[tuple[int, str, RigidTransform, bool]]] = {i: [] for i in ids}
-    for k, reg in enumerate(manifest.pair_registrations):
-        for endpoint in (reg.room_a, reg.room_b):
-            if endpoint not in adj:
-                raise ManifestError(f"registration references unknown room {endpoint!r}")
-        adj[reg.room_a].append((k, reg.room_b, reg.T_fine, True))
-        adj[reg.room_b].append((k, reg.room_a, reg.T_fine, False))
-
+    regs = manifest.pair_registrations
     world = {root: RigidTransform.identity()}
-    stack = [root]
-    visited_edges: set[int] = set()
-    while stack:
-        cur = stack.pop()
-        for edge_key, other, T, forward in adj[cur]:
-            if edge_key in visited_edges:
-                continue
-            visited_edges.add(edge_key)
-            if other in world:
-                raise SceneGraphError(
-                    f"registration graph has a cycle through {cur!r} and {other!r}")
-            # forward: cur == room_a, T: cur -> other; world(other) = world(cur) o T^-1
-            world[other] = compose(world[cur], T.inverse() if forward else T)
-            stack.append(other)
-
-    missing = [i for i in ids if i not in world]
-    if missing:
-        raise SceneGraphError(f"registration graph disconnected; unreachable: {missing}")
+    for k, cur, other, forward in spanning_tree_order(
+            ids, [(r.room_a, r.room_b) for r in regs], root):
+        # forward: cur == room_a, T: cur -> other; world(other) = world(cur) o T^-1
+        T = regs[k].T_fine
+        world[other] = compose(world[cur], T.inverse() if forward else T)
     return world
 
 
@@ -486,16 +503,7 @@ def manifest_from_dict(d: dict) -> SceneManifest:
 
 def save_manifest(path, m: SceneManifest) -> None:
     """Write manifest JSON atomically (temp file + rename)."""
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".json.tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(manifest_to_dict(m), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+    write_json(path, manifest_to_dict(m))
 
 
 def load_manifest(path) -> SceneManifest:

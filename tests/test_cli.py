@@ -125,6 +125,36 @@ class TestStitchCommand:
         assert run("stitch", bad, "--out", tmp_path / "o") == 3
         assert "cycle" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("shape", ["cycle", "disconnected"])
+    def test_graph_checked_before_clouds_are_read(self, synth_dir, tmp_path,
+                                                   capsys, shape):
+        pair = dict(json.loads(
+            (synth_dir / "stitch_manifest.json").read_text())["pairs"][0])
+        other = ({**pair, "room_a": "room_b", "room_b": "room_a"}
+                 if shape == "cycle"
+                 else {**pair, "room_a": "room_c", "room_b": "room_d"})
+        bad = tmp_path / "graph.json"
+        bad.write_text(json.dumps({"root_room": "room_a", "pairs": [pair, other]}))
+        shutil.copy(synth_dir / "matches.json", tmp_path / "matches.json")
+        # The clouds exist but are not PLY: reading them would exit 2.
+        for name in ("room_a.ply", "room_b.ply"):
+            (tmp_path / name).write_text("not a ply file\n")
+        assert run("stitch", bad, "--out", tmp_path / "o") == 3
+        assert shape in capsys.readouterr().err
+
+    @pytest.mark.parametrize("gravity", [[0.0, 0.0, 0.0], [0.0, float("nan"), -1.0],
+                                         [0.0, -1.0]])
+    def test_bad_gravity_axis_exits_2(self, synth_dir, tmp_path, capsys, gravity):
+        base = json.loads((synth_dir / "stitch_manifest.json").read_text())
+        base["pairs"][0]["gravity_axis"] = gravity
+        bad = tmp_path / "bad_gravity.json"
+        bad.write_text(json.dumps(base))
+        shutil.copy(synth_dir / "matches.json", tmp_path / "matches.json")
+        shutil.copy(synth_dir / "room_a.ply", tmp_path / "room_a.ply")
+        shutil.copy(synth_dir / "room_b.ply", tmp_path / "room_b.ply")
+        assert run("stitch", bad, "--out", tmp_path / "o") == 2
+        assert "bad pair config" in capsys.readouterr().err
+
     def test_unknown_config_key_exits_2(self, synth_dir, tmp_path, capsys):
         base = json.loads((synth_dir / "stitch_manifest.json").read_text())
         base["pairs"][0]["icp"] = {"not_a_real_option": 1}
@@ -195,6 +225,13 @@ class TestPlaneCommand:
         report = json.loads(report_path.read_text())
         assert report["post_flatten_stddev_m"] == 0.0
 
+    def test_outputs_into_missing_directories(self, table_ply, tmp_path):
+        flat = tmp_path / "new" / "dir" / "flat.ply"
+        report = tmp_path / "other" / "plane.json"
+        assert run("plane", table_ply, "--flatten", flat, "--report", report) == 0
+        assert len(read_ply(flat)[0]) == 800
+        assert json.loads(report.read_text())["flattened_ply"] == str(flat)
+
     def test_missing_cloud_exits_2(self, tmp_path):
         assert run("plane", tmp_path / "none.ply") == 2
 
@@ -227,6 +264,13 @@ class TestPlaceCommand:
         assert run("place", scene_manifest, "--plane", "table",
                    "--asset-id", "couch", "--aabb-min", 0, 0, 0,
                    "--aabb-max", 4, 4, 1) == 4
+
+    def test_out_into_missing_directory(self, scene_manifest, tmp_path):
+        out = tmp_path / "new" / "dir" / "placed.json"
+        assert run("place", scene_manifest, "--plane", "table",
+                   "--asset-id", "mug", "--aabb-min", 0, 0, 0,
+                   "--aabb-max", 0.1, 0.1, 0.1, "--out", out) == 0
+        assert load_manifest(out).assets[0].asset_id == "mug"
 
     def test_same_seed_same_pose(self, scene_manifest, tmp_path):
         outs = []

@@ -4,7 +4,7 @@ import pytest
 from panostitch.epipolar import (CheiralityError, EstimationError, RansacConfig,
                                  RelativePose, decompose_essential,
                                  essential_from_pose, estimate_essential,
-                                 triangulate, triangulate_set)
+                                 triangulate_set)
 from panostitch.geometry import rotation_angle
 from panostitch.panorama import BearingMatchSet, PanoramaSpec, parse_match_dict
 from panostitch.testkit import SynthSceneConfig, synth_room_pair
@@ -161,20 +161,22 @@ class TestTriangulate:
         ba = point / np.linalg.norm(point)
         bb = (point - c_b) / np.linalg.norm(point - c_b)
         pose = RelativePose(np.eye(3), -c_b)
-        out = triangulate((ba, bb), pose)
-        np.testing.assert_allclose(out, point, atol=1e-9)
+        out = triangulate_set(make_match_set([ba], [bb]), pose)
+        np.testing.assert_array_equal(out.inlier_indices, [0])
+        np.testing.assert_allclose(out.points[0], point, atol=1e-9)
 
     def test_parallel_rays_return_none(self):
         b = np.array([0.0, 1.0, 0.0])
         pose = RelativePose(np.eye(3), np.array([1.0, 0.0, 0.0]))
-        assert triangulate((b, b), pose) is None
+        assert len(triangulate_set(make_match_set([b], [b]), pose)) == 0
 
     def test_behind_camera_returns_none(self):
         point = np.array([0.5, 1.0, 0.0])
         c_b = np.array([1.0, 0.0, 0.0])
         ba = -point / np.linalg.norm(point)  # ray pointing away from the point
         bb = (point - c_b) / np.linalg.norm(point - c_b)
-        assert triangulate((ba, bb), RelativePose(np.eye(3), -c_b)) is None
+        pose = RelativePose(np.eye(3), -c_b)
+        assert len(triangulate_set(make_match_set([ba], [bb]), pose)) == 0
 
     def test_recovers_200_synthetic_points(self):
         pair = synth_room_pair(SynthSceneConfig(seed=21, floor_point_count=100,

@@ -5,10 +5,9 @@ from hypothesis import strategies as st
 
 from panostitch.geometry import (Aabb, GeometryError, Plane, PointCloud,
                                  PointIndex, RigidTransform, compose,
-                                 fit_plane_lsq, is_rotation, nearest_neighbor,
-                                 pose_difference, quaternion_to_rotation,
-                                 random_rotation, rot_z, rotation_to_quaternion,
-                                 transform_point, voxel_downsample)
+                                 fit_plane_lsq, is_rotation, pose_difference,
+                                 quaternion_to_rotation, random_rotation, rot_z,
+                                 rotation_to_quaternion, voxel_downsample)
 
 
 def random_transform(rng):
@@ -38,13 +37,11 @@ class TestRigidTransform:
                                    atol=1e-12)
 
     def test_transform_point_trivial_cases(self):
-        assert np.allclose(transform_point(RigidTransform.identity(), (1, 2, 3)),
-                           (1, 2, 3))
+        assert np.allclose(RigidTransform.identity().apply((1, 2, 3)), (1, 2, 3))
         lift = RigidTransform(np.eye(3), (0, 0, 1))
-        assert np.allclose(transform_point(lift, (0, 0, 0)), (0, 0, 1))
+        assert np.allclose(lift.apply((0, 0, 0)), (0, 0, 1))
         turn = RigidTransform(rot_z(np.pi / 2), np.zeros(3))
-        np.testing.assert_allclose(transform_point(turn, (1, 0, 0)), (0, 1, 0),
-                                   atol=1e-12)
+        np.testing.assert_allclose(turn.apply((1, 0, 0)), (0, 1, 0), atol=1e-12)
 
     def test_rejects_non_rotation(self):
         with pytest.raises(GeometryError):
@@ -79,19 +76,19 @@ class TestRigidTransform:
 class TestNearestNeighbor:
     def test_simple_query(self):
         index = PointIndex(np.array([[0.0, 0, 0], [1.0, 0, 0]]))
-        idx, dist = nearest_neighbor(index, (0.1, 0, 0))
+        idx, dist = index.query((0.1, 0, 0))
         assert idx == 0
         assert dist == pytest.approx(0.1)
 
     def test_exact_hit(self):
         index = PointIndex(np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]]))
-        idx, dist = nearest_neighbor(index, (2.0, 0, 0))
+        idx, dist = index.query((2.0, 0, 0))
         assert idx == 2
         assert dist == 0.0
 
     def test_tie_breaks_to_lowest_index(self):
         index = PointIndex(np.array([[1.0, 0, 0], [-1.0, 0, 0], [1.0, 0, 0]]))
-        idx, dist = nearest_neighbor(index, (0.0, 0, 0))
+        idx, dist = index.query((0.0, 0, 0))
         assert idx == 0
         assert dist == pytest.approx(1.0)
 
@@ -102,7 +99,7 @@ class TestNearestNeighbor:
         d = np.linalg.norm(pts[None, :, :] - queries[:, None, :], axis=2)
         expected = d.argmin(axis=1)  # argmin takes the lowest index on ties
         for q, expect_idx, drow in zip(queries, expected, d):
-            idx, dist = nearest_neighbor(index, q)
+            idx, dist = index.query(q)
             assert idx == expect_idx
             assert dist == pytest.approx(drow[expect_idx], abs=1e-12)
 

@@ -7,6 +7,7 @@ from panostitch.geometry import (PointCloud, RigidTransform,
 from panostitch.icp import (IcpConfig, IcpError, correspondence_error,
                             correspondence_gradient, estimate_normals,
                             eval_icp_error, point_to_plane_icp)
+from panostitch import icp as icp_mod
 from panostitch.testkit import sample_room_cloud
 
 EXTENT = (5.0, 4.0, 3.0)
@@ -174,6 +175,28 @@ class TestPointToPlaneIcp:
         assert r1.iterations == r2.iterations
         assert r1.final_error == r2.final_error
         np.testing.assert_array_equal(r1.transform.matrix(), r2.transform.matrix())
+
+    @pytest.mark.parametrize("source_normals", [False, True])
+    def test_final_error_is_eval_at_result_with_one_index(
+            self, room_cloud, rng, monkeypatch, source_normals):
+        cloud, _ = room_cloud
+        T_star = small_perturbation(rng)
+        target = estimate_normals(PointCloud(T_star.apply(cloud.points)), k=20,
+                                  viewpoint=T_star.apply(np.zeros(3)))
+        source = estimate_normals(cloud, k=20) if source_normals else cloud
+        built = []
+
+        class CountingIndex(icp_mod.PointIndex):
+            def __post_init__(self):
+                built.append(1)
+                super().__post_init__()
+
+        monkeypatch.setattr(icp_mod, "PointIndex", CountingIndex)
+        res = point_to_plane_icp(source, target, RigidTransform.identity())
+        assert len(built) == 1
+        assert res.final_error == eval_icp_error(
+            source, target, res.transform,
+            IcpConfig(max_corr_dist=res.max_corr_dist))
 
     def test_empty_inputs_rejected(self, room_cloud):
         cloud, _ = room_cloud

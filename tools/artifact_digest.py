@@ -1,0 +1,109 @@
+"""Run a fixed end-to-end CLI flow and print a sha256 per artifact.
+
+    PYTHONPATH=src python tools/artifact_digest.py OUT_DIR
+
+The flow: `synth` (a two-room scene plus episode logs), `stitch` at
+seeds 0 and 7, `plane` on an ASCII PLY table with `--flatten` and
+`--add-to-manifest` (into the seed-0 scene manifest), three `place`
+calls on that plane, and `eval` of the synthesized episodes. Every step
+is seeded, so two source trees that produce the same artifacts print the
+same digests.
+
+To compare two source trees, run this script once against each (set
+PYTHONPATH to that tree's `src`) with the SAME OUT_DIR, and diff the
+outputs. The directory matters: scene manifests record cloud paths and
+plane reports record the flattened PLY path as absolute paths. Each
+run overwrites the artifacts it lists, so OUT_DIR can be reused.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from panostitch import cli
+from panostitch.geometry import PointCloud
+from panostitch.ply import write_ply
+
+SYNTH_CONFIG = {
+    "seed": 5,
+    "scene": {"pixel_noise_sigma": 0.5, "outlier_fraction": 0.1,
+              "cloud_point_count": 3000},
+    "episodes": [
+        {"task": "microwave", "tier": "train", "n_trials": 20, "true_rate": 0.7},
+        {"task": "microwave", "tier": "unseen_scene", "n_trials": 20,
+         "true_rate": 0.5},
+        {"task": "drawer", "tier": "train", "n_trials": 15, "true_rate": 0.6},
+    ],
+}
+PLACES = [("mug", (0.1, 0.1, 0.12)), ("box", (0.2, 0.15, 0.1)),
+          ("can", (0.07, 0.07, 0.12))]
+
+
+def table_cloud(n: int = 2000, seed: int = 0) -> PointCloud:
+    """A level 1.2 m x 0.8 m table top at z = 0.75 with 2 mm noise."""
+    rng = np.random.default_rng(seed)
+    return PointCloud(np.column_stack([rng.uniform(-0.6, 0.6, n),
+                                       rng.uniform(-0.4, 0.4, n),
+                                       0.75 + rng.normal(0.0, 0.002, n)]))
+
+
+def run(*argv) -> None:
+    code = cli.main([str(a) for a in argv])
+    if code != 0:
+        raise SystemExit(f"panostitch {argv[0]} exited {code}")
+
+
+def flow(out: Path) -> list[Path]:
+    """Run every step into `out` and return the artifact paths."""
+    # Subdirectories are made here: older trees do not create them.
+    for sub in ("synth", "plane", "place", "eval"):
+        (out / sub).mkdir(parents=True, exist_ok=True)
+    config = out / "synth_config.json"
+    config.write_text(json.dumps(SYNTH_CONFIG))
+    synth = out / "synth"
+    run("synth", config, "--out", synth)
+    for seed in (0, 7):
+        run("stitch", synth / "stitch_manifest.json", "--out", out / f"stitch{seed}",
+            "--seed", seed)
+    scene = out / "stitch0" / "scene_manifest.json"
+    write_ply(out / "table.ply", table_cloud(), binary=False)
+    run("plane", out / "table.ply", "--flatten", out / "plane" / "flat.ply",
+        "--report", out / "plane" / "report.json", "--add-to-manifest", scene,
+        "--plane-id", "table", "--seed", 2)
+    for k, (asset, size) in enumerate(PLACES):
+        dest = [] if k < 2 else ["--out", out / "place" / "placed.json"]
+        run("place", scene, "--plane", "table", "--asset-id", asset,
+            "--aabb-min", 0, 0, 0, "--aabb-max", *size, "--seed", k, *dest)
+    run("eval", "--episodes", synth / "episodes.csv",
+        "--report", out / "eval" / "report.csv", "--detail", out / "eval" / "detail.csv")
+
+    artifacts = [synth / name for name in (
+        "matches.json", "room_a.ply", "room_b.ply", "ground_truth.json",
+        "stitch_manifest.json", "episodes.csv", "episodes_empirical.json")]
+    for seed in (0, 7):
+        artifacts += [out / f"stitch{seed}" / name for name in (
+            "merged.ply", "diagnostics.json", "scene_manifest.json")]
+    artifacts += [out / "table.ply", out / "plane" / "flat.ply",
+                  out / "plane" / "report.json", out / "place" / "placed.json",
+                  out / "eval" / "report.csv", out / "eval" / "detail.csv"]
+    return artifacts
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    out = Path(argv[0]).resolve()
+    for path in flow(out):
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        print(f"{digest}  {path.relative_to(out)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
