@@ -16,6 +16,8 @@ caps internal thread use.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 import time
@@ -292,12 +294,12 @@ def cmd_eval(args) -> int:
         except MetricError as e:
             raise CliError(EXIT_INPUT, f"{args.episodes}: {e}") from e
         report = generalization_report(episodes)
-        csv_text = "\n".join(",".join(r) for r in report.to_csv_rows()) + "\n"
-        detail_text = "\n".join(",".join(r) for r in report.detail_rows()) + "\n"
-        if args.report:
-            write_atomic(Path(args.report), csv_text)
-        if args.detail:
-            write_atomic(Path(args.detail), detail_text)
+        for dest, rows in ((args.report, report.to_csv_rows()),
+                           (args.detail, report.detail_rows())):
+            if dest:
+                buf = io.StringIO()
+                csv.writer(buf, lineterminator="\n").writerows(rows)
+                write_atomic(Path(dest), buf.getvalue())
         if not args.report and not args.detail:
             print(report.to_text())
         summary["episodes"] = len(episodes)

@@ -416,14 +416,9 @@ class PointIndex:
             return int(min(exact)), float(np.min(d))
         return int(idx[0]), float(dist[0])
 
-    def query_many(self, qs, workers: int = 1) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized nearest-neighbor query. Returns (indices, distances)."""
-        qs = as_points(qs)
-        dist, idx = self._tree.query(qs, k=1, workers=workers)
-        return np.asarray(idx, dtype=np.int64), np.asarray(dist, dtype=np.float64)
-
     def knn(self, qs, k: int, workers: int = 1) -> tuple[np.ndarray, np.ndarray]:
-        """k nearest neighbors per query point: (indices (N,k), distances (N,k))."""
+        """k nearest neighbors per query point: (indices, distances), each
+        (N, k), or (N,) at k = 1."""
         qs = as_points(qs)
         dist, idx = self._tree.query(qs, k=k, workers=workers)
         return np.asarray(idx, dtype=np.int64), np.asarray(dist, dtype=np.float64)

@@ -128,7 +128,7 @@ def _correspond(src: np.ndarray, src_normals: np.ndarray | None,
     cfg.normal_angle_max_deg.
     """
     moved = T.apply(src)
-    idx, dist = index.query_many(moved, workers=worker_count())
+    idx, dist = index.knn(moved, 1, workers=worker_count())
     if max_dist is None:
         med = float(np.median(dist))
         max_dist = 3.0 * med if med > 0 else 1e-9
@@ -145,6 +145,14 @@ def _residuals(moved: np.ndarray, q: np.ndarray, n: np.ndarray) -> np.ndarray:
     return np.einsum("ni,ni->n", moved - q, n)
 
 
+def _linearize(moved: np.ndarray, q: np.ndarray, n: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Residuals r (N,) and their Jacobian J (N, 6), rows [ (T p) x n , n ],
+    w.r.t. the rotation vector and translation of a left-multiplied
+    increment exp(xi) @ T at xi = 0."""
+    return _residuals(moved, q, n), np.hstack([np.cross(moved, n), n])
+
+
 def correspondence_error(src_pts: np.ndarray, dst_pts: np.ndarray,
                          dst_normals: np.ndarray, T: RigidTransform) -> float:
     """Sum of squared point-to-plane residuals for fixed correspondences."""
@@ -156,19 +164,15 @@ def correspondence_gradient(src_pts: np.ndarray, dst_pts: np.ndarray,
                             dst_normals: np.ndarray,
                             T: RigidTransform) -> np.ndarray:
     """Gradient of the fixed-correspondence error w.r.t. the 6 pose
-    parameters (rotation vector, translation) of a left-multiplied
-    increment exp(xi) @ T, evaluated at xi = 0. Equals 2 J^T r for the
-    Jacobian rows [ (T p) x n , n ]."""
-    moved = T.apply(src_pts)
-    r = _residuals(moved, dst_pts, dst_normals)
-    J = np.hstack([np.cross(moved, dst_normals), dst_normals])
+    parameters of exp(xi) @ T at xi = 0: 2 J^T r, with the Jacobian
+    the solver steps with."""
+    r, J = _linearize(T.apply(src_pts), dst_pts, dst_normals)
     return 2.0 * (J.T @ r)
 
 
 def _solve_step(moved: np.ndarray, q: np.ndarray, n: np.ndarray) -> np.ndarray:
     """One Gauss-Newton step of the linearized objective; returns xi (6,)."""
-    r = _residuals(moved, q, n)
-    J = np.hstack([np.cross(moved, n), n])
+    r, J = _linearize(moved, q, n)
     H = J.T @ J
     if np.linalg.cond(H) > SINGULAR_COND:
         raise IcpError(
@@ -229,8 +233,7 @@ def point_to_plane_icp(source: PointCloud, target: PointCloud,
         xi = _solve_step(p, q, n)
         T = compose(RigidTransform(rotation_exp(xi[:3]), xi[3:]), T)
 
-        r = _residuals(T.apply(src[rows]), q, n)
-        err = float(r @ r)
+        err = correspondence_error(src[rows], q, n, T)
         trace.append(err)
         if abs(prev_err - err) / max(prev_err, 1e-12) < cfg.rel_tol:
             converged = True

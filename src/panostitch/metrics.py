@@ -349,6 +349,22 @@ def read_trajectory(path) -> np.ndarray:
     return arr
 
 
+def _csv_records(path, header: list[str]):
+    """Yield (line, row) for each nonblank row of a CSV whose first line
+    is `header`; errors carry the 1-based line number."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        if [h.strip() for h in next(reader, [])] != header:
+            raise MetricError(f"line 1: expected header {','.join(header)}")
+        for line, row in enumerate(reader, start=2):
+            if not row or all(not c.strip() for c in row):
+                continue
+            if len(row) != len(header):
+                raise MetricError(f"line {line}: expected {len(header)} "
+                                  f"fields, got {len(row)}")
+            yield line, row
+
+
 def read_episode_csv(path, load_trajectories: bool = False) -> list[EpisodeRecord]:
     """Parse an episode log; errors carry the 1-based line number.
 
@@ -357,37 +373,23 @@ def read_episode_csv(path, load_trajectories: bool = False) -> list[EpisodeRecor
     """
     path = Path(path)
     episodes = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    for line, row in _csv_records(path, EPISODE_HEADER):
         try:
-            header = next(reader)
-        except StopIteration:
-            raise MetricError("line 1: empty episode CSV") from None
-        if [h.strip() for h in header] != EPISODE_HEADER:
-            raise MetricError(
-                f"line 1: expected header {','.join(EPISODE_HEADER)}")
-        for line, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(EPISODE_HEADER):
-                raise MetricError(f"line {line}: expected {len(EPISODE_HEADER)} "
-                                  f"fields, got {len(row)}")
-            try:
-                tier = parse_tier(row[1])
-            except MetricError as e:
-                raise MetricError(f"line {line}: {e}") from None
-            trajectory = None
-            traj_file = row[5].strip()
-            if traj_file and load_trajectories:
-                trajectory = read_trajectory(path.parent / traj_file)
-            episodes.append(EpisodeRecord(
-                task=row[0].strip(),
-                tier=tier,
-                success=_parse_success(row[2], line),
-                shortest_path_len=_parse_len(row[3], line),
-                actual_path_len=_parse_len(row[4], line),
-                trajectory=trajectory,
-            ))
+            tier = parse_tier(row[1])
+        except MetricError as e:
+            raise MetricError(f"line {line}: {e}") from None
+        trajectory = None
+        traj_file = row[5].strip()
+        if traj_file and load_trajectories:
+            trajectory = read_trajectory(path.parent / traj_file)
+        episodes.append(EpisodeRecord(
+            task=row[0].strip(),
+            tier=tier,
+            success=_parse_success(row[2], line),
+            shortest_path_len=_parse_len(row[3], line),
+            actual_path_len=_parse_len(row[4], line),
+            trajectory=trajectory,
+        ))
     if not episodes:
         raise MetricError("episode CSV holds no records")
     return episodes
@@ -414,24 +416,14 @@ RATES_HEADER = ["method", "task", "tier", "sim_rate", "real_rate"]
 def read_rates_csv(path) -> list[RateEntry]:
     """Parse a sim/real success-rate table."""
     entries = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != RATES_HEADER:
-            raise MetricError(f"line 1: expected header {','.join(RATES_HEADER)}")
-        for line, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(RATES_HEADER):
-                raise MetricError(f"line {line}: expected {len(RATES_HEADER)} "
-                                  f"fields, got {len(row)}")
-            try:
-                entries.append(RateEntry(
-                    method=row[0].strip(), task=row[1].strip(),
-                    tier=parse_tier(row[2]),
-                    sim_rate=float(row[3]), real_rate=float(row[4])))
-            except (ValueError, MetricError) as e:
-                raise MetricError(f"line {line}: {e}") from None
+    for line, row in _csv_records(path, RATES_HEADER):
+        try:
+            entries.append(RateEntry(
+                method=row[0].strip(), task=row[1].strip(),
+                tier=parse_tier(row[2]),
+                sim_rate=float(row[3]), real_rate=float(row[4])))
+        except (ValueError, MetricError) as e:
+            raise MetricError(f"line {line}: {e}") from None
     if not entries:
         raise MetricError("rates CSV holds no records")
     return entries

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-DEFAULT_MIN_SCORE = 0.2
+MIN_SCORE = 0.2
 MIN_MATCHES = 8
 
 
@@ -104,7 +104,7 @@ def _require(cond: bool, msg: str):
         raise MatchFileError(msg)
 
 
-def parse_match_dict(data: dict, min_score: float = DEFAULT_MIN_SCORE) -> BearingMatchSet:
+def parse_match_dict(data: dict) -> BearingMatchSet:
     """Build a BearingMatchSet from decoded match-file JSON."""
     for key in ("pano_a", "pano_b", "matches"):
         _require(key in data, f"match file missing '{key}'")
@@ -120,7 +120,7 @@ def parse_match_dict(data: dict, min_score: float = DEFAULT_MIN_SCORE) -> Bearin
     for i, m in enumerate(matches):
         try:
             s = float(m["score"])
-            if s < min_score:
+            if s < MIN_SCORE:
                 continue
             ua.append(float(m["ua"]))
             va.append(float(m["va"]))
@@ -140,7 +140,7 @@ def parse_match_dict(data: dict, min_score: float = DEFAULT_MIN_SCORE) -> Bearin
     return BearingMatchSet(ba, bb, spec_a, spec_b, np.array(sc))
 
 
-def load_matches(path, min_score: float = DEFAULT_MIN_SCORE) -> BearingMatchSet:
+def load_matches(path) -> BearingMatchSet:
     """Load a JSON match file and convert every keypoint pair to bearings."""
     path = Path(path)
     try:
@@ -149,4 +149,4 @@ def load_matches(path, min_score: float = DEFAULT_MIN_SCORE) -> BearingMatchSet:
     except (OSError, json.JSONDecodeError) as e:
         raise MatchFileError(f"cannot read match file {path}: {e}") from e
     _require(isinstance(data, dict), "match file must hold a JSON object")
-    return parse_match_dict(data, min_score=min_score)
+    return parse_match_dict(data)

@@ -1,12 +1,14 @@
 """PLY point-cloud I/O.
 
 Supports ASCII and binary little-endian PLY with float32 x, y, z,
-optional float32 nx, ny, nz, and optional int32 room_id. Files whose
-payload does not match the declared vertex count are rejected.
+optional float32 nx, ny, nz, and optional int32 room_id. Files holding
+fewer vertices than declared, a value that is not a number, a non-finite
+coordinate or an out-of-range integer are rejected.
 """
 
 from __future__ import annotations
 
+import io
 from pathlib import Path
 
 import numpy as np
@@ -14,16 +16,16 @@ import numpy as np
 from ._atomic import write_atomic
 from .geometry import PointCloud
 
-_FLOAT_NAMES = {"float", "float32"}
-_INT_NAMES = {"int", "int32"}
+_PROP_DTYPES = {"float": "<f4", "float32": "<f4", "int": "<i4", "int32": "<i4",
+                "uchar": "<u1", "uint8": "<u1", "double": "<f8", "float64": "<f8"}
 
 
 class PlyError(ValueError):
     """Malformed or unsupported PLY content."""
 
 
-def _parse_header(fh) -> tuple[str, int, list[tuple[str, str]], int]:
-    """Returns (format, vertex_count, [(prop_type, prop_name)], data_offset)."""
+def _parse_header(fh) -> tuple[str, int, list[tuple[str, str]]]:
+    """Returns (format, vertex_count, [(prop_type, prop_name)])."""
     magic = fh.readline()
     if magic.strip() != b"ply":
         raise PlyError("not a PLY file (missing 'ply' magic)")
@@ -55,19 +57,15 @@ def _parse_header(fh) -> tuple[str, int, list[tuple[str, str]], int]:
         raise PlyError(f"unsupported PLY format: {fmt}")
     if count is None:
         raise PlyError("no vertex element in header")
-    return fmt, count, props, fh.tell()
+    return fmt, count, props
 
 
-def _prop_dtype(ptype: str) -> np.dtype:
-    if ptype in _FLOAT_NAMES:
-        return np.dtype("<f4")
-    if ptype in _INT_NAMES:
-        return np.dtype("<i4")
-    if ptype in ("uchar", "uint8"):
-        return np.dtype("<u1")
-    if ptype == "double" or ptype == "float64":
-        return np.dtype("<f8")
-    raise PlyError(f"unsupported property type: {ptype}")
+def _vertex_dtype(props: list[tuple[str, str]]) -> np.dtype:
+    """Record dtype of a vertex layout [(prop_type, prop_name)]."""
+    for ptype, _ in props:
+        if ptype not in _PROP_DTYPES:
+            raise PlyError(f"unsupported property type: {ptype}")
+    return np.dtype([(n, _PROP_DTYPES[t]) for t, n in props])
 
 
 def read_ply(path) -> tuple[PointCloud, np.ndarray | None]:
@@ -78,13 +76,12 @@ def read_ply(path) -> tuple[PointCloud, np.ndarray | None]:
     """
     path = Path(path)
     with open(path, "rb") as fh:
-        fmt, count, props, offset = _parse_header(fh)
-        names = [n for _, n in props]
+        fmt, count, props = _parse_header(fh)
+        dtype = _vertex_dtype(props)
         for need in ("x", "y", "z"):
-            if need not in names:
+            if need not in dtype.names:
                 raise PlyError(f"missing required vertex property '{need}'")
 
-        dtype = np.dtype([(n, _prop_dtype(t)) for t, n in props])
         if fmt == "binary_little_endian":
             payload = fh.read()
             if len(payload) < count * dtype.itemsize:
@@ -93,74 +90,76 @@ def read_ply(path) -> tuple[PointCloud, np.ndarray | None]:
                     f"payload holds {len(payload) // dtype.itemsize}")
             rec = np.frombuffer(payload, dtype=dtype, count=count)
         else:
-            text = fh.read().decode("ascii", errors="replace")
-            rows = [ln.split() for ln in text.splitlines() if ln.strip()]
-            if len(rows) < count:
-                raise PlyError(
-                    f"vertex count mismatch: header declares {count}, "
-                    f"file holds {len(rows)} rows")
-            rec = np.zeros(count, dtype=dtype)
-            for i in range(count):
-                row = rows[i]
-                if len(row) != len(props):
-                    raise PlyError(f"row {i} has {len(row)} values, expected {len(props)}")
-                for (ptype, name), val in zip(props, row):
-                    rec[name][i] = float(val)
+            rec = _parse_ascii(fh.read().decode("ascii", errors="replace"), count, dtype)
 
     pts = np.column_stack([rec["x"], rec["y"], rec["z"]]).astype(np.float64)
+    if not np.isfinite(pts).all():
+        raise PlyError("non-finite vertex coordinates")
     normals = None
-    if all(n in names for n in ("nx", "ny", "nz")):
+    if all(n in dtype.names for n in ("nx", "ny", "nz")):
         normals = np.column_stack([rec["nx"], rec["ny"], rec["nz"]]).astype(np.float64)
         norms = np.linalg.norm(normals, axis=1)
         good = norms > 1e-12
         normals[good] = normals[good] / norms[good, None]
         normals[~good] = np.array([0.0, 0.0, 1.0])
     room_ids = None
-    if "room_id" in names:
+    if "room_id" in dtype.names:
         room_ids = np.asarray(rec["room_id"], dtype=np.int64)
     return PointCloud(pts, normals), room_ids
 
 
+def _parse_ascii(text: str, count: int, dtype: np.dtype) -> np.ndarray:
+    """Records of the first `count` nonblank rows, later rows ignored. Values
+    parse as float64; an int truncates ("3.7" reads 3) and must fit its type."""
+    rows = [ln.split() for ln in text.splitlines() if ln.strip()]
+    if len(rows) < count:
+        raise PlyError(
+            f"vertex count mismatch: header declares {count}, "
+            f"file holds {len(rows)} rows")
+    rows, width = rows[:count], len(dtype.names)
+    bad = next((i for i, row in enumerate(rows) if len(row) != width), None)
+    if bad is not None:
+        raise PlyError(f"row {bad} has {len(rows[bad])} values, expected {width}")
+    try:
+        vals = np.array(rows, dtype=np.float64).reshape(count, width)
+    except ValueError as e:
+        raise PlyError(f"bad vertex value: {e}") from None
+    rec = np.empty(count, dtype=dtype)
+    for name, col in zip(dtype.names, vals.T):
+        lim = np.iinfo(dtype[name]) if dtype[name].kind in "iu" else None
+        if lim is not None and not np.all((col > lim.min - 1) & (col < lim.max + 1)):
+            raise PlyError(f"value out of range for integer property '{name}'")
+        rec[name] = col
+    return rec
+
+
 def write_ply(path, cloud: PointCloud, binary: bool = True,
               room_ids: np.ndarray | None = None) -> None:
-    """Write a PLY point cloud atomically (temp file + rename)."""
+    """Write a PLY point cloud atomically (temp file + rename). One
+    vertex layout drives the header, the records and both encodings."""
     n = len(cloud)
     if room_ids is not None and len(room_ids) != n:
         raise PlyError("room_ids length does not match point count")
 
-    header = ["ply",
-              f"format {'binary_little_endian' if binary else 'ascii'} 1.0",
-              f"element vertex {n}",
-              "property float x", "property float y", "property float z"]
+    props = [("float", "x"), ("float", "y"), ("float", "z")]
     if cloud.has_normals():
-        header += ["property float nx", "property float ny", "property float nz"]
+        props += [("float", "nx"), ("float", "ny"), ("float", "nz")]
     if room_ids is not None:
-        header.append("property int room_id")
-    header.append("end_header")
+        props.append(("int", "room_id"))
+    rec = np.zeros(n, dtype=_vertex_dtype(props))
+    rec["x"], rec["y"], rec["z"] = cloud.points.T
+    if cloud.has_normals():
+        rec["nx"], rec["ny"], rec["nz"] = cloud.normals.T
+    if room_ids is not None:
+        rec["room_id"] = room_ids
 
+    header = ["ply", f"format {'binary_little_endian' if binary else 'ascii'} 1.0",
+              f"element vertex {n}", *(f"property {t} {name}" for t, name in props),
+              "end_header", ""]
     if binary:
-        fields = [("x", "<f4"), ("y", "<f4"), ("z", "<f4")]
-        if cloud.has_normals():
-            fields += [("nx", "<f4"), ("ny", "<f4"), ("nz", "<f4")]
-        if room_ids is not None:
-            fields.append(("room_id", "<i4"))
-        rec = np.zeros(n, dtype=np.dtype(fields))
-        rec["x"], rec["y"], rec["z"] = cloud.points.T.astype(np.float32)
-        if cloud.has_normals():
-            rec["nx"], rec["ny"], rec["nz"] = cloud.normals.T.astype(np.float32)
-        if room_ids is not None:
-            rec["room_id"] = np.asarray(room_ids, dtype=np.int32)
         body = rec.tobytes()
     else:
-        cols: list[np.ndarray] = [cloud.points.astype(np.float32)]
-        if cloud.has_normals():
-            cols.append(cloud.normals.astype(np.float32))
-        flat = np.hstack(cols)
-        rows = []
-        for i in range(n):
-            row = " ".join(f"{v:.7g}" for v in flat[i])
-            if room_ids is not None:
-                row += f" {int(room_ids[i])}"
-            rows.append(row + "\n")
-        body = "".join(rows).encode("ascii")
-    write_atomic(path, ("\n".join(header) + "\n").encode("ascii") + body)
+        buf = io.StringIO()
+        np.savetxt(buf, rec, fmt=["%d" if t == "int" else "%.7g" for t, _ in props])
+        body = buf.getvalue().encode("ascii")
+    write_atomic(path, "\n".join(header).encode("ascii") + body)

@@ -125,12 +125,6 @@ class SceneManifest:
                     f"asset {a.asset_id!r} references unknown plane "
                     f"{a.support_plane_id!r}")
 
-    def room(self, room_id: str) -> RoomNode:
-        for r in self.rooms:
-            if r.id == room_id:
-                return r
-        raise ManifestError(f"unknown room {room_id!r}")
-
     def support_plane(self, plane_id: str) -> SupportPlane:
         for p in self.planes:
             if p.id == plane_id:
@@ -238,7 +232,7 @@ def overlap_rms(cloud_a: PointCloud, cloud_b: PointCloud,
     """RMS nearest-neighbor distance between two clouds over their
     overlap region (pairs within max_dist)."""
     index = PointIndex(cloud_b.points)
-    _, dist = index.query_many(cloud_a.points)
+    _, dist = index.knn(cloud_a.points, 1)
     near = dist[dist <= max_dist]
     if near.size == 0:
         return float("inf")

@@ -1,3 +1,4 @@
+import csv
 import json
 import shutil
 from pathlib import Path
@@ -240,6 +241,25 @@ class TestPlaneCommand:
         write_ply(path, PointCloud(np.empty((0, 3))))
         assert run("plane", path) == 2
 
+    @pytest.mark.parametrize("fmt, body", [
+        ("ascii", b"1 2 3 0\n4 x 6 0\n"),
+        ("ascii", b"1 2 3 0\n4 nan 6 0\n"),
+        ("ascii", b"1 2 3 0\n4 5 6 nan\n"),
+        ("ascii", b"1 2 3 0\n4 5 6 3e9\n"),
+        ("binary_little_endian", np.array(
+            [(1, 2, 3, 0), (4, np.nan, 6, 0)],
+            dtype=[("x", "<f4"), ("y", "<f4"), ("z", "<f4"), ("r", "<i4")]).tobytes()),
+    ], ids=["non-numeric", "nan-coordinate", "nan-room-id", "room-id-out-of-range",
+            "binary-nan-coordinate"])
+    def test_malformed_values_exit_2(self, tmp_path, capsys, fmt, body):
+        path = tmp_path / "bad.ply"
+        path.write_bytes(
+            f"ply\nformat {fmt} 1.0\nelement vertex 2\nproperty float x\n"
+            "property float y\nproperty float z\nproperty int room_id\n"
+            "end_header\n".encode("ascii") + body)
+        assert run("plane", path) == 2
+        assert "bad PLY" in capsys.readouterr().err
+
 
 class TestPlaceCommand:
     @pytest.fixture
@@ -325,6 +345,19 @@ class TestEvalCommand:
         assert rows[0].startswith("task,")
         assert rows[1].split(",")[1] == "0.7000"
         assert "wilson_low" in detail.read_text()
+
+    def test_report_csvs_quote_fields(self, tmp_path):
+        path = tmp_path / "episodes.csv"
+        path.write_text("task,tier,success,shortest_len,actual_len,traj_file\n"
+                        '"pick, cup",train,1,2.0,2.5,\n')
+        report, detail = tmp_path / "report.csv", tmp_path / "detail.csv"
+        assert run("eval", "--episodes", path, "--report", report,
+                   "--detail", detail) == 0
+        for out in (report, detail):
+            with open(out, newline="") as fh:
+                rows = list(csv.reader(fh))
+            assert len(rows) == 2 and len(rows[0]) == len(rows[1])
+            assert rows[1][0] == "pick, cup"
 
     def test_correlation_summary(self, capsys):
         assert run("eval", "--correlate", DATA / "simreal_rates.csv") == 0

@@ -75,3 +75,40 @@ def test_rejects_unsupported_format(tmp_path):
                     "end_header\n")
     with pytest.raises(PlyError, match="unsupported"):
         read_ply(path)
+
+
+def test_ascii_golden_bytes(tmp_path):
+    cloud = PointCloud(np.array([[1.0, -2.5, 0.125], [1e-7, 123456789.0, -0.0]]),
+                       np.array([[0.0, 0.0, 1.0], [0.6, 0.8, 0.0]]))
+    path = tmp_path / "golden.ply"
+    write_ply(path, cloud, binary=False, room_ids=np.array([0, 7]))
+    assert path.read_bytes() == (
+        b"ply\nformat ascii 1.0\nelement vertex 2\n"
+        b"property float x\nproperty float y\nproperty float z\n"
+        b"property float nx\nproperty float ny\nproperty float nz\n"
+        b"property int room_id\nend_header\n"
+        b"1 -2.5 0.125 0 0 1 0\n"
+        b"1e-07 1.234568e+08 -0 0.6 0.8 0 7\n")
+
+
+ASCII_HEADER = ("ply\nformat ascii 1.0\nelement vertex 2\nproperty float x\n"
+                "property float y\nproperty float z\nproperty int room_id\n"
+                "end_header\n")
+
+
+@pytest.mark.parametrize("body, expected", [
+    ("\n1 2 3 0\n\n   \n4 5 6 1\n", [0, 1]),               # blank lines skipped
+    ("1 2 3 0\n4 5 6 1\n7 8 9 2\nnot a row\n", [0, 1]),    # rows after count ignored
+    ("1 2 3 3.7\n4 5 6 -3.7\n", [3, -3]),                  # int truncates via float
+    ("1 2 3 0\n4 5 6\n", "row 1 has 3 values, expected 4"),
+], ids=["blank-lines", "rows-after-count", "int-through-float", "wrong-width"])
+def test_ascii_reader_tolerances(tmp_path, body, expected):
+    path = tmp_path / "t.ply"
+    path.write_text(ASCII_HEADER + body)
+    if isinstance(expected, str):
+        with pytest.raises(PlyError, match=expected):
+            read_ply(path)
+        return
+    cloud, room_ids = read_ply(path)
+    np.testing.assert_array_equal(cloud.points, [[1, 2, 3], [4, 5, 6]])
+    np.testing.assert_array_equal(room_ids, expected)

@@ -5,9 +5,11 @@
 The flow: `synth` (a two-room scene plus episode logs), `stitch` at
 seeds 0 and 7, `plane` on an ASCII PLY table with `--flatten` and
 `--add-to-manifest` (into the seed-0 scene manifest), three `place`
-calls on that plane, and `eval` of the synthesized episodes. Every step
-is seeded, so two source trees that produce the same artifacts print the
-same digests.
+calls on that plane, and `eval` of the synthesized episodes. A labeled
+cloud (normals and room ids) is also written as ASCII PLY, read back and
+written as binary, so both directions of the ASCII codec are covered.
+Every step is seeded, so two source trees that produce the same
+artifacts print the same digests.
 
 To compare two source trees, run this script once against each (set
 PYTHONPATH to that tree's `src`) with the SAME OUT_DIR, and diff the
@@ -27,7 +29,7 @@ import numpy as np
 
 from panostitch import cli
 from panostitch.geometry import PointCloud
-from panostitch.ply import write_ply
+from panostitch.ply import read_ply, write_ply
 
 SYNTH_CONFIG = {
     "seed": 5,
@@ -50,6 +52,15 @@ def table_cloud(n: int = 2000, seed: int = 0) -> PointCloud:
     return PointCloud(np.column_stack([rng.uniform(-0.6, 0.6, n),
                                        rng.uniform(-0.4, 0.4, n),
                                        0.75 + rng.normal(0.0, 0.002, n)]))
+
+
+def labeled_cloud(n: int = 500, seed: int = 1) -> tuple[PointCloud, np.ndarray]:
+    """Points spanning several decades of scale, unit normals, room ids."""
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-4, 4, size=(n, 1))
+    normals = rng.normal(size=(n, 3))
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    return PointCloud(pts, normals), rng.integers(0, 5, size=n)
 
 
 def run(*argv) -> None:
@@ -81,6 +92,10 @@ def flow(out: Path) -> list[Path]:
             "--aabb-min", 0, 0, 0, "--aabb-max", *size, "--seed", k, *dest)
     run("eval", "--episodes", synth / "episodes.csv",
         "--report", out / "eval" / "report.csv", "--detail", out / "eval" / "detail.csv")
+    cloud, room_ids = labeled_cloud()
+    write_ply(out / "labeled_ascii.ply", cloud, binary=False, room_ids=room_ids)
+    back, back_ids = read_ply(out / "labeled_ascii.ply")
+    write_ply(out / "labeled_binary.ply", back, room_ids=back_ids)
 
     artifacts = [synth / name for name in (
         "matches.json", "room_a.ply", "room_b.ply", "ground_truth.json",
@@ -90,7 +105,8 @@ def flow(out: Path) -> list[Path]:
             "merged.ply", "diagnostics.json", "scene_manifest.json")]
     artifacts += [out / "table.ply", out / "plane" / "flat.ply",
                   out / "plane" / "report.json", out / "place" / "placed.json",
-                  out / "eval" / "report.csv", out / "eval" / "detail.csv"]
+                  out / "eval" / "report.csv", out / "eval" / "detail.csv",
+                  out / "labeled_ascii.ply", out / "labeled_binary.ply"]
     return artifacts
 
 
