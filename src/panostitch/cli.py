@@ -8,9 +8,9 @@ Structured JSON-lines progress logs, including stage timings, go to
 stderr; result artifacts never contain timings so repeated runs are
 byte-identical.
 
-Exit codes: 0 success, 2 input error (bad gravity_axis included), 3
-graph error, 4 placement error, 5 numerical failure. PANOSTITCH_THREADS
-caps internal thread use.
+Exit codes: 0 success, 2 input error (bad gravity_axis or voxel_size
+included), 3 graph error, 4 placement error, 5 numerical failure.
+PANOSTITCH_THREADS caps internal thread use.
 """
 
 from __future__ import annotations
@@ -106,6 +106,9 @@ def _pair_config(entry: dict) -> PairConfig:
     except (TypeError, ValueError) as e:
         raise CliError(EXIT_INPUT, f"bad pair config: {e}") from e
     voxel = entry.get("voxel_size", DEFAULT_VOXEL_SIZE)
+    if voxel is not None and not (type(voxel) in (int, float) and 0 < voxel < np.inf):
+        raise CliError(EXIT_INPUT, "bad pair config: voxel_size must be null or "
+                                   f"a finite number > 0, got {voxel!r}")
     return PairConfig(ransac=ransac, ground=ground, icp=icp,
                       gravity_axis=gravity, voxel_size=voxel,
                       ransac_seed=None if ransac_seed is None else int(ransac_seed))
@@ -157,7 +160,8 @@ def cmd_stitch(args) -> int:
             raise CliError(EXIT_NUMERIC, f"{label}: {e}") from e
         _log("stitch", "pair_registered", pair=label,
              elapsed_s=round(time.perf_counter() - t0, 4),
-             alpha=result.alpha, icp_iterations=result.icp.iterations)
+             alpha=result.alpha, icp_iterations=result.icp.iterations,
+             icp_converged=result.icp.converged)
         registrations.append((entry, result))
 
     manifest = scene_mod.SceneManifest(

@@ -264,13 +264,18 @@ def voxel_downsample(cloud: PointCloud, voxel: float) -> PointCloud:
     Deterministic: the surviving point of each voxel is the one with the
     lowest original index, so results do not depend on hash ordering.
     """
-    if voxel <= 0:
-        raise GeometryError("voxel size must be positive")
+    if not (np.isfinite(voxel) and voxel > 0):
+        raise GeometryError(f"voxel size must be finite and positive, got {voxel}")
     if len(cloud) == 0:
         return cloud
     keys = np.floor(cloud.points / voxel).astype(np.int64)
-    _, first = np.unique(keys, axis=0, return_index=True)
-    return cloud.subset(np.sort(first))
+    # Stable sort by (x, y, z) key: each run of equal keys is one voxel and
+    # starts at its lowest original index.
+    order = np.lexsort(keys.T[::-1])
+    sorted_keys = keys[order]
+    run_start = np.ones(len(order), dtype=bool)
+    run_start[1:] = np.any(sorted_keys[1:] != sorted_keys[:-1], axis=1)
+    return cloud.subset(np.sort(order[run_start]))
 
 
 # ---------------------------------------------------------------------------

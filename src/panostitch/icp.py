@@ -22,6 +22,7 @@ from .geometry import (Aabb, PointCloud, PointIndex, RigidTransform, compose,
                        rotation_exp)
 
 SINGULAR_COND = 1e12
+NORMAL_BLOCK = 8192     # query points per neighbor gather in estimate_normals
 
 
 class IcpError(RuntimeError):
@@ -78,6 +79,10 @@ def estimate_normals(cloud: PointCloud, k: int = 20,
     The normal is the smallest-eigenvalue eigenvector of the local
     covariance (neighborhood includes the point itself), flipped so it
     faces the viewpoint: normal . (viewpoint - p) >= 0.
+
+    Query points are processed in blocks of NORMAL_BLOCK, so the
+    neighbor gather takes O(NORMAL_BLOCK * k) memory rather than
+    O(n * k); each point's arithmetic does not depend on the block.
     """
     n = len(cloud)
     if k < 3:
@@ -87,12 +92,20 @@ def estimate_normals(cloud: PointCloud, k: int = 20,
     vp = np.asarray(viewpoint, dtype=np.float64).reshape(3)
 
     index = PointIndex(cloud.points)
-    nbr, _ = index.knn(cloud.points, k=k, workers=worker_count())
-    nbr_pts = cloud.points[nbr]                       # (n, k, 3)
-    centered = nbr_pts - nbr_pts.mean(axis=1, keepdims=True)
-    cov = np.einsum("nki,nkj->nij", centered, centered) / k
-    _, vecs = np.linalg.eigh(cov)                     # ascending eigenvalues
-    normals = vecs[:, :, 0]
+    normals = np.empty((n, 3))
+    for lo in range(0, n, NORMAL_BLOCK):
+        nbr, _ = index.knn(cloud.points[lo:lo + NORMAL_BLOCK], k=k,
+                           workers=worker_count())
+        centered = cloud.points[nbr]                  # (b, k, 3)
+        centered -= centered.mean(axis=1, keepdims=True)
+        cov = np.empty((len(nbr), 3, 3))
+        for i in range(3):
+            for j in range(i, 3):
+                cov[:, i, j] = cov[:, j, i] = np.einsum(
+                    "nk,nk->n", centered[:, :, i], centered[:, :, j])
+        cov /= k
+        _, vecs = np.linalg.eigh(cov)                 # ascending eigenvalues
+        normals[lo:lo + NORMAL_BLOCK] = vecs[:, :, 0]
     flip = np.einsum("ni,ni->n", normals, vp[None, :] - cloud.points) < 0
     normals[flip] = -normals[flip]
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)

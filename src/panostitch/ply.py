@@ -136,10 +136,16 @@ def _parse_ascii(text: str, count: int, dtype: np.dtype) -> np.ndarray:
 def write_ply(path, cloud: PointCloud, binary: bool = True,
               room_ids: np.ndarray | None = None) -> None:
     """Write a PLY point cloud atomically (temp file + rename). One
-    vertex layout drives the header, the records and both encodings."""
+    vertex layout drives the header, the records and both encodings.
+    Room ids must fit the int32 room_id property; others raise PlyError."""
     n = len(cloud)
-    if room_ids is not None and len(room_ids) != n:
-        raise PlyError("room_ids length does not match point count")
+    if room_ids is not None:
+        room_ids = np.asarray(room_ids)
+        if len(room_ids) != n:
+            raise PlyError("room_ids length does not match point count")
+        lim = np.iinfo(np.int32)
+        if not np.all((room_ids >= lim.min) & (room_ids <= lim.max)):
+            raise PlyError("room_id out of range for property type int")
 
     props = [("float", "x"), ("float", "y"), ("float", "z")]
     if cloud.has_normals():

@@ -39,6 +39,18 @@ def synth_dir(tmp_path_factory):
     return out / "art"
 
 
+def _pair_manifest(synth_dir, tmp_path, **fields):
+    """The synth stitch manifest with `fields` set on its pair, written
+    into tmp_path next to copies of its inputs."""
+    manifest = json.loads((synth_dir / "stitch_manifest.json").read_text())
+    manifest["pairs"][0].update(fields)
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    for name in ("matches.json", "room_a.ply", "room_b.ply"):
+        shutil.copy(synth_dir / name, tmp_path / name)
+    return path
+
+
 class TestSynthCommand:
     def test_artifacts_exist(self, synth_dir):
         for name in ("matches.json", "room_a.ply", "room_b.ply",
@@ -166,6 +178,28 @@ class TestStitchCommand:
         shutil.copy(synth_dir / "room_b.ply", tmp_path / "room_b.ply")
         assert run("stitch", bad, "--out", tmp_path / "o") == 2
         assert "bad pair config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("voxel", ["0.02", float("nan"), float("inf"), -1.0,
+                                       0, True, [0.02]],
+                             ids=["string", "nan", "inf", "negative", "zero",
+                                  "bool", "list"])
+    def test_bad_voxel_size_exits_2(self, synth_dir, tmp_path, capsys, voxel):
+        bad = _pair_manifest(synth_dir, tmp_path, voxel_size=voxel)
+        assert run("stitch", bad, "--out", tmp_path / "o") == 2
+        assert "bad pair config: voxel_size" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_null_voxel_size_disables_downsampling(self, synth_dir, tmp_path):
+        manifest = _pair_manifest(synth_dir, tmp_path, voxel_size=None)
+        assert run("stitch", manifest, "--out", tmp_path / "o") == 0
+
+    def test_pair_log_reports_icp_converged(self, synth_dir, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run("stitch", synth_dir / "stitch_manifest.json", "--out", out) == 0
+        events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        [pair] = [e for e in events if e["event"] == "pair_registered"]
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert pair["icp_converged"] is diag["pairs"][0]["icp"]["converged"]
 
     def test_ransac_seed_override_is_deterministic(self, synth_dir, tmp_path):
         base = json.loads((synth_dir / "stitch_manifest.json").read_text())

@@ -125,6 +125,34 @@ class TestPointCloud:
         out = voxel_downsample(PointCloud(pts), 0.1)
         np.testing.assert_allclose(out.points, [[0.01, 0, 0], [1.0, 0, 0]])
 
+    @pytest.mark.parametrize("case", ["noise", "duplicates", "negative",
+                                      "one-voxel", "one-point"])
+    @pytest.mark.parametrize("voxel", [1e-3, 0.02, 0.5, 1e3])
+    def test_voxel_downsample_matches_unique_reference(self, case, voxel):
+        rng = np.random.default_rng(7)
+        pts = rng.normal(size=(3000, 3))
+        if case == "duplicates":
+            pts = np.vstack([pts, pts[rng.integers(0, 3000, 1000)]])
+            pts = pts[rng.permutation(len(pts))]
+        elif case == "negative":
+            pts = -np.abs(pts) * 7.0
+        elif case == "one-voxel":
+            pts = 0.25 * voxel + rng.uniform(0, 0.5 * voxel, size=(500, 3))
+        elif case == "one-point":
+            pts = pts[:1]
+        # Reference: the lowest original index of each distinct integer key.
+        keys = np.floor(pts / voxel).astype(np.int64)
+        _, first = np.unique(keys, axis=0, return_index=True)
+        out = voxel_downsample(PointCloud(pts), voxel)
+        assert np.array_equal(out.points, pts[np.sort(first)])
+        if case == "one-voxel":
+            assert len(out) == 1
+
+    @pytest.mark.parametrize("voxel", [0.0, -0.1, np.nan, np.inf, -np.inf])
+    def test_voxel_downsample_rejects_bad_voxel(self, voxel):
+        with pytest.raises(GeometryError, match="voxel size"):
+            voxel_downsample(PointCloud(np.zeros((3, 3))), voxel)
+
 
 class TestPlane:
     def test_canonical_orientation_makes_d_nonpositive(self):

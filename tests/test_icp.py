@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from panostitch.geometry import (PointCloud, RigidTransform,
+from panostitch.geometry import (PointCloud, PointIndex, RigidTransform,
                                  pose_difference, rotation_exp,
                                  rotation_from_axis_angle)
 from panostitch.icp import (IcpConfig, IcpError, correspondence_error,
@@ -32,7 +32,43 @@ def small_perturbation(rng, angle_deg=5.0, shift=0.1):
                           direction)
 
 
+def reference_normals(cloud, k, viewpoint):
+    """The unblocked estimator: one whole-cloud (n, k, 3) gather and one
+    batched covariance einsum. estimate_normals must match it bit for bit."""
+    vp = np.asarray(viewpoint, dtype=np.float64)
+    nbr, _ = PointIndex(cloud.points).knn(cloud.points, k=k)
+    nbr_pts = cloud.points[nbr]
+    centered = nbr_pts - nbr_pts.mean(axis=1, keepdims=True)
+    cov = np.einsum("nki,nkj->nij", centered, centered) / k
+    normals = np.linalg.eigh(cov)[1][:, :, 0]
+    flip = np.einsum("ni,ni->n", normals, vp[None, :] - cloud.points) < 0
+    normals[flip] = -normals[flip]
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    return normals
+
+
 class TestEstimateNormals:
+    @pytest.mark.parametrize("n", [icp_mod.NORMAL_BLOCK - 1, icp_mod.NORMAL_BLOCK,
+                                   icp_mod.NORMAL_BLOCK + 1,
+                                   2 * icp_mod.NORMAL_BLOCK + 3])
+    def test_blocks_match_whole_cloud_reference(self, n):
+        pts, _ = sample_room_cloud(EXTENT, n, 0.2, np.random.default_rng(n))
+        cloud = PointCloud(pts + np.random.default_rng(0).normal(0, 0.003, pts.shape))
+        est = estimate_normals(cloud, k=20, viewpoint=(0.3, -0.2, 1.5))
+        assert np.array_equal(est.normals,
+                              reference_normals(cloud, 20, (0.3, -0.2, 1.5)))
+
+    @pytest.mark.parametrize("case", ["n-equals-k", "duplicates-negative"])
+    def test_edge_clouds_match_reference(self, rng, case):
+        if case == "n-equals-k":
+            pts, k = rng.normal(size=(20, 3)), 20
+        else:
+            pts = -np.abs(rng.normal(size=(300, 3))) * 50.0
+            pts, k = np.vstack([pts, pts[::3], pts[::7]]), 10
+        cloud = PointCloud(pts)
+        est = estimate_normals(cloud, k=k, viewpoint=(1.0, 2.0, 3.0))
+        assert np.array_equal(est.normals, reference_normals(cloud, k, (1.0, 2.0, 3.0)))
+
     def test_plane_points_get_up_normals(self, rng):
         pts = np.column_stack([rng.uniform(-1, 1, 500), rng.uniform(-1, 1, 500),
                                np.zeros(500)])

@@ -33,6 +33,17 @@ def test_room_ids_round_trip(tmp_path, cloud, binary):
     np.testing.assert_array_equal(back_ids, ids)
 
 
+@pytest.mark.parametrize("binary", [True, False])
+@pytest.mark.parametrize("bad_id", [3_000_000_000, -2**31 - 1])
+def test_rejects_room_ids_outside_int32(tmp_path, cloud, binary, bad_id):
+    ids = np.zeros(len(cloud), dtype=np.int64)
+    ids[5] = bad_id
+    path = tmp_path / "cloud.ply"
+    with pytest.raises(PlyError, match="room_id out of range"):
+        write_ply(path, cloud, binary=binary, room_ids=ids)
+    assert not path.exists()
+
+
 def test_positions_only(tmp_path, rng):
     cloud = PointCloud(rng.normal(size=(10, 3)))
     path = tmp_path / "bare.ply"

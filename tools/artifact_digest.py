@@ -3,7 +3,9 @@
     PYTHONPATH=src python tools/artifact_digest.py OUT_DIR
 
 The flow: `synth` (a two-room scene plus episode logs), `stitch` at
-seeds 0 and 7, `plane` on an ASCII PLY table with `--flatten` and
+seeds 0 and 7, `synth` and `stitch` of a denser two-room scene (20,000
+points per room, so normal estimation runs over several query blocks),
+`plane` on an ASCII PLY table with `--flatten` and
 `--add-to-manifest` (into the seed-0 scene manifest), three `place`
 calls on that plane, and `eval` of the synthesized episodes. A labeled
 cloud (normals and room ids) is also written as ASCII PLY, read back and
@@ -41,6 +43,11 @@ SYNTH_CONFIG = {
          "true_rate": 0.5},
         {"task": "drawer", "tier": "train", "n_trials": 15, "true_rate": 0.6},
     ],
+}
+DENSE_SYNTH_CONFIG = {
+    "seed": 11,
+    "scene": {"pixel_noise_sigma": 0.5, "outlier_fraction": 0.1,
+              "cloud_point_count": 20000},
 }
 PLACES = [("mug", (0.1, 0.1, 0.12)), ("box", (0.2, 0.15, 0.1)),
           ("can", (0.07, 0.07, 0.12))]
@@ -81,6 +88,11 @@ def flow(out: Path) -> list[Path]:
     for seed in (0, 7):
         run("stitch", synth / "stitch_manifest.json", "--out", out / f"stitch{seed}",
             "--seed", seed)
+    dense_config = out / "synth_dense_config.json"
+    dense_config.write_text(json.dumps(DENSE_SYNTH_CONFIG))
+    run("synth", dense_config, "--out", out / "synth_dense")
+    run("stitch", out / "synth_dense" / "stitch_manifest.json",
+        "--out", out / "stitch_dense", "--seed", 0)
     scene = out / "stitch0" / "scene_manifest.json"
     write_ply(out / "table.ply", table_cloud(), binary=False)
     run("plane", out / "table.ply", "--flatten", out / "plane" / "flat.ply",
@@ -103,6 +115,8 @@ def flow(out: Path) -> list[Path]:
     for seed in (0, 7):
         artifacts += [out / f"stitch{seed}" / name for name in (
             "merged.ply", "diagnostics.json", "scene_manifest.json")]
+    artifacts += [out / "stitch_dense" / name for name in (
+        "merged.ply", "diagnostics.json", "scene_manifest.json")]
     artifacts += [out / "table.ply", out / "plane" / "flat.ply",
                   out / "plane" / "report.json", out / "place" / "placed.json",
                   out / "eval" / "report.csv", out / "eval" / "detail.csv",
