@@ -3,13 +3,20 @@
 Candidate triples are drawn and scored in batches so the search cost is
 a handful of matrix products instead of one numpy call per iteration.
 Results are a pure function of (points, config, rng state).
+
+Scoring reuses one (chunk, n) distance buffer and one boolean buffer
+for every chunk of candidates: the distances are written in place by
+matmul, subtract and abs, and each candidate's inliers are counted
+along one contiguous row, so a chunk allocates no n-sized temporaries.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# Cap on candidate-by-point score matrices, in elements.
+# Cap on the candidate-by-point score buffer, in elements. It also fixes
+# which chunks hold a single candidate (see best_plane_support), so it is
+# part of the result, not only of the memory use.
 _SCORE_BUDGET = 4_000_000
 
 
@@ -55,15 +62,27 @@ def best_plane_support(pts: np.ndarray, iterations: int, threshold: float,
     normals = normals[keep] / norms[keep, None]
     offsets = np.einsum("ij,ij->i", pts[idx[keep, 0]], normals)
 
-    chunk = max(1, _SCORE_BUDGET // max(n, 1))
+    chunk = min(keep.size, max(1, _SCORE_BUDGET // max(n, 1)))
+    pts_t = np.ascontiguousarray(pts.T)
+    dist = np.empty((chunk, n))
+    near = np.empty((chunk, n), dtype=bool)
     best_count = -1
     best_normal = None
     best_offset = 0.0
     for start in range(0, keep.size, chunk):
         nc = normals[start:start + chunk]
         oc = offsets[start:start + chunk]
-        dist = np.abs(pts @ nc.T - oc[None, :])
-        counts = (dist <= threshold).sum(axis=0)
+        d, hit = dist[:len(nc)], near[:len(nc)]
+        if len(nc) == 1:
+            # BLAS scores a lone candidate with gemv, whose rounding can
+            # differ from gemm's; keep the (points x normal) product.
+            np.matmul(pts, nc[0], out=d[0])
+        else:
+            np.matmul(nc, pts_t, out=d)
+        np.subtract(d, oc[:, None], out=d)
+        np.abs(d, out=d)
+        np.less_equal(d, threshold, out=hit)
+        counts = np.count_nonzero(hit, axis=1)
         j = int(np.argmax(counts))
         if counts[j] > best_count:
             best_count = int(counts[j])

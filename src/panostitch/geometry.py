@@ -268,7 +268,12 @@ def voxel_downsample(cloud: PointCloud, voxel: float) -> PointCloud:
         raise GeometryError(f"voxel size must be finite and positive, got {voxel}")
     if len(cloud) == 0:
         return cloud
-    keys = np.floor(cloud.points / voxel).astype(np.int64)
+    with np.errstate(over="ignore"):
+        scaled = np.floor(cloud.points / voxel)
+    if not (scaled.min() >= -2.0**63 and scaled.max() < 2.0**63):
+        raise GeometryError(f"voxel size {voxel} is too small for the cloud's "
+                            "extent: voxel indices overflow int64")
+    keys = scaled.astype(np.int64)
     # Stable sort by (x, y, z) key: each run of equal keys is one voxel and
     # starts at its lowest original index.
     order = np.lexsort(keys.T[::-1])

@@ -136,26 +136,53 @@ def dtw(traj_a, traj_b, normalize: bool = False) -> float:
     Euclidean point cost with the symmetric step pattern
     {(1,0), (0,1), (1,1)}; returns the unnormalized total cost, or the
     per-step average when normalize is set.
-    """
-    a = np.asarray(traj_a, dtype=np.float64)
-    b = np.asarray(traj_b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[0] == 0 or b.shape[0] == 0:
-        raise MetricError("dtw needs two nonempty (N, 3) trajectories")
-    na, nb = a.shape[0], b.shape[0]
-    cost = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
 
-    acc = np.full((na + 1, nb + 1), np.inf)
-    steps = np.zeros((na + 1, nb + 1), dtype=np.int64)
-    acc[0, 0] = 0.0
-    for i in range(1, na + 1):
-        for j in range(1, nb + 1):
-            options = (acc[i - 1, j - 1], acc[i - 1, j], acc[i, j - 1])
-            k = int(np.argmin(options))
-            acc[i, j] = cost[i - 1, j - 1] + options[k]
-            prev = ((i - 1, j - 1), (i - 1, j), (i, j - 1))[k]
-            steps[i, j] = steps[prev] + 1
-    total = float(acc[na, nb])
-    return total / steps[na, nb] if normalize else total
+    The recurrence acc[i, j] = cost[i-1, j-1] + min(diag, up, left)
+    (Sakoe & Chiba 1978) runs as a wavefront: every cell on one
+    anti-diagonal i + j depends only on the two diagonals before it, so
+    each diagonal is one vectorized step over strided views of the flat
+    accumulator. Path steps follow the first minimum in diag, up, left
+    order, so ties pick the same path as a cell-by-cell scan.
+    """
+    a, b = _trajectory(traj_a), _trajectory(traj_b)
+    na, nb = a.shape[0], b.shape[0]
+    w = nb + 1
+    grid = np.full((na + 1, w), np.inf)
+    grid[1:, 1:] = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
+    grid[0, 0] = 0.0
+    # Flat row-major (na + 1) x (nb + 1) accumulator: cell (i, j) sits at
+    # i * w + j, so a diagonal steps by nb and its predecessors sit at
+    # offsets -w - 1 (diag), -w (up) and -1 (left).
+    acc = grid.ravel()
+    steps = np.zeros(acc.size, dtype=np.int64) if normalize else None
+    for d in range(2, na + nb + 1):
+        lo = max(1, d - nb) * nb + d
+        hi = min(na, d - 1) * nb + d + 1
+        diag = slice(lo - w - 1, hi - w - 1, nb)
+        up = slice(lo - w, hi - w, nb)
+        left = slice(lo - 1, hi - 1, nb)
+        up_left = np.minimum(acc[up], acc[left])
+        if steps is not None:
+            prev = np.where(acc[diag] <= up_left, steps[diag],
+                            np.where(acc[up] <= acc[left], steps[up], steps[left]))
+            steps[lo:hi:nb] = prev + 1
+        acc[lo:hi:nb] += np.minimum(acc[diag], up_left)
+    total = float(acc[-1])
+    return total / steps[-1] if normalize else total
+
+
+def _trajectory(traj) -> np.ndarray:
+    """Coerce to a nonempty, finite float64 (N, 3) waypoint array."""
+    try:
+        t = np.asarray(traj, dtype=np.float64)
+    except (TypeError, ValueError) as e:
+        raise MetricError(f"dtw trajectory is not a numeric array: {e}") from e
+    if t.ndim != 2 or t.shape[0] == 0 or t.shape[1] != 3:
+        raise MetricError("dtw needs two nonempty (N, 3) trajectories, "
+                          f"got shape {t.shape}")
+    if not np.all(np.isfinite(t)):
+        raise MetricError("dtw trajectory has non-finite waypoints")
+    return t
 
 
 def fluid_containment_success(particles, receptacle: Aabb,

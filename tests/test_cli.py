@@ -193,6 +193,16 @@ class TestStitchCommand:
         manifest = _pair_manifest(synth_dir, tmp_path, voxel_size=None)
         assert run("stitch", manifest, "--out", tmp_path / "o") == 0
 
+    def test_voxel_too_fine_for_cloud_exits_5(self, synth_dir, tmp_path, capsys):
+        # A valid number, but room coordinates over 1e-20 overflow the
+        # int64 voxel indices; downsampling must fail, not merge points.
+        bad = _pair_manifest(synth_dir, tmp_path, voxel_size=1e-20)
+        assert run("stitch", bad, "--out", tmp_path / "o") == 5
+        err = capsys.readouterr().err
+        assert "room_a->room_b: voxel size 1e-20 is too small" in err
+        assert "overflow int64" in err
+        assert not (tmp_path / "o").exists()
+
     def test_pair_log_reports_icp_converged(self, synth_dir, tmp_path, capsys):
         out = tmp_path / "o"
         assert run("stitch", synth_dir / "stitch_manifest.json", "--out", out) == 0

@@ -154,6 +154,19 @@ class TestPointCloud:
             voxel_downsample(PointCloud(np.zeros((3, 3))), voxel)
 
 
+    @pytest.mark.parametrize("voxel", [1e-20, 5e-324])
+    def test_voxel_downsample_rejects_index_overflow(self, voxel):
+        pts = np.random.default_rng(0).normal(size=(1000, 3))
+        with pytest.raises(GeometryError, match=f"voxel size {voxel!r} .*overflow"):
+            voxel_downsample(PointCloud(pts), voxel)
+
+    def test_voxel_downsample_accepts_largest_in_range_index(self):
+        # floor(x / voxel) = 2**62 and -2**63 still fit in int64.
+        pts = np.array([[2.0**62, 0, 0], [-(2.0**63), 1, 0], [2.0**62, 0, 0]])
+        out = voxel_downsample(PointCloud(pts), 1.0)
+        assert np.array_equal(out.points, pts[:2])
+
+
 class TestPlane:
     def test_canonical_orientation_makes_d_nonpositive(self):
         p = Plane((0, 0, 1.0), 2.0).canonical()

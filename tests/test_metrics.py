@@ -123,6 +123,35 @@ def dtw_oracle(a, b):
     return rec(len(a), len(b))
 
 
+def dtw_loop_reference(a, b, normalize=False):
+    """The cell-by-cell scan dtw replaced: first minimum of (diag, up,
+    left) per cell, with path steps carried along. dtw must equal it
+    exactly, value and type, with and without normalize."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    na, nb = a.shape[0], b.shape[0]
+    cost = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
+    acc = np.full((na + 1, nb + 1), np.inf)
+    steps = np.zeros((na + 1, nb + 1), dtype=np.int64)
+    acc[0, 0] = 0.0
+    for i in range(1, na + 1):
+        for j in range(1, nb + 1):
+            options = (acc[i - 1, j - 1], acc[i - 1, j], acc[i, j - 1])
+            k = int(np.argmin(options))
+            acc[i, j] = cost[i - 1, j - 1] + options[k]
+            prev = ((i - 1, j - 1), (i - 1, j), (i, j - 1))[k]
+            steps[i, j] = steps[prev] + 1
+    total = float(acc[na, nb])
+    return total / steps[na, nb] if normalize else total
+
+
+def assert_dtw_matches_loop(a, b):
+    for normalize in (False, True):
+        got = dtw(a, b, normalize=normalize)
+        ref = dtw_loop_reference(a, b, normalize=normalize)
+        assert got == ref and type(got) is type(ref), (normalize, got, ref)
+
+
 class TestDtw:
     def test_identical_trajectories(self, rng):
         t = rng.normal(size=(30, 3))
@@ -154,6 +183,50 @@ class TestDtw:
     def test_empty_rejected(self):
         with pytest.raises(MetricError):
             dtw([], [(0.0, 0, 0)])
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 17), (17, 1), (23, 23), (9, 40),
+                                       (40, 9)])
+    def test_random_pairs_equal_loop_reference(self, rng, shape):
+        for _ in range(5):
+            a = rng.normal(size=(shape[0], 3)) * rng.uniform(0.01, 100)
+            b = rng.normal(size=(shape[1], 3)) * rng.uniform(0.01, 100)
+            assert_dtw_matches_loop(a, b)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 12), (12, 1), (15, 15), (8, 31)])
+    def test_integer_grid_ties_equal_loop_reference(self, rng, shape):
+        # Coordinates in {0, 1, 2}: equal costs and equal predecessor sums
+        # are common, so the diag/up/left order decides the step counts.
+        for _ in range(10):
+            a = rng.integers(0, 3, size=(shape[0], 3)).astype(float)
+            b = rng.integers(0, 3, size=(shape[1], 3)).astype(float)
+            assert_dtw_matches_loop(a, b)
+
+    def test_up_left_tie_takes_up(self):
+        # Cell (3, 4) of x = (0, 2, 0) against x = (0, 1, 0, 2) has equal up
+        # and left sums on paths of 4 and 3 steps; the tie goes to up, so
+        # the best path has 5 steps, not 4.
+        a = [(0.0, 0, 0), (2.0, 0, 0), (0.0, 0, 0)]
+        b = [(0.0, 0, 0), (1.0, 0, 0), (0.0, 0, 0), (2.0, 0, 0)]
+        assert dtw(a, b) == 3.0
+        assert dtw(a, b, normalize=True) == 0.6
+        assert_dtw_matches_loop(a, b)
+
+    def test_two_column_trajectory_rejected(self):
+        with pytest.raises(MetricError, match="shape"):
+            dtw(np.zeros((4, 2)), np.zeros((5, 2)))
+
+    def test_mismatched_widths_rejected(self):
+        with pytest.raises(MetricError, match="shape"):
+            dtw(np.zeros((4, 2)), np.zeros((5, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_waypoint_rejected(self, bad):
+        traj = np.zeros((6, 3))
+        traj[3, 1] = bad
+        with pytest.raises(MetricError, match="non-finite"):
+            dtw(traj, np.ones((4, 3)))
+        with pytest.raises(MetricError, match="non-finite"):
+            dtw(np.ones((4, 3)), traj)
 
 
 class TestFluidContainment:

@@ -10,6 +10,7 @@ from panostitch.scene import (AssetInstance, ManifestError, PairRegistration,
                               flatten_to_plane, inlier_stddev, load_manifest,
                               manifest_from_dict, manifest_to_dict, merge_rooms,
                               overlap_rms, place_asset, save_manifest)
+from panostitch import _plane_search
 from panostitch.testkit import SynthSceneConfig, chain_room_poses, synth_room_pair
 
 from conftest import build_table_manifest as make_table_manifest
@@ -149,6 +150,145 @@ class TestFitPlaneRansac:
         p2, i2 = fit_plane_ransac(cloud, seed=6)
         np.testing.assert_array_equal(p1.normal, p2.normal)
         np.testing.assert_array_equal(i1, i2)
+
+
+def reference_plane_support(pts, iterations, threshold, rng, axis=None,
+                            min_cos=0.0):
+    """The scorer before buffer reuse: each chunk of candidates scores the
+    (points x candidates) product and sums its inlier bools down axis 0.
+    best_plane_support must return the same mask and count."""
+    n = pts.shape[0]
+    idx = _plane_search.sample_triples(rng, n, iterations)
+    a = pts[idx[:, 0]]
+    normals = np.cross(pts[idx[:, 1]] - a, pts[idx[:, 2]] - a)
+    norms = np.linalg.norm(normals, axis=1)
+    valid = norms > 1e-12
+    if axis is not None:
+        with np.errstate(invalid="ignore", divide="ignore"):
+            tilt_ok = np.abs((normals @ axis) / norms) >= min_cos
+        valid &= tilt_ok
+    keep = np.flatnonzero(valid)
+    if keep.size == 0:
+        return None
+    normals = normals[keep] / norms[keep, None]
+    offsets = np.einsum("ij,ij->i", pts[idx[keep, 0]], normals)
+
+    chunk = max(1, _plane_search._SCORE_BUDGET // max(n, 1))
+    best_count = -1
+    best_normal = None
+    best_offset = 0.0
+    for start in range(0, keep.size, chunk):
+        nc = normals[start:start + chunk]
+        oc = offsets[start:start + chunk]
+        dist = np.abs(pts @ nc.T - oc[None, :])
+        counts = (dist <= threshold).sum(axis=0)
+        j = int(np.argmax(counts))
+        if counts[j] > best_count:
+            best_count = int(counts[j])
+            best_normal = nc[j]
+            best_offset = float(oc[j])
+
+    mask = np.abs(pts @ best_normal - best_offset) <= threshold
+    return mask, best_count
+
+
+class _ScriptedTriples:
+    """Stands in for the generator in sample_triples (n > 64 draws one
+    integers() block), so a test decides which candidate lands where."""
+
+    def __init__(self, triples):
+        self.triples = np.asarray(triples)
+
+    def integers(self, low, high, size):
+        assert size == self.triples.shape
+        return self.triples.copy()
+
+
+class TestBestPlaneSupport:
+    @pytest.fixture
+    def small_budget(self, monkeypatch):
+        # 2000-point clouds then score 10 candidates per chunk.
+        monkeypatch.setattr(_plane_search, "_SCORE_BUDGET", 20_000)
+
+    def floor_and_wall(self, rng, n=2000):
+        floor = np.column_stack([rng.uniform(-2, 2, n // 2), rng.uniform(-2, 2, n // 2),
+                                 rng.normal(0.0, 0.004, n // 2)])
+        wall = np.column_stack([rng.uniform(-2, 2, n // 4), np.full(n // 4, 2.0),
+                                rng.uniform(0, 2.5, n // 4)])
+        junk = rng.uniform(-2, 2, size=(n - n // 2 - n // 4, 3))
+        return np.vstack([floor, wall, junk])
+
+    # 201 and 1000 iterations end on a one-candidate and a full chunk.
+    @pytest.mark.parametrize("iterations", [1, 7, 201, 1000])
+    @pytest.mark.parametrize("tilt", [None, 10.0, 89.0])
+    def test_matches_reference_over_several_chunks(self, small_budget, iterations, tilt):
+        pts = self.floor_and_wall(np.random.default_rng(iterations))
+        kw = {} if tilt is None else {"axis": np.array([0.0, 0.0, 1.0]),
+                                      "min_cos": np.cos(np.deg2rad(tilt))}
+        got = _plane_search.best_plane_support(pts, iterations, 0.01,
+                                               np.random.default_rng(5), **kw)
+        ref = reference_plane_support(pts, iterations, 0.01,
+                                      np.random.default_rng(5), **kw)
+        assert (got is None) == (ref is None)
+        if ref is not None:
+            assert np.array_equal(got[0], ref[0]) and got[1] == ref[1]
+
+    @pytest.mark.parametrize("iterations", [1, 201, 300])
+    @pytest.mark.parametrize("threshold", [0.0, 0.02])
+    def test_grid_cloud_with_exact_ties_matches_reference(self, small_budget,
+                                                          iterations, threshold):
+        # Grid points lie exactly on many candidate planes, so distances
+        # land on the threshold and expose any change in rounding.
+        rng = np.random.default_rng(3)
+        pts = np.round(rng.uniform(-1, 1, size=(2000, 3)), 1)
+        got = _plane_search.best_plane_support(pts, iterations, threshold,
+                                               np.random.default_rng(8))
+        ref = reference_plane_support(pts, iterations, threshold,
+                                      np.random.default_rng(8))
+        assert np.array_equal(got[0], ref[0]) and got[1] == ref[1]
+
+    @pytest.mark.parametrize("seed", range(5, 10))
+    def test_lone_candidate_scores_like_reference(self, seed):
+        # At threshold 0 the count is how many of the three sampled points
+        # land exactly on their own plane, which depends on the rounding
+        # of the one-candidate product.
+        pts = np.random.default_rng(seed).normal(size=(200, 3))
+        got = _plane_search.best_plane_support(pts, 1, 0.0,
+                                               np.random.default_rng(seed))
+        ref = reference_plane_support(pts, 1, 0.0, np.random.default_rng(seed))
+        assert np.array_equal(got[0], ref[0]) and got[1] == ref[1]
+
+    def test_table_scan_matches_reference(self, rng):
+        # 100k points: 40 candidates per chunk at the module budget.
+        n = 100_000
+        pts = np.column_stack([rng.uniform(-0.6, 0.6, n), rng.uniform(-0.4, 0.4, n),
+                               0.75 + rng.normal(0.0, 0.002, n)])
+        pts[::5] = rng.uniform(-1, 1, size=(n // 5 + (n % 5 > 0), 3))
+        got = _plane_search.best_plane_support(pts, 1000, 0.01,
+                                               np.random.default_rng(2))
+        ref = reference_plane_support(pts, 1000, 0.01, np.random.default_rng(2))
+        assert np.array_equal(got[0], ref[0]) and got[1] == ref[1]
+
+    def test_tie_goes_to_the_earlier_chunk(self, small_budget, rng):
+        # Two parallel 600-point planes; candidate 3 spans the lower one,
+        # candidate 25 (third chunk) the upper one, the rest are junk.
+        low = np.column_stack([rng.uniform(-1, 1, (600, 2)), np.zeros(600)])
+        high = np.column_stack([rng.uniform(-1, 1, (600, 2)), np.ones(600)])
+        junk = rng.uniform(-3, 3, size=(800, 3)) + [0.0, 0.0, 10.0]
+        pts = np.vstack([low, high, junk])
+        triples = 1200 + np.arange(30 * 3).reshape(30, 3)
+        triples[3] = (0, 1, 2)
+        triples[25] = (600, 601, 602)
+        for later in (25, 4):   # a later chunk, then later in the same chunk
+            scripted = triples.copy()
+            if later != 25:
+                scripted[[later, 25]] = scripted[[25, later]]
+            mask, count = _plane_search.best_plane_support(
+                pts, 30, 0.01, _ScriptedTriples(scripted))
+            assert count == 600
+            assert np.array_equal(np.flatnonzero(mask), np.arange(600))
+            ref = reference_plane_support(pts, 30, 0.01, _ScriptedTriples(scripted))
+            assert np.array_equal(mask, ref[0]) and count == ref[1]
 
 
 class TestFlattenToPlane:

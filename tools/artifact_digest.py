@@ -7,9 +7,14 @@ seeds 0 and 7, `synth` and `stitch` of a denser two-room scene (20,000
 points per room, so normal estimation runs over several query blocks),
 `plane` on an ASCII PLY table with `--flatten` and
 `--add-to-manifest` (into the seed-0 scene manifest), three `place`
-calls on that plane, and `eval` of the synthesized episodes. A labeled
-cloud (normals and room ids) is also written as ASCII PLY, read back and
-written as binary, so both directions of the ASCII codec are covered.
+calls on that plane, and `eval` of the synthesized episodes. A second
+`plane --flatten` runs on a cluttered 106,000-point table, where the
+plane search scores its 1,000 candidates in 27 chunks of 37 and one of
+a single candidate. A labeled cloud (normals and room ids) is also
+written as ASCII PLY, read back and written as binary, so both
+directions of the ASCII codec are covered. `dtw.json` holds the `repr`
+of `dtw` and of `dtw(normalize=True)` over seeded float and
+integer-grid trajectory pairs, the grid ones full of equal-cost ties.
 Every step is seeded, so two source trees that produce the same
 artifacts print the same digests.
 
@@ -31,6 +36,7 @@ import numpy as np
 
 from panostitch import cli
 from panostitch.geometry import PointCloud
+from panostitch.metrics import dtw
 from panostitch.ply import read_ply, write_ply
 
 SYNTH_CONFIG = {
@@ -49,6 +55,12 @@ DENSE_SYNTH_CONFIG = {
     "scene": {"pixel_noise_sigma": 0.5, "outlier_fraction": 0.1,
               "cloud_point_count": 20000},
 }
+BIG_TABLE_POINTS = 106_000
+# (label, length a, length b, integer grid?)
+DTW_PAIRS = [("float-150x150", 150, 150, False), ("float-60x90", 60, 90, False),
+             ("float-1x40", 1, 40, False), ("float-40x1", 40, 1, False),
+             ("grid-30x45", 30, 45, True), ("grid-25x25", 25, 25, True),
+             ("grid-1x1", 1, 1, True)]
 PLACES = [("mug", (0.1, 0.1, 0.12)), ("box", (0.2, 0.15, 0.1)),
           ("can", (0.07, 0.07, 0.12))]
 
@@ -61,6 +73,18 @@ def table_cloud(n: int = 2000, seed: int = 0) -> PointCloud:
                                        0.75 + rng.normal(0.0, 0.002, n)]))
 
 
+def cluttered_table(n: int, seed: int) -> PointCloud:
+    """A table top with 5 mm noise under a quarter of clutter points, so
+    candidate planes differ in support instead of all taking every point."""
+    table = table_cloud(n, seed).points.copy()
+    rng = np.random.default_rng(seed + 1)
+    table[:, 2] += rng.normal(0.0, 0.005, n)
+    clutter = rng.random(n) < 0.25
+    table[clutter] = rng.uniform((-0.6, -0.4, 0.75), (0.6, 0.4, 1.05),
+                                 size=(int(clutter.sum()), 3))
+    return PointCloud(table)
+
+
 def labeled_cloud(n: int = 500, seed: int = 1) -> tuple[PointCloud, np.ndarray]:
     """Points spanning several decades of scale, unit normals, room ids."""
     rng = np.random.default_rng(seed)
@@ -68,6 +92,21 @@ def labeled_cloud(n: int = 500, seed: int = 1) -> tuple[PointCloud, np.ndarray]:
     normals = rng.normal(size=(n, 3))
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
     return PointCloud(pts, normals), rng.integers(0, 5, size=n)
+
+
+def dtw_values(seed: int = 3) -> list[dict]:
+    """`repr` of dtw, plain and normalized, over the DTW_PAIRS."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for label, na, nb, grid in DTW_PAIRS:
+        if grid:
+            a, b = (rng.integers(0, 3, size=(k, 3)).astype(float) for k in (na, nb))
+        else:
+            a, b = (np.cumsum(rng.normal(0.0, 0.05, size=(k, 3)), axis=0)
+                    for k in (na, nb))
+        rows.append({"pair": label, "dtw": repr(dtw(a, b)),
+                     "dtw_normalized": repr(dtw(a, b, normalize=True))})
+    return rows
 
 
 def run(*argv) -> None:
@@ -98,6 +137,9 @@ def flow(out: Path) -> list[Path]:
     run("plane", out / "table.ply", "--flatten", out / "plane" / "flat.ply",
         "--report", out / "plane" / "report.json", "--add-to-manifest", scene,
         "--plane-id", "table", "--seed", 2)
+    write_ply(out / "big_table.ply", cluttered_table(BIG_TABLE_POINTS, seed=3))
+    run("plane", out / "big_table.ply", "--flatten", out / "plane" / "big_flat.ply",
+        "--report", out / "plane" / "big_report.json", "--seed", 4)
     for k, (asset, size) in enumerate(PLACES):
         dest = [] if k < 2 else ["--out", out / "place" / "placed.json"]
         run("place", scene, "--plane", "table", "--asset-id", asset,
@@ -108,6 +150,7 @@ def flow(out: Path) -> list[Path]:
     write_ply(out / "labeled_ascii.ply", cloud, binary=False, room_ids=room_ids)
     back, back_ids = read_ply(out / "labeled_ascii.ply")
     write_ply(out / "labeled_binary.ply", back, room_ids=back_ids)
+    (out / "dtw.json").write_text(json.dumps(dtw_values(), indent=2) + "\n")
 
     artifacts = [synth / name for name in (
         "matches.json", "room_a.ply", "room_b.ply", "ground_truth.json",
@@ -118,9 +161,11 @@ def flow(out: Path) -> list[Path]:
     artifacts += [out / "stitch_dense" / name for name in (
         "merged.ply", "diagnostics.json", "scene_manifest.json")]
     artifacts += [out / "table.ply", out / "plane" / "flat.ply",
-                  out / "plane" / "report.json", out / "place" / "placed.json",
+                  out / "plane" / "report.json", out / "plane" / "big_flat.ply",
+                  out / "plane" / "big_report.json", out / "place" / "placed.json",
                   out / "eval" / "report.csv", out / "eval" / "detail.csv",
-                  out / "labeled_ascii.ply", out / "labeled_binary.ply"]
+                  out / "labeled_ascii.ply", out / "labeled_binary.ply",
+                  out / "dtw.json"]
     return artifacts
 
 
