@@ -10,7 +10,8 @@ byte-identical.
 
 Exit codes: 0 success, 2 input error (bad gravity_axis or voxel_size
 included), 3 graph error, 4 placement error, 5 numerical failure.
-PANOSTITCH_THREADS caps internal thread use.
+PANOSTITCH_THREADS caps internal thread use; a value that is not a
+positive integer exits 2 before the command runs.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from ._atomic import write_atomic, write_json
 from .epipolar import CheiralityError, EstimationError, RansacConfig
 from .geometry import (Aabb, GeometryError, PointCloud, RigidTransform, rot_z,
                        unit)
-from .icp import IcpConfig, IcpError
+from .icp import IcpConfig, IcpError, worker_count
 from .metrics import (MetricError, generalization_report, parse_tier,
                       read_episode_csv, read_rates_csv, simreal_correlation,
                       write_episode_csv)
@@ -161,7 +162,8 @@ def cmd_stitch(args) -> int:
         _log("stitch", "pair_registered", pair=label,
              elapsed_s=round(time.perf_counter() - t0, 4),
              alpha=result.alpha, icp_iterations=result.icp.iterations,
-             icp_converged=result.icp.converged)
+             icp_converged=result.icp.converged,
+             icp_stop_reason=result.icp.stop_reason)
         registrations.append((entry, result))
 
     manifest = scene_mod.SceneManifest(
@@ -475,6 +477,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        try:
+            worker_count()
+        except ValueError as e:
+            raise CliError(EXIT_INPUT, str(e)) from e
         return args.func(args)
     except CliError as e:
         _log(args.command, "error", code=e.code, message=str(e))

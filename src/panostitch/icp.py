@@ -8,10 +8,24 @@ where q_i is the nearest target point to the transformed source point
 and n_i the target normal at q_i. Each iteration solves the small-angle
 6-dof linearization of E (normal equations), so a good initial pose is
 assumed; the coarse panorama-derived pose provides it in the pipeline.
+
+The loop stops for one of three reasons, reported as
+IcpResult.stop_reason:
+
+- "rel_tol": the relative error change of a step fell below
+  IcpConfig.rel_tol (the only case with converged = True);
+- "cycle": the gated correspondence set at the start of an iteration
+  equals the set of an earlier iteration other than the one just
+  before. A linearized point-to-plane step, unlike exact point-to-point
+  minimization (Besl & McKay 1992), need not decrease the error, so the
+  iterates can revisit the same correspondences with any period and
+  never meet rel_tol. The lowest-error iterate of the cycle is returned;
+- "max_iterations": IcpConfig.max_iterations steps ran.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import warnings
 from dataclasses import dataclass
@@ -32,16 +46,18 @@ class IcpError(RuntimeError):
 def worker_count() -> int:
     """Threads for batched nearest-neighbor queries.
 
-    Honors the PANOSTITCH_THREADS cap; results are identical regardless
-    of the value, it only affects speed.
+    Honors the PANOSTITCH_THREADS cap, which must be a positive decimal
+    integer; unset or empty means every CPU (-1). Any other value raises
+    ValueError naming the variable. Results are identical regardless of
+    the value, it only affects speed.
     """
     cap = os.environ.get("PANOSTITCH_THREADS")
-    if cap:
-        try:
-            return max(1, int(cap))
-        except ValueError:
-            pass
-    return -1
+    if not cap:
+        return -1
+    if not (cap.isascii() and cap.isdigit() and int(cap) > 0):
+        raise ValueError(
+            f"PANOSTITCH_THREADS must be a positive integer, got {cap!r}")
+    return int(cap)
 
 
 @dataclass(frozen=True)
@@ -70,6 +86,7 @@ class IcpResult:
     converged: bool
     error_trace: tuple[float, ...]
     max_corr_dist: float
+    stop_reason: str      # "rel_tol", "cycle" or "max_iterations"
 
 
 def estimate_normals(cloud: PointCloud, k: int = 20,
@@ -208,9 +225,25 @@ def point_to_plane_icp(source: PointCloud, target: PointCloud,
 
     Iterates correspondence search (distance- and normal-gated nearest
     neighbors inside the overlap region) with the 6-dof normal-equation
-    solve, stopping when the relative error change drops below
-    cfg.rel_tol or the iteration cap is hit. Deterministic for identical
-    inputs and config.
+    solve. Stops at the first of:
+
+    - rel_tol: a step changed the error by less than cfg.rel_tol
+      relative to the step before; the last iterate is returned and
+      converged is True.
+    - cycle: the correspondence assignment (each cropped source point's
+      target index, or -1 where gating dropped it) at the start of an
+      iteration equals the assignment of any earlier iteration except
+      the one just before (that repeat is the fixed point rel_tol
+      handles). The iterates since that earlier iteration form the
+      cycle; the one with the lowest error_trace value (first on a tie)
+      is returned, with its correspondence count.
+    - max_iterations: cfg.max_iterations steps ran; the last iterate is
+      returned.
+
+    iterations and error_trace cover the steps taken, and final_error
+    is the point-to-plane error at the returned pose. Assignments are
+    remembered by SHA-256 digest only, so memory does not grow with
+    the iteration count. Deterministic for identical inputs and config.
     """
     _check_inputs(source, target)
     index = PointIndex(target.points)
@@ -223,17 +256,29 @@ def point_to_plane_icp(source: PointCloud, target: PointCloud,
     prev_err: float | None = None
     initial_err: float | None = None
     trace: list[float] = []
-    corr_count = 0
-    converged = False
-    iterations = 0
+    poses: list[RigidTransform] = []    # the iterate each step produced
+    counts: list[int] = []              # and its correspondence count
+    seen: dict[bytes, int] = {}         # assignment digest -> latest step
+    assignment = np.empty(src.shape[0], dtype=np.int64)
+    stop_reason = "max_iterations"
+    chosen = -1                         # index into poses: the last step
 
-    for iterations in range(1, cfg.max_iterations + 1):
+    for step in range(cfg.max_iterations):
         moved, rows, tgt_idx, max_dist = _correspond(
             src, src_normals, T, target, index, max_dist, cfg)
         if rows.size == 0:
             raise IcpError(
                 f"zero correspondences within {max_dist:.3g} m; clouds do not overlap")
-        corr_count = int(rows.size)
+        assignment.fill(-1)
+        assignment[rows] = tgt_idx
+        digest = hashlib.sha256(assignment).digest()
+        last = seen.get(digest)
+        if last is not None and last < step - 1:
+            chosen = last + int(np.argmin(trace[last:]))
+            stop_reason = "cycle"
+            break
+        seen[digest] = step
+
         p = moved[rows]
         q = target.points[tgt_idx]
         n = target.normals[tgt_idx]
@@ -248,16 +293,21 @@ def point_to_plane_icp(source: PointCloud, target: PointCloud,
 
         err = correspondence_error(src[rows], q, n, T)
         trace.append(err)
+        poses.append(T)
+        counts.append(int(rows.size))
         if abs(prev_err - err) / max(prev_err, 1e-12) < cfg.rel_tol:
-            converged = True
+            stop_reason = "rel_tol"
             break
         prev_err = err
 
+    T = poses[chosen]
     final_err = _pose_error(source, target, index, T, max_dist, cfg)
     return IcpResult(transform=T, final_error=final_err,
-                     initial_error=float(initial_err), iterations=iterations,
-                     correspondence_count=corr_count, converged=converged,
-                     error_trace=tuple(trace), max_corr_dist=max_dist)
+                     initial_error=float(initial_err), iterations=len(trace),
+                     correspondence_count=counts[chosen],
+                     converged=stop_reason == "rel_tol",
+                     error_trace=tuple(trace), max_corr_dist=max_dist,
+                     stop_reason=stop_reason)
 
 
 def _pose_error(source: PointCloud, target: PointCloud, index: PointIndex,

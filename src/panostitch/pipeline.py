@@ -59,6 +59,7 @@ class PairResult:
             "icp": {
                 "iterations": self.icp.iterations,
                 "converged": self.icp.converged,
+                "stop_reason": self.icp.stop_reason,
                 "initial_error": self.icp.initial_error,
                 "final_error": self.icp.final_error,
                 "correspondence_count": self.icp.correspondence_count,

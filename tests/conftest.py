@@ -1,11 +1,16 @@
+import functools
+
 import numpy as np
 import pytest
 
-from panostitch.geometry import PointCloud
+from panostitch.geometry import PointCloud, RigidTransform, rot_z
 from panostitch.panorama import parse_match_dict
 from panostitch.scene import (RoomNode, SceneManifest, fit_plane_ransac,
                               support_plane_from_inliers)
-from panostitch.testkit import SynthSceneConfig, synth_room_pair
+from panostitch.testkit import SynthSceneConfig, sample_room_cloud, synth_room_pair
+
+# The room pose `panostitch synth` writes by default.
+SYNTH_POSE = RigidTransform(rot_z(np.deg2rad(11.0)), np.array([-1.6, -0.4, 0.0]))
 
 
 def build_table_manifest(rng, side=1.0, z=0.8):
@@ -47,3 +52,25 @@ def noisy_matches(noisy_pair):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(scope="session")
+def resampled_pair():
+    """Factory: seed -> (SynthRoomPair, room B cloud) of a scene like the
+    benchmark's match-heavy stitch. 3,000 points per room, 1,000 floor
+    and 1,000 wall matches at 1 px noise and 40 % outliers, and room B
+    sampled again from its own stream with 3 mm noise, not copied from
+    room A. Both clouds come without normals, as the CLI reads them."""
+    @functools.cache
+    def build(seed):
+        cfg = SynthSceneConfig(floor_point_count=1000, wall_point_count=1000,
+                               pixel_noise_sigma=1.0, outlier_fraction=0.4,
+                               seed=seed, cloud_point_count=3000,
+                               gt_relative_pose=SYNTH_POSE)
+        pair = synth_room_pair(cfg)
+        rng_b = np.random.default_rng([seed, 1])
+        pts, _ = sample_room_cloud(cfg.room_extent, 3000, cfg.edge_margin, rng_b)
+        pts = pts - np.array([0.0, 0.0, cfg.camera_height])
+        pts = pts + rng_b.normal(0.0, 0.003, size=pts.shape)
+        return pair, PointCloud(SYNTH_POSE.apply(pts))
+    return build

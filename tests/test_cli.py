@@ -39,6 +39,27 @@ def synth_dir(tmp_path_factory):
     return out / "art"
 
 
+# A scene whose ICP correspondences cycle (see test_icp.CYCLING_SCENE_SEED);
+# stitching it at this seed reproduces the cycle.
+CYCLING_SCENE_SEED = 1005656751
+
+
+@pytest.fixture(scope="module")
+def cycling_dir(tmp_path_factory, resampled_pair):
+    """A stitch manifest with binary room PLYs of the cycling scene."""
+    out = tmp_path_factory.mktemp("cycling")
+    pair, cloud_b = resampled_pair(CYCLING_SCENE_SEED)
+    (out / "matches.json").write_text(json.dumps(pair.match_data))
+    write_ply(out / "room_a.ply", PointCloud(pair.cloud_a.points), binary=True)
+    write_ply(out / "room_b.ply", cloud_b, binary=True)
+    (out / "stitch_manifest.json").write_text(json.dumps({"pairs": [{
+        "room_a": "room_a", "room_b": "room_b", "match_file": "matches.json",
+        "cloud_a": "room_a.ply", "cloud_b": "room_b.ply",
+        "camera_height_m": pair.camera_height,
+        "gravity_axis": [float(v) for v in pair.gravity_a]}]}))
+    return out
+
+
 def _pair_manifest(synth_dir, tmp_path, **fields):
     """The synth stitch manifest with `fields` set on its pair, written
     into tmp_path next to copies of its inputs."""
@@ -210,6 +231,22 @@ class TestStitchCommand:
         [pair] = [e for e in events if e["event"] == "pair_registered"]
         diag = json.loads((out / "diagnostics.json").read_text())
         assert pair["icp_converged"] is diag["pairs"][0]["icp"]["converged"]
+
+    @pytest.mark.parametrize("scene, seed, reason", [
+        ("synth_dir", 0, "rel_tol"), ("cycling_dir", CYCLING_SCENE_SEED, "cycle")])
+    def test_pair_log_reports_icp_stop_reason(self, request, tmp_path, capsys,
+                                              scene, seed, reason):
+        out = tmp_path / "o"
+        manifest = request.getfixturevalue(scene) / "stitch_manifest.json"
+        assert run("stitch", manifest, "--out", out, "--seed", seed) == 0
+        events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        [pair] = [e for e in events if e["event"] == "pair_registered"]
+        diag = json.loads((out / "diagnostics.json").read_text())["pairs"][0]["icp"]
+        saved = json.loads((out / "scene_manifest.json").read_text())
+        assert pair["icp_stop_reason"] == diag["stop_reason"] == reason
+        assert saved["pair_registrations"][0]["diagnostics"]["icp"] == diag
+        assert diag["converged"] is (reason == "rel_tol")
+        assert diag["iterations"] == len(diag["error_trace"]) <= 15
 
     def test_ransac_seed_override_is_deterministic(self, synth_dir, tmp_path):
         base = json.loads((synth_dir / "stitch_manifest.json").read_text())
@@ -425,3 +462,23 @@ class TestEvalCommand:
 
     def test_no_inputs_exits_2(self):
         assert run("eval") == 2
+
+
+class TestThreadsVariable:
+    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
+    def test_bad_value_exits_2_before_the_command(self, tmp_path, capsys,
+                                                  monkeypatch, value):
+        monkeypatch.setenv("PANOSTITCH_THREADS", value)
+        report = tmp_path / "report.csv"
+        assert run("eval", "--episodes", DATA / "microwave_episodes.csv",
+                   "--report", report) == 2
+        err = capsys.readouterr().err
+        assert f"PANOSTITCH_THREADS must be a positive integer, got {value!r}" in err
+        assert not report.exists()
+
+    def test_positive_value_runs(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("PANOSTITCH_THREADS", "1")
+        report = tmp_path / "report.csv"
+        assert run("eval", "--episodes", DATA / "microwave_episodes.csv",
+                   "--report", report) == 0
+        assert report.exists()

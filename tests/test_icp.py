@@ -1,13 +1,20 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from panostitch.geometry import (PointCloud, PointIndex, RigidTransform,
-                                 pose_difference, rotation_exp,
+                                 compose, pose_difference, rotation_exp,
                                  rotation_from_axis_angle)
-from panostitch.icp import (IcpConfig, IcpError, correspondence_error,
-                            correspondence_gradient, estimate_normals,
-                            eval_icp_error, point_to_plane_icp)
+from panostitch.icp import (IcpConfig, IcpError, IcpResult,
+                            correspondence_error, correspondence_gradient,
+                            estimate_normals, eval_icp_error,
+                            point_to_plane_icp)
 from panostitch import icp as icp_mod
+from panostitch.panorama import parse_match_dict
+from panostitch.pipeline import (PairConfig, _prepared, fork_seed,
+                                 register_room_pair)
+from panostitch.scale import GroundConfig
 from panostitch.testkit import sample_room_cloud
 
 EXTENT = (5.0, 4.0, 3.0)
@@ -45,6 +52,81 @@ def reference_normals(cloud, k, viewpoint):
     normals[flip] = -normals[flip]
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
     return normals
+
+
+def reference_icp(source, target, T_init=RigidTransform.identity(),
+                  cfg=IcpConfig()):
+    """The loop without the cycle stop: it ends on rel_tol or the
+    iteration cap only. point_to_plane_icp must match it field for field
+    wherever it does not stop on a cycle. Also returns, per iteration,
+    the correspondence assignment at its start and the pose its step
+    produced."""
+    icp_mod._check_inputs(source, target)
+    index = PointIndex(target.points)
+    crop = icp_mod._overlap_crop(source.points, target, T_init, cfg.overlap_margin)
+    src = source.points[crop]
+    src_normals = source.normals[crop] if source.has_normals() else None
+    max_dist = cfg.max_corr_dist
+    T, prev_err, trace, converged = T_init, None, [], False
+    assignments, poses = [], []
+    for iterations in range(1, cfg.max_iterations + 1):
+        moved, rows, tgt_idx, max_dist = icp_mod._correspond(
+            src, src_normals, T, target, index, max_dist, cfg)
+        if rows.size == 0:
+            raise IcpError("zero correspondences")
+        corr_count = int(rows.size)
+        assignment = np.full(len(src), -1)
+        assignment[rows] = tgt_idx
+        assignments.append(assignment)
+        p, q, n = moved[rows], target.points[tgt_idx], target.normals[tgt_idx]
+        if prev_err is None:
+            r0 = icp_mod._residuals(p, q, n)
+            initial_err = prev_err = float(r0 @ r0)
+        xi = icp_mod._solve_step(p, q, n)
+        T = compose(RigidTransform(rotation_exp(xi[:3]), xi[3:]), T)
+        poses.append(T)
+        err = correspondence_error(src[rows], q, n, T)
+        trace.append(err)
+        if abs(prev_err - err) / max(prev_err, 1e-12) < cfg.rel_tol:
+            converged = True
+            break
+        prev_err = err
+    result = IcpResult(
+        transform=T, final_error=icp_mod._pose_error(source, target, index, T,
+                                                     max_dist, cfg),
+        initial_error=initial_err, iterations=iterations,
+        correspondence_count=corr_count, converged=converged,
+        error_trace=tuple(trace), max_corr_dist=max_dist,
+        stop_reason="rel_tol" if converged else "max_iterations")
+    return result, assignments, poses
+
+
+def assert_same_result(got: IcpResult, want: IcpResult) -> None:
+    """Every IcpResult field exactly equal, the stop reason aside."""
+    for f in dataclasses.fields(IcpResult):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if f.name == "transform":
+            assert np.array_equal(a.matrix(), b.matrix())
+        elif f.name != "stop_reason":
+            assert a == b, f.name
+
+
+# A scene whose ICP assignment at iteration 5 repeats that of iteration 3
+# (a period-2 cycle); without the cycle stop it never meets rel_tol.
+CYCLING_SCENE_SEED = 1005656751
+
+
+def resampled_room_scene(resampled_pair, seed):
+    """The prepared ICP inputs (source, target, coarse pose) of a
+    conftest resampled_pair scene, its registration and its true pose."""
+    pair, cloud_b = resampled_pair(seed)
+    cloud_a = PointCloud(pair.cloud_a.points)
+    pair_cfg = PairConfig(ground=GroundConfig(camera_height=pair.camera_height))
+    reg = register_room_pair(parse_match_dict(pair.match_data), cloud_a, cloud_b,
+                             pair_cfg, seed=fork_seed(seed, "pair:room_a->room_b"))
+    k = pair_cfg.icp.normal_k
+    return (_prepared(cloud_a, pair_cfg.voxel_size, k),
+            _prepared(cloud_b, pair_cfg.voxel_size, k), reg.T_coarse), reg, pair.gt
 
 
 class TestEstimateNormals:
@@ -315,3 +397,169 @@ class TestGradient:
                 fd[j] = (e_plus - e_minus) / (2 * eps)
             rel = np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-12)
             assert rel < 1e-5
+
+
+@pytest.fixture(scope="module")
+def cycling_scene(resampled_pair):
+    return resampled_room_scene(resampled_pair, CYCLING_SCENE_SEED)
+
+
+def converging_case(case, room_cloud, rng, resampled_pair=None):
+    """(source, target, T_init, cfg) of a run that ends on rel_tol."""
+    cloud, _ = room_cloud
+    if case == "identity":
+        return (cloud, estimate_normals(cloud, k=20, viewpoint=(0, 0, 0)),
+                RigidTransform.identity(), IcpConfig())
+    if case == "perturbation":
+        T_star = small_perturbation(rng)
+        target = estimate_normals(PointCloud(T_star.apply(cloud.points)), k=20,
+                                  viewpoint=T_star.apply(np.zeros(3)))
+        return cloud, target, RigidTransform.identity(), IcpConfig()
+    if case == "partial-overlap":
+        pts, _ = sample_room_cloud(EXTENT, 30000, 0.1, rng)
+        pts = pts - np.array([0.0, 0.0, 1.5])
+        diag = pts[:, 0] + pts[:, 1]
+        T_star = small_perturbation(rng, angle_deg=3.0, shift=0.08)
+        target = estimate_normals(PointCloud(T_star.apply(pts[diag > -1.5])), k=20,
+                                  viewpoint=T_star.apply(np.zeros(3)))
+        return (PointCloud(pts[diag < 1.5]), target, RigidTransform.identity(),
+                IcpConfig(max_corr_dist=0.15))
+    (source, target, T_init), _, _ = resampled_room_scene(
+        resampled_pair, int(case.split("-")[1]))
+    return source, target, T_init, IcpConfig()
+
+
+def scripted_correspondences(monkeypatch, script, modulus=8):
+    """Make the ICP loop see fixed correspondences: those of its first
+    iteration, minus the source rows r with r % modulus == script[i] at
+    iteration i (the last entry repeats). Other correspondence searches,
+    such as the final error evaluation, run unchanged."""
+    real = icp_mod._correspond
+    state = {}
+
+    def fake(src, src_normals, T, dst, index, max_dist, cfg):
+        moved, rows, tgt_idx, max_dist = real(src, src_normals, T, dst, index,
+                                              max_dist, cfg)
+        if state.setdefault("src", src) is not src:
+            return moved, rows, tgt_idx, max_dist
+        state.setdefault("pairs", (rows, tgt_idx))
+        calls = state["calls"] = state.get("calls", -1) + 1
+        rows, tgt_idx = state["pairs"]
+        keep = rows % modulus != script[min(calls, len(script) - 1)]
+        return moved, rows[keep], tgt_idx[keep], max_dist
+
+    monkeypatch.setattr(icp_mod, "_correspond", fake)
+
+
+class TestStopRule:
+    @pytest.mark.parametrize("case", ["identity", "perturbation", "partial-overlap",
+                                      "resampled-1", "resampled-3", "resampled-5"])
+    def test_converging_runs_match_reference(self, room_cloud, rng,
+                                             resampled_pair, case):
+        source, target, T_init, cfg = converging_case(case, room_cloud, rng,
+                                                      resampled_pair)
+        ref, _, _ = reference_icp(source, target, T_init, cfg)
+        res = point_to_plane_icp(source, target, T_init, cfg)
+        assert ref.converged and res.stop_reason == "rel_tol"
+        assert_same_result(res, ref)
+
+    def test_iteration_cap_matches_reference(self, cycling_scene):
+        (source, target, T_init), _, _ = cycling_scene
+        cfg = IcpConfig(max_iterations=3)
+        ref, _, _ = reference_icp(source, target, T_init, cfg)
+        res = point_to_plane_icp(source, target, T_init, cfg)
+        assert res.stop_reason == "max_iterations" and not res.converged
+        assert_same_result(res, ref)
+
+    def test_cycle_stops_at_lowest_error_iterate(self, cycling_scene):
+        (source, target, T_init), reg, gt = cycling_scene
+        ref, assignments, poses = reference_icp(source, target, T_init)
+        assert ref.iterations == 50 and not ref.converged
+
+        res = point_to_plane_icp(source, target, T_init)
+        assert res.stop_reason == "cycle" and not res.converged
+        n = res.iterations
+        assert n <= 15
+        assert res.error_trace == ref.error_trace[:n]
+        # The assignment after the last step taken is the first to repeat
+        # one older than the one just before it.
+        for i in range(2, n):
+            assert not any(np.array_equal(assignments[i], assignments[j])
+                           for j in range(i - 1))
+        assert not np.array_equal(assignments[n], assignments[n - 1])
+        start = max(j for j in range(n - 1)
+                    if np.array_equal(assignments[n], assignments[j]))
+        best = start + int(np.argmin(ref.error_trace[start:n]))
+        assert np.array_equal(res.transform.matrix(), poses[best].matrix())
+
+        crop = icp_mod._overlap_crop(source.points, target, T_init,
+                                     IcpConfig().overlap_margin)
+        rows = np.flatnonzero(assignments[best] >= 0)
+        tgt = assignments[best][rows]
+        assert res.correspondence_count == rows.size
+        assert correspondence_error(source.points[crop][rows], target.points[tgt],
+                                    target.normals[tgt], res.transform) \
+            == min(res.error_trace[start:])
+        assert res.final_error == eval_icp_error(
+            source, target, res.transform, IcpConfig(max_corr_dist=res.max_corr_dist))
+
+        rot, trans = pose_difference(res.transform, gt)
+        assert np.degrees(rot) < 0.5 and trans < 0.01
+        assert reg.icp.stop_reason == "cycle" and reg.icp.iterations == n
+        assert np.array_equal(reg.T_fine.matrix(), res.transform.matrix())
+
+    # (script of dropped row classes, stop step, step the repeat matches)
+    @pytest.mark.parametrize("script, stop, start", [
+        ([0, 1, 0], 2, 0),
+        ([0, 1, 2, 3, 1], 4, 1),
+        ([0, 1, 2, 3, 4, 5, 6, 1], 7, 1),
+        ([0, 1, 1, 2, 1], 4, 2),    # matched against the latest repeat
+    ], ids=["period-2", "period-3", "period-6", "after-fixed-point"])
+    def test_cycle_of_any_period(self, room_cloud, rng, monkeypatch,
+                                 script, stop, start):
+        source, target, T_init, _ = converging_case("perturbation", room_cloud, rng)
+        # A repeated set would meet the default rel_tol after one step.
+        cfg = IcpConfig(rel_tol=1e-300)
+        scripted_correspondences(monkeypatch, script)
+        res = point_to_plane_icp(source, target, T_init, cfg)
+        assert res.stop_reason == "cycle" and res.iterations == stop
+        best = start + int(np.argmin(res.error_trace[start:]))
+
+        scripted_correspondences(monkeypatch, script)
+        upto = point_to_plane_icp(source, target, T_init,
+                                  IcpConfig(max_iterations=best + 1, rel_tol=1e-300))
+        assert res.error_trace[:best + 1] == upto.error_trace
+        assert np.array_equal(res.transform.matrix(), upto.transform.matrix())
+        assert res.correspondence_count == upto.correspondence_count
+        assert res.final_error == upto.final_error
+
+    def test_repeat_of_previous_iteration_is_not_a_cycle(self, room_cloud, rng,
+                                                         monkeypatch):
+        # The same set at every iteration after the first: a fixed point
+        # that rel_tol would end at once, so it is switched off here.
+        source, target, T_init, _ = converging_case("perturbation", room_cloud, rng)
+        cfg = IcpConfig(rel_tol=1e-300, max_iterations=10)
+        scripted_correspondences(monkeypatch, [0, 1])
+        ref, _, _ = reference_icp(source, target, T_init, cfg)
+        scripted_correspondences(monkeypatch, [0, 1])
+        res = point_to_plane_icp(source, target, T_init, cfg)
+        assert res.stop_reason != "cycle"
+        assert_same_result(res, ref)
+
+
+class TestWorkerCount:
+    def test_unset_or_empty_uses_every_cpu(self, monkeypatch):
+        monkeypatch.delenv("PANOSTITCH_THREADS", raising=False)
+        assert icp_mod.worker_count() == -1
+        monkeypatch.setenv("PANOSTITCH_THREADS", "")
+        assert icp_mod.worker_count() == -1
+
+    def test_positive_integer_is_the_cap(self, monkeypatch):
+        monkeypatch.setenv("PANOSTITCH_THREADS", "2")
+        assert icp_mod.worker_count() == 2
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5", " 2"])
+    def test_rejects_other_values(self, monkeypatch, value):
+        monkeypatch.setenv("PANOSTITCH_THREADS", value)
+        with pytest.raises(ValueError, match="PANOSTITCH_THREADS"):
+            icp_mod.worker_count()

@@ -15,6 +15,10 @@ written as ASCII PLY, read back and written as binary, so both
 directions of the ASCII codec are covered. `dtw.json` holds the `repr`
 of `dtw` and of `dtw(normalize=True)` over seeded float and
 integer-grid trajectory pairs, the grid ones full of equal-cost ties.
+Last, a two-room scene built with the library the way the benchmark
+builds its match-heavy scenes (room B sampled again with 3 mm noise,
+binary PLYs, 2,000 matches at 40 % outliers) is stitched; its ICP
+correspondences cycle, so it covers the cycle stop.
 Every step is seeded, so two source trees that produce the same
 artifacts print the same digests.
 
@@ -35,9 +39,10 @@ from pathlib import Path
 import numpy as np
 
 from panostitch import cli
-from panostitch.geometry import PointCloud
+from panostitch.geometry import PointCloud, RigidTransform, rot_z
 from panostitch.metrics import dtw
 from panostitch.ply import read_ply, write_ply
+from panostitch.testkit import SynthSceneConfig, sample_room_cloud, synth_room_pair
 
 SYNTH_CONFIG = {
     "seed": 5,
@@ -63,6 +68,10 @@ DTW_PAIRS = [("float-150x150", 150, 150, False), ("float-60x90", 60, 90, False),
              ("grid-1x1", 1, 1, True)]
 PLACES = [("mug", (0.1, 0.1, 0.12)), ("box", (0.2, 0.15, 0.1)),
           ("can", (0.07, 0.07, 0.12))]
+# Scene and stitch seed of a resampled scene whose ICP cycles (scene 56 of
+# the benchmark's match-heavy pool). The iterate the cycle stop returns is
+# not the one the 50th step lands on, so the merged cloud shows the change.
+CYCLING_SEED = 1890938897
 
 
 def table_cloud(n: int = 2000, seed: int = 0) -> PointCloud:
@@ -92,6 +101,32 @@ def labeled_cloud(n: int = 500, seed: int = 1) -> tuple[PointCloud, np.ndarray]:
     normals = rng.normal(size=(n, 3))
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
     return PointCloud(pts, normals), rng.integers(0, 5, size=n)
+
+
+def write_resampled_scene(out: Path, seed: int) -> Path:
+    """A two-room stitch input: synth_room_pair matches and room A, room B
+    sampled again from its own stream with 3 mm noise; returns the
+    stitch manifest path."""
+    pose = RigidTransform(rot_z(np.deg2rad(11.0)), np.array([-1.6, -0.4, 0.0]))
+    cfg = SynthSceneConfig(floor_point_count=1000, wall_point_count=1000,
+                           pixel_noise_sigma=1.0, outlier_fraction=0.4, seed=seed,
+                           cloud_point_count=3000, gt_relative_pose=pose)
+    pair = synth_room_pair(cfg)
+    rng_b = np.random.default_rng([seed, 1])
+    pts, _ = sample_room_cloud(cfg.room_extent, 3000, cfg.edge_margin, rng_b)
+    pts = pts - np.array([0.0, 0.0, cfg.camera_height])
+    pts = pts + rng_b.normal(0.0, 0.003, size=pts.shape)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "matches.json").write_text(json.dumps(pair.match_data))
+    write_ply(out / "room_a.ply", PointCloud(pair.cloud_a.points), binary=True)
+    write_ply(out / "room_b.ply", PointCloud(pose.apply(pts)), binary=True)
+    manifest = out / "stitch_manifest.json"
+    manifest.write_text(json.dumps({"root_room": "room_a", "pairs": [{
+        "room_a": "room_a", "room_b": "room_b", "match_file": "matches.json",
+        "cloud_a": "room_a.ply", "cloud_b": "room_b.ply",
+        "camera_height_m": pair.camera_height,
+        "gravity_axis": [float(v) for v in pair.gravity_a]}]}))
+    return manifest
 
 
 def dtw_values(seed: int = 3) -> list[dict]:
@@ -151,6 +186,8 @@ def flow(out: Path) -> list[Path]:
     back, back_ids = read_ply(out / "labeled_ascii.ply")
     write_ply(out / "labeled_binary.ply", back, room_ids=back_ids)
     (out / "dtw.json").write_text(json.dumps(dtw_values(), indent=2) + "\n")
+    run("stitch", write_resampled_scene(out / "cycling", CYCLING_SEED),
+        "--out", out / "stitch_cycling", "--seed", CYCLING_SEED)
 
     artifacts = [synth / name for name in (
         "matches.json", "room_a.ply", "room_b.ply", "ground_truth.json",
@@ -166,6 +203,8 @@ def flow(out: Path) -> list[Path]:
                   out / "eval" / "report.csv", out / "eval" / "detail.csv",
                   out / "labeled_ascii.ply", out / "labeled_binary.ply",
                   out / "dtw.json"]
+    artifacts += [out / "stitch_cycling" / name for name in (
+        "merged.ply", "diagnostics.json", "scene_manifest.json")]
     return artifacts
 
 
