@@ -8,8 +8,8 @@ Structured JSON-lines progress logs, including stage timings, go to
 stderr; result artifacts never contain timings so repeated runs are
 byte-identical.
 
-Exit codes: 0 success, 2 input error (bad gravity_axis or voxel_size
-included), 3 graph error, 4 placement error, 5 numerical failure.
+Exit codes: 0 success, 2 input error (any bad stitch pair key or value, found
+before any cloud is read), 3 graph, 4 placement, 5 numerical failure.
 PANOSTITCH_THREADS caps internal thread use; a value that is not a
 positive integer exits 2 before the command runs.
 """
@@ -30,21 +30,20 @@ from . import scene as scene_mod
 from ._atomic import write_atomic, write_json
 from .epipolar import CheiralityError, EstimationError, RansacConfig
 from .geometry import (Aabb, GeometryError, PointCloud, RigidTransform, rot_z,
-                       unit)
-from .icp import IcpConfig, IcpError, worker_count
+                       worker_count)
+from .icp import IcpConfig, IcpError
 from .metrics import (MetricError, generalization_report, parse_tier,
                       read_episode_csv, read_rates_csv, simreal_correlation,
                       write_episode_csv)
 from .panorama import MatchFileError, load_matches
-from .pipeline import (DEFAULT_VOXEL_SIZE, PairConfig, PairResult, fork_seed,
-                       register_room_pair)
+from .pipeline import PairConfig, PairResult, fork_seed, register_room_pair
 from .ply import PlyError, read_ply, write_ply
-from .scale import GroundConfig, GroundPlaneError
-from .scene import (ManifestError, PlacementError, PlaneFitConfig,
-                    PlaneFitError, SceneGraphError, fit_plane_ransac,
-                    flatten_to_plane, inlier_stddev, merge_rooms, place_asset,
+from .scale import DEFAULT_CAMERA_HEIGHT, GroundConfig, GroundPlaneError
+from .scene import (ManifestError, PlacementError, PlaneFitError,
+                    SceneGraphError, fit_plane_ransac, flatten_to_plane,
+                    inlier_stddev, merge_rooms, place_asset,
                     support_plane_from_inliers)
-from .testkit import (EpisodeSpec, SynthError, SynthSceneConfig, synth_episodes,
+from .testkit import (EpisodeSpec, SynthSceneConfig, synth_episodes,
                       synth_room_pair)
 
 EXIT_OK = 0
@@ -92,27 +91,26 @@ def _read_cloud(path: Path) -> PointCloud:
 # stitch
 # ---------------------------------------------------------------------------
 
+REQUIRED_PAIR_KEYS = ("room_a", "room_b", "match_file", "cloud_a", "cloud_b")
+PAIR_KEYS = REQUIRED_PAIR_KEYS + ("camera_height_m", "gravity_axis", "ransac",
+                                  "icp", "voxel_size")
+
+
 def _pair_config(entry: dict) -> PairConfig:
-    ransac_over = dict(entry.get("ransac", {}))
-    ransac_seed = ransac_over.pop("seed", None)
-    ground_over = dict(entry.get("ground", {}))
-    if "camera_height_m" in entry:
-        ground_over.setdefault("camera_height", float(entry["camera_height_m"]))
+    for key in REQUIRED_PAIR_KEYS:
+        if key not in entry:
+            raise CliError(EXIT_INPUT, f"pair entry missing field {key!r}")
     try:
-        ransac = RansacConfig(**ransac_over)
-        ground = GroundConfig(**ground_over)
-        icp = IcpConfig(**entry.get("icp", {}))
-        gravity = tuple(entry.get("gravity_axis", (0.0, 0.0, -1.0)))
-        unit(gravity)  # zero, non-finite or not 3 components
+        unknown = sorted(set(entry) - set(PAIR_KEYS))
+        if unknown:
+            raise ValueError(f"unknown keys {unknown}")
+        return PairConfig(
+            ransac=RansacConfig(**entry.get("ransac", {})),
+            ground=GroundConfig(entry.get("camera_height_m", DEFAULT_CAMERA_HEIGHT)),
+            icp=IcpConfig(**entry.get("icp", {})),
+            **{k: entry[k] for k in ("gravity_axis", "voxel_size") if k in entry})
     except (TypeError, ValueError) as e:
         raise CliError(EXIT_INPUT, f"bad pair config: {e}") from e
-    voxel = entry.get("voxel_size", DEFAULT_VOXEL_SIZE)
-    if voxel is not None and not (type(voxel) in (int, float) and 0 < voxel < np.inf):
-        raise CliError(EXIT_INPUT, "bad pair config: voxel_size must be null or "
-                                   f"a finite number > 0, got {voxel!r}")
-    return PairConfig(ransac=ransac, ground=ground, icp=icp,
-                      gravity_axis=gravity, voxel_size=voxel,
-                      ransac_seed=None if ransac_seed is None else int(ransac_seed))
 
 
 def cmd_stitch(args) -> int:
@@ -124,11 +122,9 @@ def cmd_stitch(args) -> int:
         raise CliError(EXIT_INPUT, "stitch manifest declares no pairs")
     base = manifest_path.parent
 
+    configs = [_pair_config(entry) for entry in pairs]
     rooms: dict[str, Path] = {}
     for entry in pairs:
-        for key in ("room_a", "room_b", "match_file", "cloud_a", "cloud_b"):
-            if key not in entry:
-                raise CliError(EXIT_INPUT, f"pair entry missing field {key!r}")
         rooms.setdefault(entry["room_a"], base / entry["cloud_a"])
         rooms.setdefault(entry["room_b"], base / entry["cloud_b"])
         for f in (entry["match_file"], entry["cloud_a"], entry["cloud_b"]):
@@ -146,14 +142,14 @@ def cmd_stitch(args) -> int:
 
     clouds = {rid: _read_cloud(path) for rid, path in rooms.items()}
     registrations = []
-    for entry in pairs:
+    for entry, cfg in zip(pairs, configs):
         label = f"pair:{entry['room_a']}->{entry['room_b']}"
         t0 = time.perf_counter()
         try:
             matches = load_matches(base / entry["match_file"])
             result: PairResult = register_room_pair(
                 matches, clouds[entry["room_a"]], clouds[entry["room_b"]],
-                cfg=_pair_config(entry), seed=fork_seed(args.seed, label))
+                cfg=cfg, seed=fork_seed(args.seed, label))
         except MatchFileError as e:
             raise CliError(EXIT_INPUT, f"{label}: {e}") from e
         except (EstimationError, CheiralityError, GroundPlaneError, IcpError,
@@ -218,12 +214,8 @@ def _load_scene_manifest(path: Path) -> scene_mod.SceneManifest:
 
 def cmd_plane(args) -> int:
     cloud = _read_cloud(Path(args.cloud))
-    cfg = PlaneFitConfig(distance_threshold=args.threshold,
-                         iterations=args.iterations,
-                         min_inliers=args.min_inliers)
     try:
-        plane, inliers = fit_plane_ransac(cloud, cfg,
-                                          seed=fork_seed(args.seed, "plane"))
+        plane, inliers = fit_plane_ransac(cloud, seed=fork_seed(args.seed, "plane"))
     except PlaneFitError as e:
         raise CliError(EXIT_NUMERIC, str(e)) from e
 
@@ -364,8 +356,8 @@ def cmd_synth(args) -> int:
     if "scene" in config:
         try:
             pair = synth_room_pair(_scene_config(config["scene"], seed))
-        except SynthError as e:
-            raise CliError(EXIT_INPUT, str(e)) from e
+        except (TypeError, ValueError) as e:
+            raise CliError(EXIT_INPUT, f"bad scene spec: {e}") from e
         write_json(out_dir / "matches.json", pair.match_data)
         # Clouds ship positions only; the pipeline estimates normals itself.
         write_ply(out_dir / "room_a.ply", PointCloud(pair.cloud_a.points))
@@ -401,7 +393,7 @@ def cmd_synth(args) -> int:
                                  exact_counts=bool(e.get("exact_counts", False)))
                      for e in config["episodes"]]
             synth = synth_episodes(specs, seed=fork_seed(seed, "episodes"))
-        except (SynthError, MetricError, KeyError) as e:
+        except (KeyError, TypeError, ValueError) as e:
             raise CliError(EXIT_INPUT, f"bad episode spec: {e}") from e
         write_episode_csv(out_dir / "episodes.csv", synth.episodes)
         write_json(out_dir / "episodes_empirical.json", {
@@ -433,9 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plane", help="fit a support plane to a cloud")
     p.add_argument("cloud", help="input PLY")
-    p.add_argument("--threshold", type=float, default=0.01)
-    p.add_argument("--iterations", type=int, default=1000)
-    p.add_argument("--min-inliers", type=int, default=50, dest="min_inliers")
     p.add_argument("--flatten", help="write flattened cloud to this PLY")
     p.add_argument("--report", help="write plane report JSON here")
     p.add_argument("--add-to-manifest", dest="add_to_manifest",

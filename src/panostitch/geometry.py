@@ -9,6 +9,7 @@ construction and safe to share across threads.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +21,16 @@ UNIT_TOL = 1e-9
 
 class GeometryError(ValueError):
     """Invalid geometric input (non-finite values, broken invariants)."""
+
+
+def is_int(v) -> bool:
+    """True for an integer that is not a bool (JSON true/false)."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def is_positive_number(v) -> bool:
+    """True for a finite number > 0 that is not a bool."""
+    return (is_int(v) or isinstance(v, (float, np.floating))) and 0 < v < np.inf
 
 
 def as_vec3(v) -> np.ndarray:
@@ -393,6 +404,18 @@ class Aabb:
 # Nearest-neighbor index
 # ---------------------------------------------------------------------------
 
+def worker_count() -> int:
+    """Threads for batched nearest-neighbor queries: the PANOSTITCH_THREADS
+    cap (a positive decimal integer), or -1 (every CPU) when it is unset or
+    empty; any other value raises ValueError. Results do not depend on it."""
+    cap = os.environ.get("PANOSTITCH_THREADS")
+    if not cap:
+        return -1
+    if not (cap.isascii() and cap.isdigit() and int(cap) > 0):
+        raise ValueError(f"PANOSTITCH_THREADS must be a positive integer, got {cap!r}")
+    return int(cap)
+
+
 @dataclass
 class PointIndex:
     """Exact nearest-neighbor index over a point cloud.
@@ -426,9 +449,9 @@ class PointIndex:
             return int(min(exact)), float(np.min(d))
         return int(idx[0]), float(dist[0])
 
-    def knn(self, qs, k: int, workers: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    def knn(self, qs, k: int) -> tuple[np.ndarray, np.ndarray]:
         """k nearest neighbors per query point: (indices, distances), each
-        (N, k), or (N,) at k = 1."""
+        (N, k), or (N,) at k = 1. Runs on worker_count() threads."""
         qs = as_points(qs)
-        dist, idx = self._tree.query(qs, k=k, workers=workers)
+        dist, idx = self._tree.query(qs, k=k, workers=worker_count())
         return np.asarray(idx, dtype=np.int64), np.asarray(dist, dtype=np.float64)

@@ -26,38 +26,21 @@ IcpResult.stop_reason:
 from __future__ import annotations
 
 import hashlib
-import os
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import (Aabb, PointCloud, PointIndex, RigidTransform, compose,
-                       rotation_exp)
+                       is_int, rotation_exp, worker_count)
 
 SINGULAR_COND = 1e12
 NORMAL_BLOCK = 8192     # query points per neighbor gather in estimate_normals
+NORMAL_ANGLE_MAX_DEG = 45.0   # correspondence normal-agreement gate
 
 
 class IcpError(RuntimeError):
     """Registration failed (no correspondences or singular system)."""
-
-
-def worker_count() -> int:
-    """Threads for batched nearest-neighbor queries.
-
-    Honors the PANOSTITCH_THREADS cap, which must be a positive decimal
-    integer; unset or empty means every CPU (-1). Any other value raises
-    ValueError naming the variable. Results are identical regardless of
-    the value, it only affects speed.
-    """
-    cap = os.environ.get("PANOSTITCH_THREADS")
-    if not cap:
-        return -1
-    if not (cap.isascii() and cap.isdigit() and int(cap) > 0):
-        raise ValueError(
-            f"PANOSTITCH_THREADS must be a positive integer, got {cap!r}")
-    return int(cap)
 
 
 @dataclass(frozen=True)
@@ -65,15 +48,15 @@ class IcpConfig:
     max_iterations: int = 50
     rel_tol: float = 1e-6
     max_corr_dist: float | None = None   # None: 3x median initial residual
-    normal_angle_max_deg: float = 45.0
     normal_k: int = 20
     overlap_margin: float = 0.5          # AABB-intersection expansion, meters
 
     def __post_init__(self):
-        if self.max_iterations <= 0 or not (0 < self.rel_tol < 1):
+        if not (is_int(self.max_iterations) and is_int(self.normal_k)) \
+                or self.max_iterations <= 0 or self.normal_k < 3 \
+                or not (0 < self.rel_tol < 1) or not self.overlap_margin >= 0 \
+                or not (self.max_corr_dist is None or self.max_corr_dist > 0):
             raise ValueError(f"invalid ICP config: {self}")
-        if self.max_corr_dist is not None and self.max_corr_dist <= 0:
-            raise ValueError("max_corr_dist must be positive")
 
 
 @dataclass(frozen=True)
@@ -111,8 +94,7 @@ def estimate_normals(cloud: PointCloud, k: int = 20,
     index = PointIndex(cloud.points)
     normals = np.empty((n, 3))
     for lo in range(0, n, NORMAL_BLOCK):
-        nbr, _ = index.knn(cloud.points[lo:lo + NORMAL_BLOCK], k=k,
-                           workers=worker_count())
+        nbr, _ = index.knn(cloud.points[lo:lo + NORMAL_BLOCK], k=k)
         centered = cloud.points[nbr]                  # (b, k, 3)
         centered -= centered.mean(axis=1, keepdims=True)
         cov = np.empty((len(nbr), 3, 3))
@@ -155,10 +137,10 @@ def _correspond(src: np.ndarray, src_normals: np.ndarray | None,
     their target indices, max_dist). The normal gate uses
     |n_src . n_dst| so PCA sign flips cannot starve the match set; it
     only applies when the source carries normals, with the angle bound
-    cfg.normal_angle_max_deg.
+    NORMAL_ANGLE_MAX_DEG.
     """
     moved = T.apply(src)
-    idx, dist = index.knn(moved, 1, workers=worker_count())
+    idx, dist = index.knn(moved, 1)
     if max_dist is None:
         med = float(np.median(dist))
         max_dist = 3.0 * med if med > 0 else 1e-9
@@ -166,7 +148,7 @@ def _correspond(src: np.ndarray, src_normals: np.ndarray | None,
     if src_normals is not None and dst.normals is not None:
         moved_normals = src_normals @ T.rotation.T
         agree = np.abs(np.einsum("ni,ni->n", moved_normals, dst.normals[idx]))
-        ok &= agree >= float(np.cos(np.deg2rad(cfg.normal_angle_max_deg)))
+        ok &= agree >= float(np.cos(np.deg2rad(NORMAL_ANGLE_MAX_DEG)))
     rows = np.flatnonzero(ok)
     return moved, rows, idx[rows], max_dist
 

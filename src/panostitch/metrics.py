@@ -47,7 +47,7 @@ TIER_ORDER = (Tier.TRAIN, Tier.UNSEEN_SCENE, Tier.UNSEEN_OBJECT,
 
 
 def parse_tier(text: str) -> Tier:
-    key = text.strip().lower().replace(" & ", "_").replace(" ", "_")
+    key = str(text).strip().lower().replace(" & ", "_").replace(" ", "_")
     if key not in _TIER_ALIASES:
         raise MetricError(f"unknown generalization tier: {text!r}")
     return _TIER_ALIASES[key]

@@ -15,7 +15,8 @@ import numpy as np
 
 from .epipolar import (RansacConfig, decompose_essential, estimate_essential,
                        triangulate_set)
-from .geometry import PointCloud, RigidTransform, voxel_downsample
+from .geometry import (PointCloud, RigidTransform, is_positive_number, unit,
+                       voxel_downsample)
 from .icp import IcpConfig, IcpResult, estimate_normals, point_to_plane_icp
 from .panorama import BearingMatchSet
 from .scale import GroundConfig, apply_scale, recover_scale, select_ground_points
@@ -35,8 +36,14 @@ class PairConfig:
     ground: GroundConfig = GroundConfig()
     icp: IcpConfig = IcpConfig()
     gravity_axis: tuple[float, float, float] = (0.0, 0.0, -1.0)
-    voxel_size: float | None = DEFAULT_VOXEL_SIZE
-    ransac_seed: int | None = None   # overrides the forked per-stage seed
+    voxel_size: float | None = DEFAULT_VOXEL_SIZE   # None: no downsampling
+
+    def __post_init__(self):
+        object.__setattr__(self, "gravity_axis", tuple(self.gravity_axis))
+        unit(self.gravity_axis)  # zero, non-finite or not 3 components
+        if not (self.voxel_size is None or is_positive_number(self.voxel_size)):
+            raise ValueError("voxel_size must be null or a finite number > 0, "
+                             f"got {self.voxel_size!r}")
 
 
 @dataclass(frozen=True)
@@ -88,9 +95,7 @@ def register_room_pair(matches: BearingMatchSet, cloud_a: PointCloud,
     The normal-estimation viewpoint is each cloud's own origin, which is
     the camera center for panorama-derived reconstructions.
     """
-    ransac_seed = cfg.ransac_seed if cfg.ransac_seed is not None \
-        else fork_seed(seed, "ransac")
-    est = estimate_essential(matches, cfg.ransac, seed=ransac_seed)
+    est = estimate_essential(matches, cfg.ransac, seed=fork_seed(seed, "ransac"))
     pose = decompose_essential(est.matrix, matches, est.inlier_indices)
     tri = triangulate_set(matches, pose, est.inlier_indices)
     ground = select_ground_points(tri, cfg.gravity_axis, cfg.ground,

@@ -8,6 +8,8 @@ gives the scale factor that makes the relative translation metric:
     alpha = h / median(n . p_i  for p_i in ground points)
 
 with n the floor-plane normal oriented from the camera toward the floor.
+The floor fit's settings are the constants GROUND_ITERATIONS,
+GROUND_PLANE_TOL, GROUND_MAX_TILT_DEG and GROUND_MIN_INLIERS.
 """
 
 from __future__ import annotations
@@ -18,10 +20,14 @@ import numpy as np
 
 from ._plane_search import best_plane_support
 from .geometry import (GeometryError, Plane, RigidTransform, fit_plane_lsq,
-                       unit)
+                       is_positive_number, unit)
 from .epipolar import RelativePose, TriangulatedSet
 
 DEFAULT_CAMERA_HEIGHT = 1.5
+GROUND_MAX_TILT_DEG = 10.0   # floor normal vs gravity tolerance
+GROUND_PLANE_TOL = 0.02      # inlier distance, unit-scale units
+GROUND_ITERATIONS = 500
+GROUND_MIN_INLIERS = 10
 
 
 class GroundPlaneError(RuntimeError):
@@ -31,16 +37,11 @@ class GroundPlaneError(RuntimeError):
 @dataclass(frozen=True)
 class GroundConfig:
     camera_height: float = DEFAULT_CAMERA_HEIGHT   # meters above the floor
-    max_tilt_deg: float = 10.0                     # normal vs gravity tolerance
-    plane_tol: float = 0.02                        # inlier distance, unit-scale units
-    iterations: int = 500
-    min_inliers: int = 10
 
     def __post_init__(self):
-        if self.camera_height <= 0:
-            raise ValueError("camera height must be positive")
-        if not (0 < self.max_tilt_deg < 90):
-            raise ValueError("max tilt must be in (0, 90) degrees")
+        if not is_positive_number(self.camera_height):
+            raise ValueError("camera height must be a finite number > 0, "
+                             f"got {self.camera_height!r}")
 
 
 @dataclass(frozen=True)
@@ -70,24 +71,24 @@ def select_ground_points(points: TriangulatedSet, gravity,
                          seed: int = 0) -> GroundModel:
     """Gravity-constrained RANSAC floor fit over triangulated points.
 
-    Candidate planes whose normal tilts more than cfg.max_tilt_deg away
-    from the gravity direction are discarded, so walls never win the
+    Candidate planes whose normal tilts more than GROUND_MAX_TILT_DEG
+    away from the gravity direction are discarded, so walls never win the
     vote. The returned plane is refit by least squares on its inliers
     and oriented from the camera toward the floor.
     """
     pts = np.asarray(points.points, dtype=np.float64)
     n_pts = pts.shape[0]
-    if n_pts < cfg.min_inliers:
+    if n_pts < GROUND_MIN_INLIERS:
         raise GroundPlaneError(
-            f"need >= {cfg.min_inliers} triangulated points, got {n_pts}")
+            f"need >= {GROUND_MIN_INLIERS} triangulated points, got {n_pts}")
     g = unit(gravity)
 
     rng = np.random.default_rng(seed)
-    found = best_plane_support(pts, cfg.iterations, cfg.plane_tol, rng,
-                               axis=g, min_cos=np.cos(np.deg2rad(cfg.max_tilt_deg)))
-    if found is None or found[1] < cfg.min_inliers:
+    found = best_plane_support(pts, GROUND_ITERATIONS, GROUND_PLANE_TOL, rng, axis=g,
+                               min_cos=np.cos(np.deg2rad(GROUND_MAX_TILT_DEG)))
+    if found is None or found[1] < GROUND_MIN_INLIERS:
         raise GroundPlaneError(
-            f"no gravity-consistent plane with >= {cfg.min_inliers} inliers")
+            f"no gravity-consistent plane with >= {GROUND_MIN_INLIERS} inliers")
     best_mask = found[0]
 
     try:

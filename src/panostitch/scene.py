@@ -139,8 +139,7 @@ class SceneManifest:
 @dataclass(frozen=True)
 class MergeResult:
     cloud: PointCloud
-    room_ids: np.ndarray                      # integer label per point
-    room_id_names: tuple[str, ...]            # label -> room id
+    room_ids: np.ndarray                      # index into manifest.rooms per point
     world_transforms: dict[str, RigidTransform]
 
 
@@ -214,17 +213,15 @@ def merge_rooms(manifest: SceneManifest) -> MergeResult:
     world = resolve_world_transforms(manifest)
     parts = []
     labels = []
-    names = []
     for i, room in enumerate(manifest.rooms):
         if room.cloud is None:
             raise ManifestError(f"room {room.id!r} has no loaded cloud")
         moved = room.cloud.transformed(world[room.id])
         parts.append(moved.points)
         labels.append(np.full(len(moved), i, dtype=np.int64))
-        names.append(room.id)
     merged = PointCloud(np.vstack(parts))
     return MergeResult(cloud=merged, room_ids=np.concatenate(labels),
-                       room_id_names=tuple(names), world_transforms=world)
+                       world_transforms=world)
 
 
 def overlap_rms(cloud_a: PointCloud, cloud_b: PointCloud,

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import shutil
 from pathlib import Path
@@ -6,13 +7,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from panostitch.cli import main
+from panostitch.cli import PAIR_KEYS, _pair_config, main
+from panostitch.epipolar import RansacConfig
 from panostitch.geometry import pose_difference
 from panostitch.ply import read_ply, write_ply
 from panostitch.scene import load_manifest, overlap_rms
 from panostitch.geometry import PointCloud, RigidTransform
+from panostitch.icp import IcpConfig
+from panostitch.pipeline import PairConfig
 
 DATA = Path(__file__).parent / "data"
+README = Path(__file__).parent.parent / "README.md"
 
 
 def run(*argv):
@@ -72,6 +77,9 @@ def _pair_manifest(synth_dir, tmp_path, **fields):
     return path
 
 
+EPISODE = {"task": "microwave", "tier": "train", "n_trials": 4, "true_rate": 0.5}
+
+
 class TestSynthCommand:
     def test_artifacts_exist(self, synth_dir):
         for name in ("matches.json", "room_a.ply", "room_b.ply",
@@ -93,6 +101,21 @@ class TestSynthCommand:
 
     def test_missing_config(self, tmp_path):
         assert run("synth", tmp_path / "nope.json", "--out", tmp_path) == 2
+
+    @pytest.mark.parametrize("config, what", [
+        ({"scene": {"floor_point_count": "abc"}}, "scene"),
+        ({"scene": {"room_extent": [1, 2]}}, "scene"),
+        ({"scene": {"pano_width": 2049}}, "scene"),
+        ({"episodes": [{**EPISODE, "n_trials": "abc"}]}, "episode"),
+        ({"episodes": [{**EPISODE, "tier": 5}]}, "episode"),
+    ], ids=["floor-count-string", "extent-2d", "odd-pano-width",
+            "trials-string", "tier-number"])
+    def test_malformed_values_exit_2(self, tmp_path, capsys, config, what):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert run("synth", path, "--out", tmp_path / "o") == 2
+        assert f"bad {what} spec" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestStitchCommand:
@@ -210,6 +233,70 @@ class TestStitchCommand:
         assert "bad pair config: voxel_size" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("block, values", [
+        ("icp", {"max_iterations": 2.5}), ("icp", {"max_iterations": True}),
+        ("ransac", {"iterations": 2.5}), ("ransac", {"min_inliers": 8.5}),
+        ("icp", {"normal_k": 2}), ("icp", {"normal_k": 20.0}),
+        ("icp", {"overlap_margin": -5})],
+        ids=["icp-iterations-float", "icp-iterations-bool", "ransac-iterations-float",
+             "ransac-min-inliers-float", "normal-k-2", "normal-k-float",
+             "overlap-margin-negative"])
+    def test_bad_count_exits_2(self, synth_dir, tmp_path, capsys, block, values):
+        bad = _pair_manifest(synth_dir, tmp_path, **{block: values})
+        assert run("stitch", bad, "--out", tmp_path / "o") == 2
+        assert "bad pair config" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"ransac": {"seed": 4242}}, "'seed'"),
+        ({"ground": {"camera_height": 1.5}}, "unknown keys ['ground']"),
+        ({"voxel": 1.0}, "unknown keys ['voxel']"),
+        ({"camera_height_m": "abc"}, "camera height must be a finite number > 0, got 'abc'")],
+        ids=["ransac-seed", "ground-block", "misspelled-key", "camera-height-string"])
+    def test_unknown_or_removed_setting_exits_2(self, synth_dir, tmp_path, capsys,
+                                                fields, message):
+        bad = _pair_manifest(synth_dir, tmp_path, **fields)
+        assert run("stitch", bad, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert "bad pair config: " in err and message in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("clouds", ["ply", "not-ply"])
+    def test_every_pair_config_checked_before_clouds_are_read(
+            self, synth_dir, tmp_path, capsys, clouds):
+        pair = json.loads((synth_dir / "stitch_manifest.json").read_text())["pairs"][0]
+        second = {**pair, "room_a": "room_b", "room_b": "room_c",
+                  "cloud_a": "room_b.ply", "cloud_b": "room_c.ply",
+                  "icp": {"max_iterations": 2.5}}
+        bad = tmp_path / "two_pairs.json"
+        bad.write_text(json.dumps({"root_room": "room_a", "pairs": [pair, second]}))
+        shutil.copy(synth_dir / "matches.json", tmp_path / "matches.json")
+        for name, src in (("room_a.ply", "room_a.ply"), ("room_b.ply", "room_b.ply"),
+                          ("room_c.ply", "room_a.ply")):
+            if clouds == "ply":
+                shutil.copy(synth_dir / src, tmp_path / name)
+            else:  # reading these would exit 2 with "bad PLY"
+                (tmp_path / name).write_text("not a ply file\n")
+        assert run("stitch", bad, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert "bad pair config" in err and "bad PLY" not in err
+        events = [json.loads(line) for line in err.splitlines() if line.startswith("{")]
+        assert not [e for e in events if e["event"] == "pair_registered"]
+
+    def test_readme_manifest_is_accepted(self):
+        """The README's stitch manifest example uses only accepted keys,
+        documents each of them, and shows the defaults."""
+        section = README.read_text().split("### Stitch manifest", 1)[1]
+        section = section.split("\n### ", 1)[0]
+        example = json.loads(section.split("```json", 1)[1].split("```", 1)[0])
+        [entry] = example["pairs"]
+        assert set(entry) <= set(PAIR_KEYS)
+        assert _pair_config(entry) == PairConfig()
+        names = PAIR_KEYS + tuple(f.name for cfg in (RansacConfig, IcpConfig)
+                                  for f in dataclasses.fields(cfg))
+        for name in names:
+            assert f"`{name}`" in section, name
+
     def test_null_voxel_size_disables_downsampling(self, synth_dir, tmp_path):
         manifest = _pair_manifest(synth_dir, tmp_path, voxel_size=None)
         assert run("stitch", manifest, "--out", tmp_path / "o") == 0
@@ -247,21 +334,6 @@ class TestStitchCommand:
         assert saved["pair_registrations"][0]["diagnostics"]["icp"] == diag
         assert diag["converged"] is (reason == "rel_tol")
         assert diag["iterations"] == len(diag["error_trace"]) <= 15
-
-    def test_ransac_seed_override_is_deterministic(self, synth_dir, tmp_path):
-        base = json.loads((synth_dir / "stitch_manifest.json").read_text())
-        base["pairs"][0]["ransac"] = {"seed": 4242}
-        manifest = tmp_path / "seeded.json"
-        manifest.write_text(json.dumps(base))
-        shutil.copy(synth_dir / "matches.json", tmp_path / "matches.json")
-        shutil.copy(synth_dir / "room_a.ply", tmp_path / "room_a.ply")
-        shutil.copy(synth_dir / "room_b.ply", tmp_path / "room_b.ply")
-        digests = []
-        for name in ("o1", "o2"):
-            assert run("stitch", manifest, "--out", tmp_path / name,
-                       "--seed", 9) == 0
-            digests.append((tmp_path / name / "diagnostics.json").read_bytes())
-        assert digests[0] == digests[1]
 
     def test_numerical_failure_exits_5(self, synth_dir, tmp_path, capsys):
         # Scramble the matches so no epipolar consensus exists; the pair

@@ -359,7 +359,7 @@ class TestEvalIcpError:
             T = small_perturbation(rng, angle_deg=rng.uniform(0, 20),
                                    shift=rng.uniform(0, 0.5))
             max_dist = 0.8
-            cfg = IcpConfig(max_corr_dist=max_dist, normal_angle_max_deg=45.0,
+            cfg = IcpConfig(max_corr_dist=max_dist,
                             overlap_margin=1000.0)  # disable cropping
             got = eval_icp_error(src, dst, T, cfg)
 
