@@ -9,8 +9,8 @@ from .panorama import (BearingMatchSet, MatchFileError, PanoramaSpec,
                        bearing_to_pixel, load_matches, pixel_to_bearing)
 from .epipolar import (CheiralityError, EssentialEstimate, EstimationError,
                        RansacConfig, RelativePose, TriangulatedSet,
-                       decompose_essential, essential_from_pose,
-                       estimate_essential, triangulate_set)
+                       decompose_essential, estimate_essential,
+                       triangulate_set)
 from .scale import (GroundConfig, GroundModel, GroundPlaneError, apply_scale,
                     recover_scale, select_ground_points)
 from .icp import (IcpConfig, IcpError, IcpResult, estimate_normals,

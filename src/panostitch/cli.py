@@ -29,8 +29,8 @@ import numpy as np
 from . import scene as scene_mod
 from ._atomic import write_atomic, write_json
 from .epipolar import CheiralityError, EstimationError, RansacConfig
-from .geometry import (Aabb, GeometryError, PointCloud, RigidTransform, rot_z,
-                       worker_count)
+from .geometry import (Aabb, GeometryError, PointCloud, RigidTransform, is_int,
+                       rot_z, worker_count)
 from .icp import IcpConfig, IcpError
 from .metrics import (MetricError, generalization_report, parse_tier,
                       read_episode_csv, read_rates_csv, simreal_correlation,
@@ -60,9 +60,8 @@ class CliError(Exception):
 
 
 def _log(stage: str, event: str, **fields) -> None:
-    rec = {"stage": stage, "event": event}
-    rec.update(fields)
-    print(json.dumps(rec, sort_keys=True), file=sys.stderr)
+    print(json.dumps({"stage": stage, "event": event, **fields}, sort_keys=True),
+          file=sys.stderr)
 
 
 def _load_json(path: Path, what: str) -> dict:
@@ -97,9 +96,14 @@ PAIR_KEYS = REQUIRED_PAIR_KEYS + ("camera_height_m", "gravity_axis", "ransac",
 
 
 def _pair_config(entry: dict) -> PairConfig:
+    if not isinstance(entry, dict):
+        raise CliError(EXIT_INPUT, f"bad pair config: {entry!r} is not an object")
     for key in REQUIRED_PAIR_KEYS:
         if key not in entry:
             raise CliError(EXIT_INPUT, f"pair entry missing field {key!r}")
+        if not isinstance(entry[key], str):
+            raise CliError(EXIT_INPUT, f"bad pair config: {key} must be a string, "
+                                       f"got {entry[key]!r}")
     try:
         unknown = sorted(set(entry) - set(PAIR_KEYS))
         if unknown:
@@ -117,9 +121,9 @@ def cmd_stitch(args) -> int:
     manifest_path = Path(args.manifest)
     out_dir = Path(args.out)
     data = _load_json(manifest_path, "stitch manifest")
-    pairs = data.get("pairs", [])
-    if not pairs:
-        raise CliError(EXIT_INPUT, "stitch manifest declares no pairs")
+    pairs = data.get("pairs") if isinstance(data, dict) else None
+    if not pairs or not isinstance(pairs, list):
+        raise CliError(EXIT_INPUT, "stitch manifest needs a non-empty list of pairs")
     base = manifest_path.parent
 
     configs = [_pair_config(entry) for entry in pairs]
@@ -132,7 +136,7 @@ def cmd_stitch(args) -> int:
                 raise CliError(EXIT_INPUT, f"file not found: {base / f}")
 
     root = data.get("root_room", pairs[0]["room_a"])
-    if root not in rooms:
+    if not isinstance(root, str) or root not in rooms:
         raise CliError(EXIT_INPUT, f"root room {root!r} not present in pairs")
     try:
         scene_mod.spanning_tree_order(
@@ -330,34 +334,45 @@ def cmd_eval(args) -> int:
 # synth
 # ---------------------------------------------------------------------------
 
+SCENE_DEFAULTS = {"room_extent": (5.0, 4.0, 3.0), "floor_point_count": 150,
+                  "wall_point_count": 150, "camera_height_m": 1.5, "gt_yaw_deg": 11.0,
+                  "gt_translation": (-1.6, -0.4, 0.0), "pixel_noise_sigma": 0.0,
+                  "outlier_fraction": 0.0, "pano_width": 2048, "cloud_point_count": 4000}
+
+
 def _scene_config(data: dict, seed: int) -> SynthSceneConfig:
-    gt = RigidTransform(rot_z(np.deg2rad(float(data.get("gt_yaw_deg", 11.0)))),
-                        np.asarray(data.get("gt_translation", (-1.6, -0.4, 0.0)),
-                                   dtype=float))
+    unknown = sorted(set(data) - set(SCENE_DEFAULTS))
+    if unknown:
+        raise ValueError(f"unknown keys {unknown}")
+    d = {**SCENE_DEFAULTS, **data}
+    gt = RigidTransform(rot_z(np.deg2rad(float(d["gt_yaw_deg"]))),
+                        np.asarray(d["gt_translation"], dtype=float))
     return SynthSceneConfig(
-        room_extent=tuple(data.get("room_extent", (5.0, 4.0, 3.0))),
-        floor_point_count=int(data.get("floor_point_count", 150)),
-        wall_point_count=int(data.get("wall_point_count", 150)),
-        camera_height=float(data.get("camera_height_m", 1.5)),
-        gt_relative_pose=gt,
-        pixel_noise_sigma=float(data.get("pixel_noise_sigma", 0.0)),
-        outlier_fraction=float(data.get("outlier_fraction", 0.0)),
-        seed=seed,
-        pano_width=int(data.get("pano_width", 2048)),
-        cloud_point_count=int(data.get("cloud_point_count", 4000)),
-    )
+        room_extent=tuple(d["room_extent"]), floor_point_count=d["floor_point_count"],
+        wall_point_count=d["wall_point_count"], camera_height=float(d["camera_height_m"]),
+        gt_relative_pose=gt, pixel_noise_sigma=float(d["pixel_noise_sigma"]),
+        outlier_fraction=float(d["outlier_fraction"]), seed=seed,
+        pano_width=d["pano_width"], cloud_point_count=d["cloud_point_count"])
 
 
 def cmd_synth(args) -> int:
     config = _load_json(Path(args.config), "synth config")
     out_dir = Path(args.out)
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
+    seed = args.seed if args.seed is not None else config.get("seed", 0)
+    if not is_int(seed):
+        raise CliError(EXIT_INPUT, f"bad synth config: seed must be an integer, got {seed!r}")
 
     if "scene" in config:
         try:
             pair = synth_room_pair(_scene_config(config["scene"], seed))
         except (TypeError, ValueError) as e:
             raise CliError(EXIT_INPUT, f"bad scene spec: {e}") from e
+        entry = {"room_a": "room_a", "room_b": "room_b", "match_file": "matches.json",
+                 "cloud_a": "room_a.ply", "cloud_b": "room_b.ply",
+                 "camera_height_m": pair.camera_height,
+                 "gravity_axis": [float(v) for v in pair.gravity_a],
+                 **{k: config[k] for k in ("ransac", "icp", "voxel_size") if k in config}}
+        _pair_config(entry)   # exit 2 now, not when the manifest is stitched
         write_json(out_dir / "matches.json", pair.match_data)
         # Clouds ship positions only; the pipeline estimates normals itself.
         write_ply(out_dir / "room_a.ply", PointCloud(pair.cloud_a.points))
@@ -370,25 +385,15 @@ def cmd_synth(args) -> int:
             "outlier_indices": [int(i) for i in np.flatnonzero(pair.outlier_mask)],
             "floor_match_count": int(pair.floor_mask.sum()),
         })
-        write_json(out_dir / "stitch_manifest.json", {
-            "root_room": "room_a",
-            "pairs": [{
-                "room_a": "room_a", "room_b": "room_b",
-                "match_file": "matches.json",
-                "cloud_a": "room_a.ply", "cloud_b": "room_b.ply",
-                "camera_height_m": pair.camera_height,
-                "gravity_axis": [float(v) for v in pair.gravity_a],
-                **({k: config[k] for k in ("ransac", "icp", "voxel_size")
-                    if k in config}),
-            }],
-        })
+        write_json(out_dir / "stitch_manifest.json",
+                   {"root_room": "room_a", "pairs": [entry]})
         _log("synth", "scene_written", out=str(out_dir),
              matches=len(pair.match_data["matches"]))
 
     if "episodes" in config:
         try:
             specs = [EpisodeSpec(task=e["task"], tier=parse_tier(e["tier"]),
-                                 n_trials=int(e["n_trials"]),
+                                 n_trials=e["n_trials"],
                                  true_rate=float(e["true_rate"]),
                                  exact_counts=bool(e.get("exact_counts", False)))
                      for e in config["episodes"]]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import check_rotation, check_unit, is_int, skew
+from .geometry import check_rotation, check_unit, is_int
 from .panorama import BearingMatchSet
 
 PARALLEL_RAY_TOL = 1e-8
@@ -231,8 +231,3 @@ def triangulate_set(matches: BearingMatchSet, pose: RelativePose,
                                    pose.rotation, pose.direction)
     keep = (la > 0) & (lb > 0)
     return TriangulatedSet(points=pts[keep], inlier_indices=idx[keep])
-
-
-def essential_from_pose(pose: RelativePose) -> np.ndarray:
-    """E = [t_hat]x R for a relative pose (Frobenius norm sqrt(2))."""
-    return skew(pose.direction) @ pose.rotation

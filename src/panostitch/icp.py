@@ -21,18 +21,20 @@ IcpResult.stop_reason:
   iterates can revisit the same correspondences with any period and
   never meet rel_tol. The lowest-error iterate of the cycle is returned;
 - "max_iterations": IcpConfig.max_iterations steps ran.
+
+An empty overlap crop (Rusinkiewicz & Levoy 2001) or correspondence set
+raises IcpError("zero correspondences ..."); no pose or error is made up.
 """
 
 from __future__ import annotations
 
 import hashlib
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import (Aabb, PointCloud, PointIndex, RigidTransform, compose,
-                       is_int, rotation_exp, worker_count)
+                       is_int, rotation_exp)
 
 SINGULAR_COND = 1e12
 NORMAL_BLOCK = 8192     # query points per neighbor gather in estimate_normals
@@ -113,31 +115,31 @@ def estimate_normals(cloud: PointCloud, k: int = 20,
 
 def _overlap_crop(src: np.ndarray, dst: PointCloud, T: RigidTransform,
                   margin: float) -> np.ndarray:
-    """Indices of source points whose T-image lies in the expanded AABB
-    intersection of the two clouds. Falls back to all points when the
-    boxes do not intersect (distance gating rejects those pairs later)."""
+    """Indices of source points whose T-image lies in the intersection of
+    both clouds' AABBs grown by margin (bit-equal to growing the raw
+    intersection); raises IcpError when none does: no overlap at T."""
     moved = T.apply(src)
-    box = Aabb.from_points(moved).intersection(Aabb.from_points(dst.points))
-    if box is None:
-        return np.arange(src.shape[0])
-    keep = np.flatnonzero(box.expanded(margin).contains(moved))
-    if keep.size == 0:
-        return np.arange(src.shape[0])
+    box = Aabb.from_points(moved).expanded(margin).intersection(
+        Aabb.from_points(dst.points).expanded(margin))
+    keep = np.flatnonzero(box.contains(moved)) if box is not None else []
+    if len(keep) == 0:
+        raise IcpError("zero correspondences: no source point lies in the "
+                       f"overlap of the two clouds' boxes (margin {margin:.3g} m)")
     return keep
 
 
 def _correspond(src: np.ndarray, src_normals: np.ndarray | None,
                 T: RigidTransform, dst: PointCloud, index: PointIndex,
-                max_dist: float | None, cfg: IcpConfig
+                max_dist: float | None
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Nearest-neighbor pairs of T(src) surviving distance and normal gating.
 
     One KD-tree query. A max_dist of None resolves to 3x the median
     distance of this same query. Returns (T(src), surviving source rows,
-    their target indices, max_dist). The normal gate uses
-    |n_src . n_dst| so PCA sign flips cannot starve the match set; it
-    only applies when the source carries normals, with the angle bound
-    NORMAL_ANGLE_MAX_DEG.
+    their target indices, max_dist); raises IcpError when no pair
+    survives. The normal gate uses |n_src . n_dst| so PCA sign flips
+    cannot starve the match set; it only applies when the source
+    carries normals, with the angle bound NORMAL_ANGLE_MAX_DEG.
     """
     moved = T.apply(src)
     idx, dist = index.knn(moved, 1)
@@ -150,6 +152,9 @@ def _correspond(src: np.ndarray, src_normals: np.ndarray | None,
         agree = np.abs(np.einsum("ni,ni->n", moved_normals, dst.normals[idx]))
         ok &= agree >= float(np.cos(np.deg2rad(NORMAL_ANGLE_MAX_DEG)))
     rows = np.flatnonzero(ok)
+    if rows.size == 0:
+        raise IcpError(
+            f"zero correspondences within {max_dist:.3g} m; clouds do not overlap")
     return moved, rows, idx[rows], max_dist
 
 
@@ -247,10 +252,7 @@ def point_to_plane_icp(source: PointCloud, target: PointCloud,
 
     for step in range(cfg.max_iterations):
         moved, rows, tgt_idx, max_dist = _correspond(
-            src, src_normals, T, target, index, max_dist, cfg)
-        if rows.size == 0:
-            raise IcpError(
-                f"zero correspondences within {max_dist:.3g} m; clouds do not overlap")
+            src, src_normals, T, target, index, max_dist)
         assignment.fill(-1)
         assignment[rows] = tgt_idx
         digest = hashlib.sha256(assignment).digest()
@@ -267,8 +269,7 @@ def point_to_plane_icp(source: PointCloud, target: PointCloud,
 
         if prev_err is None:
             r0 = _residuals(p, q, n)
-            initial_err = float(r0 @ r0)
-            prev_err = initial_err
+            initial_err = prev_err = float(r0 @ r0)
 
         xi = _solve_step(p, q, n)
         T = compose(RigidTransform(rotation_exp(xi[:3]), xi[3:]), T)
@@ -294,15 +295,11 @@ def point_to_plane_icp(source: PointCloud, target: PointCloud,
 
 def _pose_error(source: PointCloud, target: PointCloud, index: PointIndex,
                 T: RigidTransform, max_dist: float | None, cfg: IcpConfig) -> float:
-    """Point-to-plane error of T over the overlap crop at T; an empty
-    correspondence set returns 0.0 with a warning."""
+    """Point-to-plane error of T over the overlap crop at T."""
     crop = _overlap_crop(source.points, target, T, cfg.overlap_margin)
     moved, rows, tgt_idx, _ = _correspond(
         source.points[crop], source.normals[crop] if source.has_normals() else None,
-        T, target, index, max_dist, cfg)
-    if rows.size == 0:
-        warnings.warn("eval_icp_error: empty correspondence set, returning 0.0")
-        return 0.0
+        T, target, index, max_dist)
     r = _residuals(moved[rows], target.points[tgt_idx], target.normals[tgt_idx])
     return float(r @ r)
 
@@ -312,8 +309,8 @@ def eval_icp_error(source: PointCloud, target: PointCloud, T: RigidTransform,
     """Point-to-plane error of a pose; evaluation only, no optimization.
 
     Uses the same overlap crop, correspondence search, and gating as
-    point_to_plane_icp. An empty correspondence set returns 0.0 with a
-    warning rather than raising.
+    point_to_plane_icp, and raises IcpError where they find no
+    correspondence, as point_to_plane_icp does.
     """
     _check_inputs(source, target)
     return _pose_error(source, target, PointIndex(target.points), T,

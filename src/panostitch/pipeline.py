@@ -82,8 +82,7 @@ def _prepared(cloud: PointCloud, voxel: float | None, k: int) -> PointCloud:
     if voxel:
         cloud = voxel_downsample(cloud, voxel)
     if not cloud.has_normals():
-        cloud = estimate_normals(cloud, k=min(k, max(3, len(cloud))),
-                                 viewpoint=(0.0, 0.0, 0.0))
+        cloud = estimate_normals(cloud, k=k, viewpoint=(0.0, 0.0, 0.0))
     return cloud
 
 

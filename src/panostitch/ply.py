@@ -1,9 +1,9 @@
 """PLY point-cloud I/O.
 
 Supports ASCII and binary little-endian PLY with float32 x, y, z,
-optional float32 nx, ny, nz, and optional int32 room_id. Files holding
-fewer vertices than declared, a value that is not a number, a non-finite
-coordinate or an out-of-range integer are rejected.
+optional float32 nx, ny, nz, and optional int32 room_id. Rejected: fewer
+vertices than declared, a value that is not a number, a non-finite
+coordinate or normal, a zero normal, or an out-of-range integer.
 """
 
 from __future__ import annotations
@@ -99,12 +99,12 @@ def read_ply(path) -> tuple[PointCloud, np.ndarray | None]:
     if all(n in dtype.names for n in ("nx", "ny", "nz")):
         normals = np.column_stack([rec["nx"], rec["ny"], rec["nz"]]).astype(np.float64)
         norms = np.linalg.norm(normals, axis=1)
-        good = norms > 1e-12
-        normals[good] = normals[good] / norms[good, None]
-        normals[~good] = np.array([0.0, 0.0, 1.0])
-    room_ids = None
-    if "room_id" in dtype.names:
-        room_ids = np.asarray(rec["room_id"], dtype=np.int64)
+        bad = np.flatnonzero(~((norms > 1e-12) & (norms < np.inf)))
+        if bad.size:
+            raise PlyError(f"zero-length or non-finite normal at vertex {bad[0]}")
+        normals /= norms[:, None]
+    room_ids = (np.asarray(rec["room_id"], dtype=np.int64)
+                if "room_id" in dtype.names else None)
     return PointCloud(pts, normals), room_ids
 
 

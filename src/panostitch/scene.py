@@ -254,6 +254,7 @@ def fit_plane_ransac(cloud: PointCloud, cfg: PlaneFitConfig = PlaneFitConfig(),
     Random 3-point candidates are scored by inlier count under the
     distance threshold; the winner is refit by least squares on its
     inliers and the inlier set re-evaluated once against the refit.
+    Support below cfg.min_inliers raises PlaneFitError at any cloud size.
     """
     pts = cloud.points
     n = pts.shape[0]
@@ -261,11 +262,10 @@ def fit_plane_ransac(cloud: PointCloud, cfg: PlaneFitConfig = PlaneFitConfig(),
         raise PlaneFitError(f"plane fit needs >= 3 points, got {n}")
 
     rng = np.random.default_rng(seed)
-    found = best_plane_support(pts, cfg.iterations if n > 3 else 1,
-                               cfg.distance_threshold, rng)
-    if found is None or found[1] < min(cfg.min_inliers, n):
+    found = best_plane_support(pts, cfg.iterations, cfg.distance_threshold, rng)
+    if found is None or found[1] < cfg.min_inliers:
         raise PlaneFitError(
-            f"no plane with >= {min(cfg.min_inliers, n)} inliers "
+            f"no plane with >= {cfg.min_inliers} inliers "
             f"(best support: {0 if found is None else found[1]})")
     best_mask = found[0]
     try:
@@ -274,7 +274,7 @@ def fit_plane_ransac(cloud: PointCloud, cfg: PlaneFitConfig = PlaneFitConfig(),
         raise PlaneFitError(str(e)) from e
     dist = np.abs(plane.signed_distance(pts))
     inliers = np.flatnonzero(dist <= cfg.distance_threshold)
-    if inliers.size < min(cfg.min_inliers, n):
+    if inliers.size < cfg.min_inliers:
         raise PlaneFitError("refit plane lost its inlier support")
     return plane, inliers
 

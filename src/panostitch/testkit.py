@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import PointCloud, RigidTransform, compose, rot_z
+from .geometry import PointCloud, RigidTransform, compose, is_int, rot_z
 from .metrics import EpisodeRecord, Tier
 from .panorama import PanoramaSpec, bearing_to_pixel
 from .epipolar import RelativePose
@@ -46,6 +46,9 @@ class SynthSceneConfig:
     def __post_init__(self):
         if any(e <= 0 for e in self.room_extent):
             raise SynthError("room extents must be positive")
+        if not all(map(is_int, (self.floor_point_count, self.wall_point_count,
+                                self.pano_width, self.cloud_point_count))):
+            raise SynthError("point counts and pano_width must be integers")
         if self.floor_point_count <= 0 or self.wall_point_count <= 0:
             raise SynthError("point counts must be positive")
         if self.camera_height <= 0:
@@ -257,8 +260,8 @@ class EpisodeSpec:
     def __post_init__(self):
         if not (0.0 <= self.true_rate <= 1.0):
             raise SynthError(f"true_rate must be in [0, 1], got {self.true_rate}")
-        if self.n_trials <= 0:
-            raise SynthError("n_trials must be positive")
+        if not is_int(self.n_trials) or self.n_trials <= 0:
+            raise SynthError(f"n_trials must be a positive integer, got {self.n_trials!r}")
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import io
 import json
 import shutil
 from pathlib import Path
@@ -116,6 +117,51 @@ class TestSynthCommand:
         assert run("synth", path, "--out", tmp_path / "o") == 2
         assert f"bad {what} spec" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("config, message", [
+        ({"seed": "abc", "scene": {}},
+         "bad synth config: seed must be an integer, got 'abc'"),
+        ({"seed": 1.5, "episodes": [EPISODE]},
+         "bad synth config: seed must be an integer, got 1.5"),
+        ({"scene": {"floor_points": 5}}, "bad scene spec: unknown keys ['floor_points']"),
+        ({"scene": {"floor_point_count": 2.7}},
+         "bad scene spec: point counts and pano_width must be integers"),
+        ({"scene": {"cloud_point_count": True}},
+         "bad scene spec: point counts and pano_width must be integers"),
+        ({"episodes": [{**EPISODE, "n_trials": 2.7}]},
+         "bad episode spec: n_trials must be a positive integer, got 2.7")],
+        ids=["seed-string", "seed-float", "unknown-scene-key", "floor-count-float",
+             "cloud-count-bool", "trials-float"])
+    def test_bad_seed_key_or_count_exits_2(self, tmp_path, capsys, config, message):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert run("synth", path, "--out", tmp_path / "o") == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("settings, message", [
+        ({"icp": {"bogus": 1}}, "'bogus'"),
+        ({"ransac": {"iterations": 2.5}}, "invalid RANSAC config"),
+        ({"voxel_size": "0.02"}, "voxel_size must be null or a finite number > 0")],
+        ids=["icp-unknown-key", "ransac-iterations-float", "voxel-size-string"])
+    def test_bad_stitch_settings_exit_2_before_writing(self, tmp_path, capsys,
+                                                       settings, message):
+        # The blocks synth copies into stitch_manifest.json are checked as
+        # stitch checks them, so the fault shows here and not at stitch.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"scene": {"cloud_point_count": 500}, **settings}))
+        assert run("synth", path, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert "bad pair config: " in err and message in err
+        assert not (tmp_path / "o").exists()
+
+    def test_stitch_settings_are_copied(self, tmp_path):
+        path = tmp_path / "config.json"
+        settings = {"icp": {"max_iterations": 30}, "voxel_size": None}
+        path.write_text(json.dumps({"scene": {"cloud_point_count": 500}, **settings}))
+        assert run("synth", path, "--out", tmp_path / "o") == 0
+        [entry] = json.loads((tmp_path / "o" / "stitch_manifest.json").read_text())["pairs"]
+        assert {k: entry[k] for k in settings} == settings
 
 
 class TestStitchCommand:
@@ -297,6 +343,41 @@ class TestStitchCommand:
         for name in names:
             assert f"`{name}`" in section, name
 
+    @pytest.mark.parametrize("change, message", [
+        (lambda m: m.update(pairs=[5]), "bad pair config: 5 is not an object"),
+        (lambda m: m["pairs"][0].update(room_a=[1]),
+         "bad pair config: room_a must be a string, got [1]"),
+        (lambda m: m["pairs"][0].update(cloud_b=7),
+         "bad pair config: cloud_b must be a string, got 7"),
+        (lambda m: m.update(pairs={"a": 1}), "needs a non-empty list of pairs"),
+        (lambda m: m.update(root_room=[1]), "root room [1] not present in pairs")],
+        ids=["pair-not-object", "room-id-list", "file-name-number", "pairs-not-list",
+             "root-room-list"])
+    def test_malformed_manifest_entry_exits_2(self, synth_dir, tmp_path, capsys,
+                                              change, message):
+        path = _pair_manifest(synth_dir, tmp_path)
+        manifest = json.loads(path.read_text())
+        change(manifest)
+        path.write_text(json.dumps(manifest))
+        # Reading these clouds would exit 2 with "bad PLY".
+        for name in ("room_a.ply", "room_b.ply"):
+            (tmp_path / name).write_text("not a ply file\n")
+        assert run("stitch", path, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert message in err and "bad PLY" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_rooms_out_of_reach_exit_5(self, synth_dir, tmp_path, capsys):
+        # Room B moved 9 m along x: at the coarse pose the clouds' boxes,
+        # each grown by the 0.5 m overlap margin, do not meet, so no ICP
+        # correspondence exists and no pose may be reported.
+        path = _pair_manifest(synth_dir, tmp_path)
+        cloud, _ = read_ply(tmp_path / "room_b.ply")
+        write_ply(tmp_path / "room_b.ply", PointCloud(cloud.points + [9.0, 0.0, 0.0]))
+        assert run("stitch", path, "--out", tmp_path / "o") == 5
+        assert "room_a->room_b: zero correspondences" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_null_voxel_size_disables_downsampling(self, synth_dir, tmp_path):
         manifest = _pair_manifest(synth_dir, tmp_path, voxel_size=None)
         assert run("stitch", manifest, "--out", tmp_path / "o") == 0
@@ -412,6 +493,37 @@ class TestPlaneCommand:
             "end_header\n".encode("ascii") + body)
         assert run("plane", path) == 2
         assert "bad PLY" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("normal", [[np.nan, 0.0, 0.0], [0.0, 0.0, 0.0],
+                                        [np.inf, 0.0, 1.0]],
+                             ids=["nan", "zero", "inf"])
+    @pytest.mark.parametrize("binary", [True, False], ids=["binary", "ascii"])
+    def test_bad_normal_exits_2(self, tmp_path, capsys, normal, binary):
+        # Written by hand: PointCloud itself refuses a non-finite normal.
+        rec = np.zeros(60, dtype=[(n, "<f4") for n in ("x", "y", "z", "nx", "ny", "nz")])
+        rec["x"], rec["y"], rec["nz"] = np.arange(60) % 8, np.arange(60) // 8, 1.0
+        rec[7] = (7.0, 0.0, 0.0, *normal)
+        header = (f"ply\nformat {'binary_little_endian' if binary else 'ascii'} 1.0\n"
+                  "element vertex 60\n"
+                  + "".join(f"property float {n}\n" for n in rec.dtype.names)
+                  + "end_header\n")
+        buf = io.StringIO()
+        np.savetxt(buf, rec, fmt="%g")
+        path = tmp_path / "bad_normal.ply"
+        path.write_bytes(header.encode() + (rec.tobytes() if binary
+                                            else buf.getvalue().encode()))
+        assert run("plane", path) == 2
+        err = capsys.readouterr().err
+        assert "bad PLY" in err and "normal at vertex 7" in err
+
+    def test_too_few_points_for_a_plane_exits_5(self, tmp_path, capsys):
+        # 30 coplanar points: every one is an inlier, but a plane needs 50.
+        pts = np.column_stack([np.arange(30.0) % 6, np.arange(30.0) // 6, np.zeros(30)])
+        path = tmp_path / "small.ply"
+        write_ply(path, PointCloud(pts))
+        assert run("plane", path) == 5
+        assert "no plane with >= 50 inliers (best support: 30)" in capsys.readouterr().err
 
 
 class TestPlaceCommand:

@@ -5,7 +5,7 @@ import pytest
 
 from panostitch.geometry import (PointCloud, PointIndex, RigidTransform,
                                  compose, pose_difference, rotation_exp,
-                                 rotation_from_axis_angle)
+                                 rotation_from_axis_angle, worker_count)
 from panostitch.icp import (IcpConfig, IcpError, IcpResult,
                             correspondence_error, correspondence_gradient,
                             estimate_normals, eval_icp_error,
@@ -71,9 +71,7 @@ def reference_icp(source, target, T_init=RigidTransform.identity(),
     assignments, poses = [], []
     for iterations in range(1, cfg.max_iterations + 1):
         moved, rows, tgt_idx, max_dist = icp_mod._correspond(
-            src, src_normals, T, target, index, max_dist, cfg)
-        if rows.size == 0:
-            raise IcpError("zero correspondences")
+            src, src_normals, T, target, index, max_dist)
         corr_count = int(rows.size)
         assignment = np.full(len(src), -1)
         assignment[rows] = tgt_idx
@@ -180,6 +178,18 @@ class TestEstimateNormals:
     def test_cloud_smaller_than_k(self):
         with pytest.raises(IcpError):
             estimate_normals(PointCloud(np.zeros((5, 3)) + np.eye(5, 3)), k=10)
+
+
+class TestRegisterRoomPair:
+    def test_cloud_below_normal_k_after_voxelling_raises(self, clean_pair,
+                                                         clean_matches):
+        # 2.5 m voxels leave each 5 x 4 x 3 m room fewer than normal_k = 20
+        # points; normal estimation runs with k as configured, not shrunk.
+        cfg = PairConfig(ground=GroundConfig(camera_height=clean_pair.camera_height),
+                         voxel_size=2.5)
+        with pytest.raises(IcpError, match="needs >= k = 20"):
+            register_room_pair(clean_matches, PointCloud(clean_pair.cloud_a.points),
+                               PointCloud(clean_pair.cloud_b.points), cfg)
 
 
 class TestPointToPlaneIcp:
@@ -333,21 +343,32 @@ class TestEvalIcpError:
         assert err == 0.0
 
     def test_single_pair_unit_residual(self):
+        # The points are 1 m apart: only a margin of at least 1 m grows the
+        # boxes' overlap far enough to hold the source point.
         source = PointCloud(np.array([[0.0, 0.0, 1.0]]))
         target = PointCloud(np.array([[0.0, 0.0, 0.0]]),
                             np.array([[0.0, 0.0, 1.0]]))
         err = eval_icp_error(source, target, RigidTransform.identity(),
-                             IcpConfig(max_corr_dist=10.0))
+                             IcpConfig(max_corr_dist=10.0, overlap_margin=1.0))
         assert err == pytest.approx(1.0, abs=1e-15)
 
-    def test_empty_correspondences_warn_and_return_zero(self, rng):
+    def test_disjoint_clouds_raise(self, rng):
         source = PointCloud(rng.normal(size=(20, 3)))
         far = rng.normal(size=(20, 3)) + np.array([50.0, 0.0, 0.0])
         target = PointCloud(far, np.tile([0.0, 0, 1.0], (20, 1)))
-        with pytest.warns(UserWarning, match="empty correspondence"):
-            err = eval_icp_error(source, target, RigidTransform.identity(),
-                                 IcpConfig(max_corr_dist=0.5))
-        assert err == 0.0
+        with pytest.raises(IcpError, match="zero correspondences"):
+            eval_icp_error(source, target, RigidTransform.identity(),
+                           IcpConfig(max_corr_dist=0.5))
+
+    def test_boxes_meet_but_no_pair_within_max_dist_raises(self):
+        # Overlapping boxes, so the crop keeps the source; the gate then
+        # drops its only pair.
+        source = PointCloud(np.array([[0.0, 0.0, 1.0]]))
+        target = PointCloud(np.array([[0.0, 0.0, 0.0]]),
+                            np.array([[0.0, 0.0, 1.0]]))
+        with pytest.raises(IcpError, match="zero correspondences within 0.5 m"):
+            eval_icp_error(source, target, RigidTransform.identity(),
+                           IcpConfig(max_corr_dist=0.5, overlap_margin=1.0))
 
     def test_matches_brute_force_oracle(self, rng):
         src = PointCloud(rng.uniform(-1, 1, size=(60, 3)))
@@ -437,9 +458,9 @@ def scripted_correspondences(monkeypatch, script, modulus=8):
     real = icp_mod._correspond
     state = {}
 
-    def fake(src, src_normals, T, dst, index, max_dist, cfg):
+    def fake(src, src_normals, T, dst, index, max_dist):
         moved, rows, tgt_idx, max_dist = real(src, src_normals, T, dst, index,
-                                              max_dist, cfg)
+                                              max_dist)
         if state.setdefault("src", src) is not src:
             return moved, rows, tgt_idx, max_dist
         state.setdefault("pairs", (rows, tgt_idx))
@@ -550,16 +571,16 @@ class TestStopRule:
 class TestWorkerCount:
     def test_unset_or_empty_uses_every_cpu(self, monkeypatch):
         monkeypatch.delenv("PANOSTITCH_THREADS", raising=False)
-        assert icp_mod.worker_count() == -1
+        assert worker_count() == -1
         monkeypatch.setenv("PANOSTITCH_THREADS", "")
-        assert icp_mod.worker_count() == -1
+        assert worker_count() == -1
 
     def test_positive_integer_is_the_cap(self, monkeypatch):
         monkeypatch.setenv("PANOSTITCH_THREADS", "2")
-        assert icp_mod.worker_count() == 2
+        assert worker_count() == 2
 
     @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5", " 2"])
     def test_rejects_other_values(self, monkeypatch, value):
         monkeypatch.setenv("PANOSTITCH_THREADS", value)
         with pytest.raises(ValueError, match="PANOSTITCH_THREADS"):
-            icp_mod.worker_count()
+            worker_count()

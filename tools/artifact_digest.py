@@ -22,6 +22,12 @@ correspondences cycle, so it covers the cycle stop.
 Every step is seeded, so two source trees that produce the same
 artifacts print the same digests.
 
+After the digests, one more line gives the exit code of a `stitch` of
+the first synth scene with room B's cloud moved 9 m along x, so far
+that the two clouds' boxes no longer meet at the coarse pose. Its
+outputs are not hashed: a tree that refuses the pair prints 5, one
+that stitches it anyway prints 0.
+
 To compare two source trees, run this script once against each (set
 PYTHONPATH to that tree's `src`) with the SAME OUT_DIR, and diff the
 outputs. The directory matters: scene manifests record cloud paths and
@@ -144,6 +150,19 @@ def dtw_values(seed: int = 3) -> list[dict]:
     return rows
 
 
+def shifted_stitch_code(out: Path) -> int:
+    """Exit code of stitching the synth scene in out/synth with room B
+    moved 9 m along x."""
+    shifted = out / "shifted"
+    shifted.mkdir(parents=True, exist_ok=True)
+    for name in ("matches.json", "room_a.ply", "stitch_manifest.json"):
+        (shifted / name).write_bytes((out / "synth" / name).read_bytes())
+    cloud, _ = read_ply(out / "synth" / "room_b.ply")
+    write_ply(shifted / "room_b.ply", PointCloud(cloud.points + [9.0, 0.0, 0.0]))
+    return cli.main(["stitch", str(shifted / "stitch_manifest.json"),
+                     "--out", str(out / "stitch_shifted")])
+
+
 def run(*argv) -> None:
     code = cli.main([str(a) for a in argv])
     if code != 0:
@@ -216,6 +235,7 @@ def main(argv: list[str]) -> int:
     for path in flow(out):
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         print(f"{digest}  {path.relative_to(out)}")
+    print(f"exit {shifted_stitch_code(out)}  stitch of synth with room B moved 9 m")
     return 0
 
 
