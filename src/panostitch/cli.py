@@ -69,9 +69,12 @@ def _load_json(path: Path, what: str) -> dict:
         raise CliError(EXIT_INPUT, f"file not found: {path}")
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except json.JSONDecodeError as e:
         raise CliError(EXIT_INPUT, f"malformed {what} {path}: {e}") from e
+    if not isinstance(data, dict):
+        raise CliError(EXIT_INPUT, f"malformed {what} {path}: not a JSON object")
+    return data
 
 
 def _read_cloud(path: Path) -> PointCloud:
@@ -121,7 +124,7 @@ def cmd_stitch(args) -> int:
     manifest_path = Path(args.manifest)
     out_dir = Path(args.out)
     data = _load_json(manifest_path, "stitch manifest")
-    pairs = data.get("pairs") if isinstance(data, dict) else None
+    pairs = data.get("pairs")
     if not pairs or not isinstance(pairs, list):
         raise CliError(EXIT_INPUT, "stitch manifest needs a non-empty list of pairs")
     base = manifest_path.parent
@@ -395,7 +398,7 @@ def cmd_synth(args) -> int:
             specs = [EpisodeSpec(task=e["task"], tier=parse_tier(e["tier"]),
                                  n_trials=e["n_trials"],
                                  true_rate=float(e["true_rate"]),
-                                 exact_counts=bool(e.get("exact_counts", False)))
+                                 exact_counts=e.get("exact_counts", False))
                      for e in config["episodes"]]
             synth = synth_episodes(specs, seed=fork_seed(seed, "episodes"))
         except (KeyError, TypeError, ValueError) as e:

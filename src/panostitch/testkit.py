@@ -262,6 +262,8 @@ class EpisodeSpec:
             raise SynthError(f"true_rate must be in [0, 1], got {self.true_rate}")
         if not is_int(self.n_trials) or self.n_trials <= 0:
             raise SynthError(f"n_trials must be a positive integer, got {self.n_trials!r}")
+        if not isinstance(self.exact_counts, bool):
+            raise SynthError(f"exact_counts must be true or false, got {self.exact_counts!r}")
 
 
 @dataclass(frozen=True)

@@ -129,9 +129,14 @@ class TestSynthCommand:
         ({"scene": {"cloud_point_count": True}},
          "bad scene spec: point counts and pano_width must be integers"),
         ({"episodes": [{**EPISODE, "n_trials": 2.7}]},
-         "bad episode spec: n_trials must be a positive integer, got 2.7")],
+         "bad episode spec: n_trials must be a positive integer, got 2.7"),
+        ({"episodes": [{**EPISODE, "exact_counts": "false"}]},
+         "bad episode spec: exact_counts must be true or false, got 'false'"),
+        ({"episodes": [{**EPISODE, "exact_counts": 1}]},
+         "bad episode spec: exact_counts must be true or false, got 1")],
         ids=["seed-string", "seed-float", "unknown-scene-key", "floor-count-float",
-             "cloud-count-bool", "trials-float"])
+             "cloud-count-bool", "trials-float", "exact-counts-string",
+             "exact-counts-number"])
     def test_bad_seed_key_or_count_exits_2(self, tmp_path, capsys, config, message):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
@@ -142,8 +147,11 @@ class TestSynthCommand:
     @pytest.mark.parametrize("settings, message", [
         ({"icp": {"bogus": 1}}, "'bogus'"),
         ({"ransac": {"iterations": 2.5}}, "invalid RANSAC config"),
-        ({"voxel_size": "0.02"}, "voxel_size must be null or a finite number > 0")],
-        ids=["icp-unknown-key", "ransac-iterations-float", "voxel-size-string"])
+        ({"voxel_size": "0.02"}, "voxel_size must be null or a finite number > 0"),
+        ({"ransac": {"threshold": True}}, "invalid RANSAC config"),
+        ({"ransac": {"threshold": float("inf")}}, "invalid RANSAC config")],
+        ids=["icp-unknown-key", "ransac-iterations-float", "voxel-size-string",
+             "ransac-threshold-bool", "ransac-threshold-inf"])
     def test_bad_stitch_settings_exit_2_before_writing(self, tmp_path, capsys,
                                                        settings, message):
         # The blocks synth copies into stitch_manifest.json are checked as
@@ -153,6 +161,15 @@ class TestSynthCommand:
         assert run("synth", path, "--out", tmp_path / "o") == 2
         err = capsys.readouterr().err
         assert "bad pair config: " in err and message in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("config", ["[1]", '"scene"', "null", "3"],
+                             ids=["array", "string", "null", "number"])
+    def test_config_that_is_not_an_object_exits_2(self, tmp_path, capsys, config):
+        path = tmp_path / "config.json"
+        path.write_text(config)
+        assert run("synth", path, "--out", tmp_path / "o") == 2
+        assert "malformed synth config" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_stitch_settings_are_copied(self, tmp_path):
@@ -293,6 +310,16 @@ class TestStitchCommand:
         assert "bad pair config" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("threshold", [True, float("inf"), float("nan"), 0, -1e-3,
+                                           "0.001", None],
+                             ids=["bool", "inf", "nan", "zero", "negative", "string",
+                                  "null"])
+    def test_bad_ransac_threshold_exits_2(self, synth_dir, tmp_path, capsys, threshold):
+        bad = _pair_manifest(synth_dir, tmp_path, ransac={"threshold": threshold})
+        assert run("stitch", bad, "--out", tmp_path / "o") == 2
+        assert "bad pair config: invalid RANSAC config" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("fields, message", [
         ({"ransac": {"seed": 4242}}, "'seed'"),
         ({"ground": {"camera_height": 1.5}}, "unknown keys ['ground']"),
@@ -365,6 +392,13 @@ class TestStitchCommand:
         assert run("stitch", path, "--out", tmp_path / "o") == 2
         err = capsys.readouterr().err
         assert message in err and "bad PLY" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_manifest_that_is_not_an_object_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "manifest.json"
+        path.write_text("[1]")
+        assert run("stitch", path, "--out", tmp_path / "o") == 2
+        assert "malformed stitch manifest" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_rooms_out_of_reach_exit_5(self, synth_dir, tmp_path, capsys):

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from panostitch.epipolar import (CheiralityError, EstimationError, RansacConfig,
-                                 RelativePose, decompose_essential,
+from panostitch import epipolar as epipolar_mod
+from panostitch.epipolar import (CheiralityError, EssentialEstimate, EstimationError,
+                                 RansacConfig, RelativePose, decompose_essential,
                                  estimate_essential, triangulate_set)
-from panostitch.geometry import rotation_angle, skew
+from panostitch.geometry import random_rotation, rotation_angle, skew
 from panostitch.panorama import BearingMatchSet, PanoramaSpec, parse_match_dict
 from panostitch.testkit import SynthSceneConfig, synth_room_pair
 
@@ -37,6 +38,151 @@ def pure_translation_matches(n=40, seed=0):
     # p_b = p_a + t with camera center c_b = -t
     gt = RelativePose(np.eye(3), -c_b)
     return make_match_set(ba, bb), gt
+
+
+def reference_essential(matches, cfg=RansacConfig(), seed=0):
+    """The RANSAC loop scored with one einsum per batch, as it was before
+    the blocked _support kernel. estimate_essential must match it bit for
+    bit, raises included."""
+    ba, bb = matches.bearings_a, matches.bearings_b
+    n = len(matches)
+    if n < 8:
+        raise EstimationError(f"need at least 8 matches, got {n}")
+    rng = np.random.default_rng(seed)
+    best_count = 0
+    best_mask = None
+    done = 0
+    while done < cfg.iterations:
+        count = min(epipolar_mod._RANSAC_BATCH, cfg.iterations - done)
+        done += count
+        keys = rng.random((count, n))
+        idx = np.argpartition(keys, 7, axis=1)[:, :8]
+        E, valid = epipolar_mod._eight_point(ba[idx], bb[idx])
+        res = np.abs(np.einsum("ni,cij,nj->cn", bb, E, ba))
+        counts = (res <= cfg.threshold).sum(axis=1)
+        counts[~valid] = 0
+        j = int(np.argmax(counts))
+        if counts[j] > best_count:
+            best_count = int(counts[j])
+            best_mask = res[j] <= cfg.threshold
+    if best_mask is None or best_count < cfg.min_inliers:
+        raise EstimationError(
+            f"no model with >= {cfg.min_inliers} inliers after {cfg.iterations} iterations")
+    try:
+        E, valid = epipolar_mod._eight_point(ba[best_mask][None], bb[best_mask][None])
+    except np.linalg.LinAlgError as e:
+        raise EstimationError("inlier refit did not converge") from e
+    if not valid[0]:
+        raise EstimationError("inlier refit is degenerate")
+    E = E[0]
+    mask = np.abs(np.einsum("ni,ij,nj->n", bb, E, ba)) <= cfg.threshold
+    if int(mask.sum()) < cfg.min_inliers:
+        raise EstimationError("refit model lost its inlier support")
+    inliers = np.flatnonzero(mask)
+    return EssentialEstimate(matrix=E, inlier_indices=inliers,
+                             low_confidence=len(inliers) / n < 0.3)
+
+
+def rigid_motion_matches(n, seed, unit=True):
+    """n bearing pairs of one random rigid motion, b bearings perturbed by
+    ~1e-3 rad and a third of them replaced by random directions. With
+    unit=False every bearing is scaled by a factor in [0.5, 2]."""
+    rng = np.random.default_rng(seed)
+    R = random_rotation(rng)
+    t = rng.normal(size=3)
+    pts = rng.uniform(-5.0, 5.0, size=(n, 3))
+    pb = pts @ R.T + t / np.linalg.norm(t)
+    ba = pts / np.linalg.norm(pts, axis=1, keepdims=True)
+    bb = pb / np.linalg.norm(pb, axis=1, keepdims=True)
+    bb += rng.normal(0.0, 1e-3, size=bb.shape)
+    outliers = rng.random(n) < 1 / 3
+    bb[outliers] = rng.normal(size=(int(outliers.sum()), 3))
+    bb /= np.linalg.norm(bb, axis=1, keepdims=True)
+    if not unit:
+        ba = ba * rng.uniform(0.5, 2.0, size=(n, 1))
+        bb = bb * rng.uniform(0.5, 2.0, size=(n, 1))
+    return make_match_set(ba, bb)
+
+
+def assert_same_as_reference(matches, cfg, seed):
+    try:
+        ref = reference_essential(matches, cfg, seed)
+    except EstimationError as e:
+        with pytest.raises(type(e)) as got:
+            estimate_essential(matches, cfg, seed)
+        assert str(got.value) == str(e)
+        return
+    est = estimate_essential(matches, cfg, seed)
+    assert est.matrix.tobytes() == ref.matrix.tobytes()
+    assert est.inlier_indices.dtype == ref.inlier_indices.dtype
+    np.testing.assert_array_equal(est.inlier_indices, ref.inlier_indices)
+    assert est.low_confidence == ref.low_confidence
+
+
+class TestSupportKernel:
+    @pytest.mark.parametrize("n, hypotheses", [(8, 1), (9, 511), (300, 512),
+                                                (300, 513), (2000, 512), (2001, 513)])
+    @pytest.mark.parametrize("unit", [True, False])
+    def test_matches_einsum_at_the_boundary(self, n, hypotheses, unit):
+        # n = 300 scores 218-row blocks, which do not divide 512.
+        matches = rigid_motion_matches(n, seed=n + hypotheses, unit=unit)
+        rng = np.random.default_rng(n)
+        idx = np.argpartition(rng.random((hypotheses, n)), 7, axis=1)[:, :8]
+        ba, bb = matches.bearings_a, matches.bearings_b
+        E, _ = epipolar_mod._eight_point(ba[idx], bb[idx])
+        res = np.abs(np.einsum("ni,cij,nj->cn", bb, E, ba))
+        c, k = np.unravel_index(np.argsort(res, axis=None)[res.size // 3], res.shape)
+        for thr, on_boundary in ((res[c, k], True), (np.nextafter(res[c, k], 0.0), False)):
+            mask = epipolar_mod._support(E, bb, ba, thr)
+            np.testing.assert_array_equal(mask, res <= thr)
+            assert mask[c, k] == on_boundary
+
+    def test_one_row_per_block_above_the_budget(self):
+        matches = rigid_motion_matches(epipolar_mod.SUPPORT_BLOCK + 7, seed=3, unit=False)
+        ba, bb = matches.bearings_a, matches.bearings_b
+        E = np.random.default_rng(3).normal(size=(3, 3, 3))
+        res = np.abs(np.einsum("ni,cij,nj->cn", bb, E, ba))
+        thr = res[1, 100]
+        np.testing.assert_array_equal(epipolar_mod._support(E, bb, ba, thr), res <= thr)
+
+    def test_refit_residuals_match_the_single_matrix_einsum(self):
+        matches = rigid_motion_matches(2001, seed=5, unit=False)
+        ba, bb = matches.bearings_a, matches.bearings_b
+        E = np.random.default_rng(5).normal(size=(3, 3))
+        res = np.abs(np.einsum("ni,ij,nj->n", bb, E, ba))
+        thr = res[17]
+        np.testing.assert_array_equal(epipolar_mod._support(E[None], bb, ba, thr)[0],
+                                      res <= thr)
+
+
+class TestEstimateEssentialOracle:
+    @pytest.mark.parametrize("n", [8, 9, 300, 2000, 2001])
+    @pytest.mark.parametrize("iterations", [1, 511, 512, 513])
+    @pytest.mark.parametrize("threshold", [1e-4, 1e-3, 1e-2])
+    def test_same_result_as_reference(self, n, iterations, threshold):
+        matches = rigid_motion_matches(n, seed=n)
+        assert_same_as_reference(matches, RansacConfig(threshold, iterations), seed=iterations)
+
+    @pytest.mark.parametrize("n", [9, 300, 2001])
+    @pytest.mark.parametrize("threshold", [1e-4, 1e-3, 1e-2])
+    def test_same_result_with_non_unit_bearings(self, n, threshold):
+        matches = rigid_motion_matches(n, seed=n + 1, unit=False)
+        assert_same_as_reference(matches, RansacConfig(threshold, 513), seed=n)
+
+    def test_same_error_without_consensus(self, rng):
+        ba = rng.normal(size=(40, 3))
+        bb = rng.normal(size=(40, 3))
+        cfg = RansacConfig(threshold=1e-9, iterations=50, min_inliers=20)
+        with pytest.raises(EstimationError):
+            reference_essential(make_match_set(ba, bb), cfg, seed=0)
+        assert_same_as_reference(make_match_set(ba, bb), cfg, seed=0)
+
+    def test_same_result_on_synth_scenes(self):
+        for seed in range(6):
+            pair = synth_room_pair(SynthSceneConfig(seed=seed, pixel_noise_sigma=1.0,
+                                                    outlier_fraction=0.2 + 0.1 * seed))
+            assert_same_as_reference(parse_match_dict(pair.match_data), RansacConfig(),
+                                     seed=seed)
 
 
 class TestEstimateEssential:

@@ -18,7 +18,9 @@ integer-grid trajectory pairs, the grid ones full of equal-cost ties.
 Last, a two-room scene built with the library the way the benchmark
 builds its match-heavy scenes (room B sampled again with 3 mm noise,
 binary PLYs, 2,000 matches at 40 % outliers) is stitched; its ICP
-correspondences cycle, so it covers the cycle stop.
+correspondences cycle, so it covers the cycle stop. The same scene is
+stitched again with RANSAC at threshold 0.003 and 700 iterations, a
+second inlier boundary and a last hypothesis batch of 188.
 Every step is seeded, so two source trees that produce the same
 artifacts print the same digests.
 
@@ -78,6 +80,8 @@ PLACES = [("mug", (0.1, 0.1, 0.12)), ("box", (0.2, 0.15, 0.1)),
 # the benchmark's match-heavy pool). The iterate the cycle stop returns is
 # not the one the 50th step lands on, so the merged cloud shows the change.
 CYCLING_SEED = 1890938897
+# RANSAC settings of the second stitch of that scene: 700 = 512 + 188.
+RANSAC_VARIANT = {"threshold": 0.003, "iterations": 700}
 
 
 def table_cloud(n: int = 2000, seed: int = 0) -> PointCloud:
@@ -205,8 +209,13 @@ def flow(out: Path) -> list[Path]:
     back, back_ids = read_ply(out / "labeled_ascii.ply")
     write_ply(out / "labeled_binary.ply", back, room_ids=back_ids)
     (out / "dtw.json").write_text(json.dumps(dtw_values(), indent=2) + "\n")
-    run("stitch", write_resampled_scene(out / "cycling", CYCLING_SEED),
-        "--out", out / "stitch_cycling", "--seed", CYCLING_SEED)
+    cycling = write_resampled_scene(out / "cycling", CYCLING_SEED)
+    run("stitch", cycling, "--out", out / "stitch_cycling", "--seed", CYCLING_SEED)
+    variant = json.loads(cycling.read_text())
+    variant["pairs"][0]["ransac"] = RANSAC_VARIANT
+    variant_path = cycling.with_name("stitch_manifest_ransac.json")
+    variant_path.write_text(json.dumps(variant))
+    run("stitch", variant_path, "--out", out / "stitch_ransac", "--seed", CYCLING_SEED)
 
     artifacts = [synth / name for name in (
         "matches.json", "room_a.ply", "room_b.ply", "ground_truth.json",
@@ -222,8 +231,9 @@ def flow(out: Path) -> list[Path]:
                   out / "eval" / "report.csv", out / "eval" / "detail.csv",
                   out / "labeled_ascii.ply", out / "labeled_binary.ply",
                   out / "dtw.json"]
-    artifacts += [out / "stitch_cycling" / name for name in (
-        "merged.ply", "diagnostics.json", "scene_manifest.json")]
+    for sub in ("stitch_cycling", "stitch_ransac"):
+        artifacts += [out / sub / name for name in (
+            "merged.ply", "diagnostics.json", "scene_manifest.json")]
     return artifacts
 
 
