@@ -30,7 +30,7 @@ from . import scene as scene_mod
 from ._atomic import write_atomic, write_json
 from .epipolar import CheiralityError, EstimationError, RansacConfig
 from .geometry import (Aabb, GeometryError, PointCloud, RigidTransform, is_int,
-                       rot_z, worker_count)
+                       is_number, rot_z, worker_count)
 from .icp import IcpConfig, IcpError
 from .metrics import (MetricError, generalization_report, parse_tier,
                       read_episode_csv, read_rates_csv, simreal_correlation,
@@ -348,6 +348,9 @@ def _scene_config(data: dict, seed: int) -> SynthSceneConfig:
     if unknown:
         raise ValueError(f"unknown keys {unknown}")
     d = {**SCENE_DEFAULTS, **data}
+    for key in ("camera_height_m", "gt_yaw_deg", "pixel_noise_sigma", "outlier_fraction"):
+        if not is_number(d[key]):
+            raise ValueError(f"{key} must be a finite number, got {d[key]!r}")
     gt = RigidTransform(rot_z(np.deg2rad(float(d["gt_yaw_deg"]))),
                         np.asarray(d["gt_translation"], dtype=float))
     return SynthSceneConfig(
@@ -356,6 +359,14 @@ def _scene_config(data: dict, seed: int) -> SynthSceneConfig:
         gt_relative_pose=gt, pixel_noise_sigma=float(d["pixel_noise_sigma"]),
         outlier_fraction=float(d["outlier_fraction"]), seed=seed,
         pano_width=d["pano_width"], cloud_point_count=d["cloud_point_count"])
+
+
+def _episode_spec(e: dict) -> EpisodeSpec:
+    unknown = sorted(set(e) - {"task", "tier", "n_trials", "true_rate", "exact_counts"})
+    if unknown:
+        raise ValueError(f"unknown keys {unknown}")
+    return EpisodeSpec(task=e["task"], tier=parse_tier(e["tier"]), n_trials=e["n_trials"],
+                       true_rate=e["true_rate"], exact_counts=e.get("exact_counts", False))
 
 
 def cmd_synth(args) -> int:
@@ -395,11 +406,7 @@ def cmd_synth(args) -> int:
 
     if "episodes" in config:
         try:
-            specs = [EpisodeSpec(task=e["task"], tier=parse_tier(e["tier"]),
-                                 n_trials=e["n_trials"],
-                                 true_rate=float(e["true_rate"]),
-                                 exact_counts=e.get("exact_counts", False))
-                     for e in config["episodes"]]
+            specs = [_episode_spec(e) for e in config["episodes"]]
             synth = synth_episodes(specs, seed=fork_seed(seed, "episodes"))
         except (KeyError, TypeError, ValueError) as e:
             raise CliError(EXIT_INPUT, f"bad episode spec: {e}") from e

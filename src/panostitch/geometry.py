@@ -28,9 +28,14 @@ def is_int(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
+def is_number(v) -> bool:
+    """True for a finite number that is not a bool."""
+    return (is_int(v) or isinstance(v, (float, np.floating))) and -np.inf < v < np.inf
+
+
 def is_positive_number(v) -> bool:
     """True for a finite number > 0 that is not a bool."""
-    return (is_int(v) or isinstance(v, (float, np.floating))) and 0 < v < np.inf
+    return is_number(v) and v > 0
 
 
 def as_vec3(v) -> np.ndarray:
@@ -121,14 +126,6 @@ def rotation_angle(R) -> float:
 
 def rot_z(angle: float) -> np.ndarray:
     return rotation_from_axis_angle((0.0, 0.0, 1.0), angle)
-
-
-def random_rotation(rng: np.random.Generator) -> np.ndarray:
-    """Uniform-ish random proper rotation via QR of a Gaussian matrix."""
-    Q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-    if np.linalg.det(Q) < 0:
-        Q[:, 0] *= -1.0
-    return Q
 
 
 def rotation_to_quaternion(R) -> np.ndarray:

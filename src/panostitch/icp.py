@@ -14,7 +14,7 @@ IcpResult.stop_reason:
 
 - "rel_tol": the relative error change of a step fell below
   IcpConfig.rel_tol (the only case with converged = True);
-- "cycle": the gated correspondence set at the start of an iteration
+- "cycle": the correspondence set at the start of an iteration
   equals the set of an earlier iteration other than the one just
   before. A linearized point-to-plane step, unlike exact point-to-point
   minimization (Besl & McKay 1992), need not decrease the error, so the
@@ -34,11 +34,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (Aabb, PointCloud, PointIndex, RigidTransform, compose,
-                       is_int, rotation_exp)
+                       is_int, is_number, is_positive_number, rotation_exp)
 
 SINGULAR_COND = 1e12
 NORMAL_BLOCK = 8192     # query points per neighbor gather in estimate_normals
-NORMAL_ANGLE_MAX_DEG = 45.0   # correspondence normal-agreement gate
 
 
 class IcpError(RuntimeError):
@@ -56,8 +55,10 @@ class IcpConfig:
     def __post_init__(self):
         if not (is_int(self.max_iterations) and is_int(self.normal_k)) \
                 or self.max_iterations <= 0 or self.normal_k < 3 \
-                or not (0 < self.rel_tol < 1) or not self.overlap_margin >= 0 \
-                or not (self.max_corr_dist is None or self.max_corr_dist > 0):
+                or not (0 < self.rel_tol < 1) \
+                or not (is_number(self.overlap_margin) and self.overlap_margin >= 0) \
+                or not (self.max_corr_dist is None
+                        or is_positive_number(self.max_corr_dist)):
             raise ValueError(f"invalid ICP config: {self}")
 
 
@@ -128,30 +129,22 @@ def _overlap_crop(src: np.ndarray, dst: PointCloud, T: RigidTransform,
     return keep
 
 
-def _correspond(src: np.ndarray, src_normals: np.ndarray | None,
-                T: RigidTransform, dst: PointCloud, index: PointIndex,
+def _correspond(src: np.ndarray, T: RigidTransform, index: PointIndex,
                 max_dist: float | None
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Nearest-neighbor pairs of T(src) surviving distance and normal gating.
+    """Nearest-neighbor pairs of T(src) within max_dist of each other.
 
-    One KD-tree query. A max_dist of None resolves to 3x the median
-    distance of this same query. Returns (T(src), surviving source rows,
-    their target indices, max_dist); raises IcpError when no pair
-    survives. The normal gate uses |n_src . n_dst| so PCA sign flips
-    cannot starve the match set; it only applies when the source
-    carries normals, with the angle bound NORMAL_ANGLE_MAX_DEG.
+    One query of the target's KD-tree. A max_dist of None resolves to
+    3x the median distance of this same query. Returns (T(src),
+    surviving source rows, their target indices, max_dist); raises
+    IcpError when no pair survives.
     """
     moved = T.apply(src)
     idx, dist = index.knn(moved, 1)
     if max_dist is None:
         med = float(np.median(dist))
         max_dist = 3.0 * med if med > 0 else 1e-9
-    ok = dist <= max_dist
-    if src_normals is not None and dst.normals is not None:
-        moved_normals = src_normals @ T.rotation.T
-        agree = np.abs(np.einsum("ni,ni->n", moved_normals, dst.normals[idx]))
-        ok &= agree >= float(np.cos(np.deg2rad(NORMAL_ANGLE_MAX_DEG)))
-    rows = np.flatnonzero(ok)
+    rows = np.flatnonzero(dist <= max_dist)
     if rows.size == 0:
         raise IcpError(
             f"zero correspondences within {max_dist:.3g} m; clouds do not overlap")
@@ -210,15 +203,16 @@ def point_to_plane_icp(source: PointCloud, target: PointCloud,
                        cfg: IcpConfig = IcpConfig()) -> IcpResult:
     """Refine T_init so the source cloud lands on the target surfaces.
 
-    Iterates correspondence search (distance- and normal-gated nearest
-    neighbors inside the overlap region) with the 6-dof normal-equation
-    solve. Stops at the first of:
+    Iterates correspondence search (nearest neighbors within the
+    distance bound inside the overlap region) with the 6-dof
+    normal-equation solve. Only the target's normals are read; source
+    normals, if any, are ignored. Stops at the first of:
 
     - rel_tol: a step changed the error by less than cfg.rel_tol
       relative to the step before; the last iterate is returned and
       converged is True.
     - cycle: the correspondence assignment (each cropped source point's
-      target index, or -1 where gating dropped it) at the start of an
+      target index, or -1 beyond the distance bound) at the start of an
       iteration equals the assignment of any earlier iteration except
       the one just before (that repeat is the fixed point rel_tol
       handles). The iterates since that earlier iteration form the
@@ -236,7 +230,6 @@ def point_to_plane_icp(source: PointCloud, target: PointCloud,
     index = PointIndex(target.points)
     crop = _overlap_crop(source.points, target, T_init, cfg.overlap_margin)
     src = source.points[crop]
-    src_normals = source.normals[crop] if source.has_normals() else None
     max_dist = cfg.max_corr_dist
 
     T = T_init
@@ -251,8 +244,7 @@ def point_to_plane_icp(source: PointCloud, target: PointCloud,
     chosen = -1                         # index into poses: the last step
 
     for step in range(cfg.max_iterations):
-        moved, rows, tgt_idx, max_dist = _correspond(
-            src, src_normals, T, target, index, max_dist)
+        moved, rows, tgt_idx, max_dist = _correspond(src, T, index, max_dist)
         assignment.fill(-1)
         assignment[rows] = tgt_idx
         digest = hashlib.sha256(assignment).digest()
@@ -297,9 +289,7 @@ def _pose_error(source: PointCloud, target: PointCloud, index: PointIndex,
                 T: RigidTransform, max_dist: float | None, cfg: IcpConfig) -> float:
     """Point-to-plane error of T over the overlap crop at T."""
     crop = _overlap_crop(source.points, target, T, cfg.overlap_margin)
-    moved, rows, tgt_idx, _ = _correspond(
-        source.points[crop], source.normals[crop] if source.has_normals() else None,
-        T, target, index, max_dist)
+    moved, rows, tgt_idx, _ = _correspond(source.points[crop], T, index, max_dist)
     r = _residuals(moved[rows], target.points[tgt_idx], target.normals[tgt_idx])
     return float(r @ r)
 
@@ -308,7 +298,7 @@ def eval_icp_error(source: PointCloud, target: PointCloud, T: RigidTransform,
                    cfg: IcpConfig = IcpConfig()) -> float:
     """Point-to-plane error of a pose; evaluation only, no optimization.
 
-    Uses the same overlap crop, correspondence search, and gating as
+    Uses the same overlap crop and correspondence search as
     point_to_plane_icp, and raises IcpError where they find no
     correspondence, as point_to_plane_icp does.
     """

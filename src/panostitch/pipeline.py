@@ -15,8 +15,8 @@ import numpy as np
 
 from .epipolar import (RansacConfig, decompose_essential, estimate_essential,
                        triangulate_set)
-from .geometry import (PointCloud, RigidTransform, is_positive_number, unit,
-                       voxel_downsample)
+from .geometry import (PointCloud, RigidTransform, is_number, is_positive_number,
+                       unit, voxel_downsample)
 from .icp import IcpConfig, IcpResult, estimate_normals, point_to_plane_icp
 from .panorama import BearingMatchSet
 from .scale import GroundConfig, apply_scale, recover_scale, select_ground_points
@@ -40,7 +40,10 @@ class PairConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "gravity_axis", tuple(self.gravity_axis))
-        unit(self.gravity_axis)  # zero, non-finite or not 3 components
+        if len(self.gravity_axis) != 3 or not all(map(is_number, self.gravity_axis)):
+            raise ValueError("gravity_axis must be 3 finite numbers, "
+                             f"got {list(self.gravity_axis)!r}")
+        unit(self.gravity_axis)  # rejects the zero vector
         if not (self.voxel_size is None or is_positive_number(self.voxel_size)):
             raise ValueError("voxel_size must be null or a finite number > 0, "
                              f"got {self.voxel_size!r}")
@@ -91,8 +94,9 @@ def register_room_pair(matches: BearingMatchSet, cloud_a: PointCloud,
                        seed: int = 0) -> PairResult:
     """Estimate the metric transform taking cloud_a's frame into cloud_b's.
 
-    The normal-estimation viewpoint is each cloud's own origin, which is
-    the camera center for panorama-derived reconstructions.
+    ICP reads normals of cloud_b only: its own if it has them, otherwise
+    estimated with the viewpoint at its origin, the camera center for
+    panorama-derived reconstructions. cloud_a's normals are never read.
     """
     est = estimate_essential(matches, cfg.ransac, seed=fork_seed(seed, "ransac"))
     pose = decompose_essential(est.matrix, matches, est.inlier_indices)
@@ -102,7 +106,7 @@ def register_room_pair(matches: BearingMatchSet, cloud_a: PointCloud,
     alpha = recover_scale(ground)
     T_coarse = apply_scale(pose, alpha)
 
-    src = _prepared(cloud_a, cfg.voxel_size, cfg.icp.normal_k)
+    src = voxel_downsample(cloud_a, cfg.voxel_size) if cfg.voxel_size else cloud_a
     dst = _prepared(cloud_b, cfg.voxel_size, cfg.icp.normal_k)
     icp_result = point_to_plane_icp(src, dst, T_coarse, cfg.icp)
 

@@ -403,15 +403,6 @@ def place_asset(manifest: SceneManifest, plane_id: str, asset_id: str,
         f"after {PLACE_MAX_ATTEMPTS} attempts")
 
 
-def asset_snap_error(manifest: SceneManifest, asset: AssetInstance) -> float:
-    """Distance from the asset's posed bottom face to its support plane."""
-    sp = manifest.support_plane(asset.support_plane_id)
-    mn, mx = asset.aabb_local.min, asset.aabb_local.max
-    corners = np.array([[x, y, mn[2]] for x in (mn[0], mx[0]) for y in (mn[1], mx[1])])
-    d = sp.plane.signed_distance(asset.pose.apply(corners))
-    return float(np.max(np.abs(d)))
-
-
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------

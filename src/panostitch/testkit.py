@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import PointCloud, RigidTransform, compose, is_int, rot_z
+from .geometry import PointCloud, RigidTransform, compose, is_int, is_number, rot_z
 from .metrics import EpisodeRecord, Tier
 from .panorama import PanoramaSpec, bearing_to_pixel
 from .epipolar import RelativePose
@@ -258,8 +258,10 @@ class EpisodeSpec:
     exact_counts: bool = False        # successes = round(rate * n), shuffled
 
     def __post_init__(self):
-        if not (0.0 <= self.true_rate <= 1.0):
-            raise SynthError(f"true_rate must be in [0, 1], got {self.true_rate}")
+        if not isinstance(self.task, str):
+            raise SynthError(f"task must be a string, got {self.task!r}")
+        if not (is_number(self.true_rate) and 0.0 <= self.true_rate <= 1.0):
+            raise SynthError(f"true_rate must be a number in [0, 1], got {self.true_rate!r}")
         if not is_int(self.n_trials) or self.n_trials <= 0:
             raise SynthError(f"n_trials must be a positive integer, got {self.n_trials!r}")
         if not isinstance(self.exact_counts, bool):

@@ -13,6 +13,18 @@ from panostitch.testkit import SynthSceneConfig, sample_room_cloud, synth_room_p
 SYNTH_POSE = RigidTransform(rot_z(np.deg2rad(11.0)), np.array([-1.6, -0.4, 0.0]))
 
 
+def random_rotation(rng: np.random.Generator) -> np.ndarray:
+    """Uniform-ish random proper rotation via QR of a Gaussian matrix."""
+    Q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    if np.linalg.det(Q) < 0:
+        Q[:, 0] *= -1.0
+    return Q
+
+
+def random_transform(rng: np.random.Generator) -> RigidTransform:
+    return RigidTransform(random_rotation(rng), rng.normal(size=3))
+
+
 def build_table_manifest(rng, side=1.0, z=0.8):
     """Single-room manifest with one fitted table-top support plane."""
     n = 500
@@ -59,18 +71,23 @@ def resampled_pair():
     """Factory: seed -> (SynthRoomPair, room B cloud) of a scene like the
     benchmark's match-heavy stitch. 3,000 points per room, 1,000 floor
     and 1,000 wall matches at 1 px noise and 40 % outliers, and room B
-    sampled again from its own stream with 3 mm noise, not copied from
-    room A. Both clouds come without normals, as the CLI reads them."""
+    sampled again from its own stream with 3 mm noise (noise_m), not
+    copied from room A. Both clouds come without normals, as the CLI
+    reads them. edge_margin keeps both rooms' samples that far off the
+    face junctions; crop_m, if set, keeps only room B points within
+    that horizontal distance of camera B, so the rooms overlap in part."""
     @functools.cache
-    def build(seed):
+    def build(seed, edge_margin=0.15, noise_m=0.003, crop_m=None):
         cfg = SynthSceneConfig(floor_point_count=1000, wall_point_count=1000,
                                pixel_noise_sigma=1.0, outlier_fraction=0.4,
                                seed=seed, cloud_point_count=3000,
-                               gt_relative_pose=SYNTH_POSE)
+                               gt_relative_pose=SYNTH_POSE, edge_margin=edge_margin)
         pair = synth_room_pair(cfg)
         rng_b = np.random.default_rng([seed, 1])
         pts, _ = sample_room_cloud(cfg.room_extent, 3000, cfg.edge_margin, rng_b)
         pts = pts - np.array([0.0, 0.0, cfg.camera_height])
-        pts = pts + rng_b.normal(0.0, 0.003, size=pts.shape)
-        return pair, PointCloud(SYNTH_POSE.apply(pts))
+        pts = SYNTH_POSE.apply(pts + rng_b.normal(0.0, noise_m, size=pts.shape))
+        if crop_m is not None:
+            pts = pts[np.linalg.norm(pts[:, :2], axis=1) <= crop_m]
+        return pair, PointCloud(pts)
     return build

@@ -79,6 +79,11 @@ def _pair_manifest(synth_dir, tmp_path, **fields):
 
 
 EPISODE = {"task": "microwave", "tier": "train", "n_trials": 4, "true_rate": 0.5}
+# (scene key, value) pairs that synth reads as a number and must refuse.
+SCENE_NUMBER_FAULTS = [(key, value) for key in ("gt_yaw_deg", "camera_height_m",
+                                                "pixel_noise_sigma", "outlier_fraction")
+                       for value in (True, "1")] + [
+    ("pixel_noise_sigma", float("nan")), ("pixel_noise_sigma", float("inf"))]
 
 
 class TestSynthCommand:
@@ -133,10 +138,25 @@ class TestSynthCommand:
         ({"episodes": [{**EPISODE, "exact_counts": "false"}]},
          "bad episode spec: exact_counts must be true or false, got 'false'"),
         ({"episodes": [{**EPISODE, "exact_counts": 1}]},
-         "bad episode spec: exact_counts must be true or false, got 1")],
+         "bad episode spec: exact_counts must be true or false, got 1"),
+        ({"episodes": [{**EPISODE, "true_rate": True}]},
+         "bad episode spec: true_rate must be a number in [0, 1], got True"),
+        ({"episodes": [{**EPISODE, "true_rate": "1"}]},
+         "bad episode spec: true_rate must be a number in [0, 1], got '1'"),
+        ({"episodes": [{**EPISODE, "task": None}]},
+         "bad episode spec: task must be a string, got None"),
+        ({"episodes": [{**EPISODE, "task": 1}]},
+         "bad episode spec: task must be a string, got 1"),
+        ({"episodes": [{**EPISODE, "exact_count": True}]},
+         "bad episode spec: unknown keys ['exact_count']")] + [
+        ({"scene": {key: value}},
+         f"bad scene spec: {key} must be a finite number, got {value!r}")
+        for key, value in SCENE_NUMBER_FAULTS],
         ids=["seed-string", "seed-float", "unknown-scene-key", "floor-count-float",
              "cloud-count-bool", "trials-float", "exact-counts-string",
-             "exact-counts-number"])
+             "exact-counts-number", "true-rate-bool", "true-rate-string", "task-null",
+             "task-number", "misspelled-episode-key"] + [
+            f"{key}-{value}" for key, value in SCENE_NUMBER_FAULTS])
     def test_bad_seed_key_or_count_exits_2(self, tmp_path, capsys, config, message):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
@@ -263,7 +283,7 @@ class TestStitchCommand:
         assert shape in capsys.readouterr().err
 
     @pytest.mark.parametrize("gravity", [[0.0, 0.0, 0.0], [0.0, float("nan"), -1.0],
-                                         [0.0, -1.0]])
+                                         [0.0, -1.0], ["0", "0", "-1"], [True, 0, 0]])
     def test_bad_gravity_axis_exits_2(self, synth_dir, tmp_path, capsys, gravity):
         base = json.loads((synth_dir / "stitch_manifest.json").read_text())
         base["pairs"][0]["gravity_axis"] = gravity
@@ -300,10 +320,13 @@ class TestStitchCommand:
         ("icp", {"max_iterations": 2.5}), ("icp", {"max_iterations": True}),
         ("ransac", {"iterations": 2.5}), ("ransac", {"min_inliers": 8.5}),
         ("icp", {"normal_k": 2}), ("icp", {"normal_k": 20.0}),
-        ("icp", {"overlap_margin": -5})],
+        ("icp", {"overlap_margin": -5}), ("icp", {"max_corr_dist": True}),
+        ("icp", {"max_corr_dist": float("inf")}), ("icp", {"overlap_margin": True}),
+        ("icp", {"overlap_margin": float("inf")})],
         ids=["icp-iterations-float", "icp-iterations-bool", "ransac-iterations-float",
              "ransac-min-inliers-float", "normal-k-2", "normal-k-float",
-             "overlap-margin-negative"])
+             "overlap-margin-negative", "max-corr-dist-bool", "max-corr-dist-inf",
+             "overlap-margin-bool", "overlap-margin-inf"])
     def test_bad_count_exits_2(self, synth_dir, tmp_path, capsys, block, values):
         bad = _pair_manifest(synth_dir, tmp_path, **{block: values})
         assert run("stitch", bad, "--out", tmp_path / "o") == 2

@@ -5,9 +5,11 @@ from panostitch import epipolar as epipolar_mod
 from panostitch.epipolar import (CheiralityError, EssentialEstimate, EstimationError,
                                  RansacConfig, RelativePose, decompose_essential,
                                  estimate_essential, triangulate_set)
-from panostitch.geometry import random_rotation, rotation_angle, skew
+from panostitch.geometry import rotation_angle, skew
 from panostitch.panorama import BearingMatchSet, PanoramaSpec, parse_match_dict
 from panostitch.testkit import SynthSceneConfig, synth_room_pair
+
+from conftest import random_rotation
 
 
 def principal_angle(E1, E2):

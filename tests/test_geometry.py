@@ -6,12 +6,10 @@ from hypothesis import strategies as st
 from panostitch.geometry import (Aabb, GeometryError, Plane, PointCloud,
                                  PointIndex, RigidTransform, compose,
                                  fit_plane_lsq, is_rotation, pose_difference,
-                                 quaternion_to_rotation, random_rotation, rot_z,
+                                 quaternion_to_rotation, rot_z,
                                  rotation_to_quaternion, voxel_downsample)
 
-
-def random_transform(rng):
-    return RigidTransform(random_rotation(rng), rng.normal(size=3))
+from conftest import random_rotation, random_transform
 
 
 class TestRigidTransform:

@@ -65,13 +65,12 @@ def reference_icp(source, target, T_init=RigidTransform.identity(),
     index = PointIndex(target.points)
     crop = icp_mod._overlap_crop(source.points, target, T_init, cfg.overlap_margin)
     src = source.points[crop]
-    src_normals = source.normals[crop] if source.has_normals() else None
     max_dist = cfg.max_corr_dist
     T, prev_err, trace, converged = T_init, None, [], False
     assignments, poses = [], []
     for iterations in range(1, cfg.max_iterations + 1):
         moved, rows, tgt_idx, max_dist = icp_mod._correspond(
-            src, src_normals, T, target, index, max_dist)
+            src, T, index, max_dist)
         corr_count = int(rows.size)
         assignment = np.full(len(src), -1)
         assignment[rows] = tgt_idx
@@ -191,6 +190,23 @@ class TestRegisterRoomPair:
             register_room_pair(clean_matches, PointCloud(clean_pair.cloud_a.points),
                                PointCloud(clean_pair.cloud_b.points), cfg)
 
+    @pytest.mark.parametrize("crop_m", [None, 3.0], ids=["full-overlap", "crop-3m"])
+    @pytest.mark.parametrize("noise_m", [0.003, 0.01], ids=["3mm", "10mm"])
+    def test_junction_samples_register_within_bounds(self, resampled_pair,
+                                                     noise_m, crop_m):
+        # edge_margin 0: samples reach the face junctions, where room B's
+        # estimated normals mix two faces; the crop leaves room A's far
+        # side without a partner. Bounds are acceptance criterion 3's.
+        for seed in (1, 2, 3):
+            pair, cloud_b = resampled_pair(seed, edge_margin=0.0, noise_m=noise_m,
+                                           crop_m=crop_m)
+            cfg = PairConfig(ground=GroundConfig(camera_height=pair.camera_height))
+            reg = register_room_pair(parse_match_dict(pair.match_data),
+                                     PointCloud(pair.cloud_a.points), cloud_b, cfg,
+                                     seed=fork_seed(seed, "pair:room_a->room_b"))
+            rot, trans = pose_difference(reg.T_fine, pair.gt)
+            assert np.degrees(rot) < 0.5 and trans < 0.01, (seed, rot, trans)
+
 
 class TestPointToPlaneIcp:
     def test_identity_case(self, room_cloud):
@@ -236,6 +252,22 @@ class TestPointToPlaneIcp:
         assert trans < 5e-3
         # The overlap crop keeps the far half of the source out of the solve.
         assert res.correspondence_count < len(source)
+
+    @pytest.mark.parametrize("normals", ["estimated", "perpendicular"])
+    def test_source_normals_are_ignored(self, room_cloud, rng, normals):
+        # The result is the same, field for field, whatever normals the
+        # source carries; perpendicular ones would fail any normal
+        # agreement test between the two clouds.
+        cloud, analytic = room_cloud
+        T_star = small_perturbation(rng)
+        target = estimate_normals(PointCloud(T_star.apply(cloud.points)), k=20,
+                                  viewpoint=T_star.apply(np.zeros(3)))
+        src_normals = (estimate_normals(cloud, k=20).normals if normals == "estimated"
+                       else np.roll(analytic, 1, axis=1))   # axis-aligned faces
+        bare = point_to_plane_icp(cloud, target)
+        res = point_to_plane_icp(PointCloud(cloud.points, src_normals), target)
+        assert_same_result(res, bare)
+        assert res.stop_reason == bare.stop_reason
 
     def test_disjoint_clouds_raise(self, rng):
         a = PointCloud(rng.normal(size=(100, 3)))
@@ -458,9 +490,8 @@ def scripted_correspondences(monkeypatch, script, modulus=8):
     real = icp_mod._correspond
     state = {}
 
-    def fake(src, src_normals, T, dst, index, max_dist):
-        moved, rows, tgt_idx, max_dist = real(src, src_normals, T, dst, index,
-                                              max_dist)
+    def fake(src, T, index, max_dist):
+        moved, rows, tgt_idx, max_dist = real(src, T, index, max_dist)
         if state.setdefault("src", src) is not src:
             return moved, rows, tgt_idx, max_dist
         state.setdefault("pairs", (rows, tgt_idx))

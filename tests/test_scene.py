@@ -2,22 +2,27 @@ import numpy as np
 import pytest
 
 from panostitch.geometry import (Aabb, Plane, PointCloud, RigidTransform,
-                                 compose, pose_difference, random_rotation)
+                                 compose, pose_difference)
 from panostitch.scene import (AssetInstance, ManifestError, PairRegistration,
                               PlacementError, PlaneFitConfig, PlaneFitError,
                               RoomNode, SceneGraphError, SceneManifest,
-                              asset_snap_error, fit_plane_ransac,
+                              fit_plane_ransac,
                               flatten_to_plane, inlier_stddev, load_manifest,
                               manifest_from_dict, manifest_to_dict, merge_rooms,
                               overlap_rms, place_asset, save_manifest)
 from panostitch import _plane_search
 from panostitch.testkit import SynthSceneConfig, chain_room_poses, synth_room_pair
 
-from conftest import build_table_manifest as make_table_manifest
+from conftest import build_table_manifest as make_table_manifest, random_transform
 
 
-def random_transform(rng):
-    return RigidTransform(random_rotation(rng), rng.normal(size=3))
+def asset_snap_error(manifest: SceneManifest, asset: AssetInstance) -> float:
+    """Distance from the asset's posed bottom face to its support plane."""
+    sp = manifest.support_plane(asset.support_plane_id)
+    mn, mx = asset.aabb_local.min, asset.aabb_local.max
+    corners = np.array([[x, y, mn[2]] for x in (mn[0], mx[0]) for y in (mn[1], mx[1])])
+    d = sp.plane.signed_distance(asset.pose.apply(corners))
+    return float(np.max(np.abs(d)))
 
 
 def two_room_manifest():
