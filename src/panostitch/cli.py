@@ -351,8 +351,11 @@ def _scene_config(data: dict, seed: int) -> SynthSceneConfig:
     for key in ("camera_height_m", "gt_yaw_deg", "pixel_noise_sigma", "outlier_fraction"):
         if not is_number(d[key]):
             raise ValueError(f"{key} must be a finite number, got {d[key]!r}")
+    t = d["gt_translation"]
+    if not (isinstance(t, (list, tuple)) and len(t) == 3 and all(map(is_number, t))):
+        raise ValueError(f"gt_translation must be 3 finite numbers, got {t!r}")
     gt = RigidTransform(rot_z(np.deg2rad(float(d["gt_yaw_deg"]))),
-                        np.asarray(d["gt_translation"], dtype=float))
+                        np.asarray(t, dtype=float))
     return SynthSceneConfig(
         room_extent=tuple(d["room_extent"]), floor_point_count=d["floor_point_count"],
         wall_point_count=d["wall_point_count"], camera_height=float(d["camera_height_m"]),

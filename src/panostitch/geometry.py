@@ -413,14 +413,21 @@ def worker_count() -> int:
     return int(cap)
 
 
+def thread_count() -> int:
+    """worker_count() as a number of threads: -1 becomes the number of
+    CPUs this process may run on."""
+    workers = worker_count()
+    return workers if workers > 0 else len(os.sched_getaffinity(0))
+
+
 @dataclass
 class PointIndex:
     """Exact nearest-neighbor index over a point cloud.
 
     Backed by a balanced axis-aligned KD partition (scipy cKDTree).
-    Equal-distance ties resolve to the lowest point index, matching a
-    brute-force scan. Read-only after construction and safe to query
-    concurrently.
+    query resolves equal-distance ties to the lowest point index,
+    matching a brute-force scan; knn returns them in cKDTree's order.
+    Read-only after construction and safe to query concurrently.
     """
 
     points: np.ndarray
@@ -446,9 +453,13 @@ class PointIndex:
             return int(min(exact)), float(np.min(d))
         return int(idx[0]), float(dist[0])
 
-    def knn(self, qs, k: int) -> tuple[np.ndarray, np.ndarray]:
+    def knn(self, qs, k: int, *, serial: bool = False
+            ) -> tuple[np.ndarray, np.ndarray]:
         """k nearest neighbors per query point: (indices, distances), each
-        (N, k), or (N,) at k = 1. Runs on worker_count() threads."""
+        (N, k), or (N,) at k = 1. Runs on worker_count() threads, or on
+        the calling thread alone when serial (a caller that runs its own
+        thread pool). Results do not depend on the thread count."""
         qs = as_points(qs)
-        dist, idx = self._tree.query(qs, k=k, workers=worker_count())
+        workers = 1 if serial else worker_count()
+        dist, idx = self._tree.query(qs, k=k, workers=workers)
         return np.asarray(idx, dtype=np.int64), np.asarray(dist, dtype=np.float64)

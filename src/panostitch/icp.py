@@ -24,20 +24,34 @@ IcpResult.stop_reason:
 
 An empty overlap crop (Rusinkiewicz & Levoy 2001) or correspondence set
 raises IcpError("zero correspondences ..."); no pose or error is made up.
+
+A step moves most points by far less than the gap to their second
+nearest target point, so their nearest neighbor cannot change. The loop
+keeps each point's neighbor and a lower bound on its distance to every
+other target point, and sends only the points whose neighbor may have
+changed back to the KD-tree (Greenspan & Godin 2001). The result equals
+a full query at every iteration, index and distance bit for bit.
 """
 
 from __future__ import annotations
 
 import hashlib
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import (Aabb, PointCloud, PointIndex, RigidTransform, compose,
-                       is_int, is_number, is_positive_number, rotation_exp)
+                       is_int, is_number, is_positive_number, rotation_exp,
+                       thread_count)
 
 SINGULAR_COND = 1e12
-NORMAL_BLOCK = 8192     # query points per neighbor gather in estimate_normals
+NORMAL_BLOCK = 2048     # query points per neighbor gather in estimate_normals
+# Relative shrink of every second-neighbor bound _NearestCache stores. It
+# must exceed the relative rounding of the distances its test reads plus
+# that of the distances cKDTree compares, about 21 units in the last
+# place (2.3e-15) together.
+_BOUND_SLACK = 1e-12
 
 
 class IcpError(RuntimeError):
@@ -83,9 +97,11 @@ def estimate_normals(cloud: PointCloud, k: int = 20,
     covariance (neighborhood includes the point itself), flipped so it
     faces the viewpoint: normal . (viewpoint - p) >= 0.
 
-    Query points are processed in blocks of NORMAL_BLOCK, so the
-    neighbor gather takes O(NORMAL_BLOCK * k) memory rather than
-    O(n * k); each point's arithmetic does not depend on the block.
+    Query points are processed in blocks of NORMAL_BLOCK on
+    thread_count() threads, one neighbor query per block on its own
+    thread, so the neighbor gathers take O(threads * NORMAL_BLOCK * k)
+    memory rather than O(n * k). Each point's arithmetic depends on
+    neither the block nor the thread count.
     """
     n = len(cloud)
     if k < 3:
@@ -96,8 +112,9 @@ def estimate_normals(cloud: PointCloud, k: int = 20,
 
     index = PointIndex(cloud.points)
     normals = np.empty((n, 3))
-    for lo in range(0, n, NORMAL_BLOCK):
-        nbr, _ = index.knn(cloud.points[lo:lo + NORMAL_BLOCK], k=k)
+
+    def block(lo: int) -> None:
+        nbr, _ = index.knn(cloud.points[lo:lo + NORMAL_BLOCK], k=k, serial=True)
         centered = cloud.points[nbr]                  # (b, k, 3)
         centered -= centered.mean(axis=1, keepdims=True)
         cov = np.empty((len(nbr), 3, 3))
@@ -108,6 +125,9 @@ def estimate_normals(cloud: PointCloud, k: int = 20,
         cov /= k
         _, vecs = np.linalg.eigh(cov)                 # ascending eigenvalues
         normals[lo:lo + NORMAL_BLOCK] = vecs[:, :, 0]
+
+    with ThreadPoolExecutor(thread_count()) as pool:
+        list(pool.map(block, range(0, n, NORMAL_BLOCK)))   # re-raises failures
     flip = np.einsum("ni,ni->n", normals, vp[None, :] - cloud.points) < 0
     normals[flip] = -normals[flip]
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
@@ -129,13 +149,64 @@ def _overlap_crop(src: np.ndarray, dst: PointCloud, T: RigidTransform,
     return keep
 
 
-def _correspond(src: np.ndarray, T: RigidTransform, index: PointIndex,
-                max_dist: float | None
+class _NearestCache:
+    """Nearest target point of each query point, carried across calls.
+
+    knn(qs, 1) returns what PointIndex.knn(qs, 1) returns, indices and
+    distances bit for bit, for query sets of one fixed size whose row i
+    is always the same source point. For each row it keeps the neighbor
+    j, the distance d to it, and a lower bound L on the distance to
+    every other target point. A row that moved by delta since the last
+    call keeps j when d + 2 delta < L (triangle inequality): d is then
+    recomputed the way cKDTree computes it and L lowered by delta. Every
+    other row gets a fresh k = 2 query, whose second distance is the new
+    L. Where its two distances tie, j and d come from a k = 1 query, so
+    ties resolve as PointIndex.knn's do. Every stored L is shrunk by the
+    relative _BOUND_SLACK, which covers the rounding of the distances.
+    """
+
+    def __init__(self, index: PointIndex):
+        self._index = index
+        self._qs: np.ndarray | None = None
+
+    def _search(self, qs: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        idx, dist = self._index.knn(qs, 2)
+        j, d, bound = idx[:, 0], dist[:, 0], dist[:, 1]
+        tie = np.flatnonzero(d == bound)
+        if tie.size:
+            j[tie], d[tie] = self._index.knn(qs[tie], 1)
+        return j, d, bound * (1.0 - _BOUND_SLACK)
+
+    def knn(self, qs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        if k != 1:
+            raise ValueError("_NearestCache answers k = 1 only")
+        if self._qs is None:
+            self._idx, self._dist, self._bound = self._search(qs)
+        else:
+            step = np.sqrt(((qs - self._qs) ** 2).sum(1))
+            keep = self._dist + 2.0 * step < self._bound
+            idx, dist, bound = self._idx.copy(), self._dist.copy(), self._bound.copy()
+            rows = np.flatnonzero(keep)
+            dist[rows] = np.sqrt(((qs[rows] - self._index.points[idx[rows]]) ** 2).sum(1))
+            bound[rows] = (bound[rows] - step[rows]) * (1.0 - _BOUND_SLACK)
+            rows = np.flatnonzero(~keep)
+            if rows.size:
+                idx[rows], dist[rows], bound[rows] = self._search(qs[rows])
+            self._idx, self._dist, self._bound = idx, dist, bound
+        self._qs = qs.copy()
+        return self._idx, self._dist
+
+
+def _correspond(src: np.ndarray, T: RigidTransform,
+                index: PointIndex | _NearestCache, max_dist: float | None
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Nearest-neighbor pairs of T(src) within max_dist of each other.
 
-    One query of the target's KD-tree. A max_dist of None resolves to
-    3x the median distance of this same query. Returns (T(src),
+    Nearest neighbors come from index.knn(T(src), 1): a query of the
+    target's KD-tree, or the ICP loop's _NearestCache, which answers
+    the same and sends only some points to the tree. A max_dist of None
+    resolves to 3x the median of these distances. Returns (T(src),
     surviving source rows, their target indices, max_dist); raises
     IcpError when no pair survives.
     """
@@ -228,6 +299,7 @@ def point_to_plane_icp(source: PointCloud, target: PointCloud,
     """
     _check_inputs(source, target)
     index = PointIndex(target.points)
+    nearest = _NearestCache(index)
     crop = _overlap_crop(source.points, target, T_init, cfg.overlap_margin)
     src = source.points[crop]
     max_dist = cfg.max_corr_dist
@@ -244,7 +316,7 @@ def point_to_plane_icp(source: PointCloud, target: PointCloud,
     chosen = -1                         # index into poses: the last step
 
     for step in range(cfg.max_iterations):
-        moved, rows, tgt_idx, max_dist = _correspond(src, T, index, max_dist)
+        moved, rows, tgt_idx, max_dist = _correspond(src, T, nearest, max_dist)
         assignment.fill(-1)
         assignment[rows] = tgt_idx
         digest = hashlib.sha256(assignment).digest()

@@ -53,6 +53,9 @@ class SynthSceneConfig:
             raise SynthError("point counts must be positive")
         if self.camera_height <= 0:
             raise SynthError("camera height must be positive")
+        if not self.pixel_noise_sigma >= 0:
+            raise SynthError("pixel_noise_sigma must be >= 0, "
+                             f"got {self.pixel_noise_sigma!r}")
         if not (0.0 <= self.outlier_fraction < 1.0):
             raise SynthError("outlier fraction must be in [0, 1)")
 

@@ -84,6 +84,10 @@ SCENE_NUMBER_FAULTS = [(key, value) for key in ("gt_yaw_deg", "camera_height_m",
                                                 "pixel_noise_sigma", "outlier_fraction")
                        for value in (True, "1")] + [
     ("pixel_noise_sigma", float("nan")), ("pixel_noise_sigma", float("inf"))]
+# gt_translation values synth must refuse: not three finite non-bool numbers.
+GT_TRANSLATION_FAULTS = [["-1.6", "-0.4", "0"], [-1.6, -0.4, True], [-1.6, -0.4],
+                         [-1.6, -0.4, 0.0, 1.0], [-1.6, float("nan"), 0.0],
+                         [-1.6, -0.4, None], "-1.6", None, {"x": 1.0}]
 
 
 class TestSynthCommand:
@@ -148,14 +152,20 @@ class TestSynthCommand:
         ({"episodes": [{**EPISODE, "task": 1}]},
          "bad episode spec: task must be a string, got 1"),
         ({"episodes": [{**EPISODE, "exact_count": True}]},
-         "bad episode spec: unknown keys ['exact_count']")] + [
+         "bad episode spec: unknown keys ['exact_count']"),
+        ({"scene": {"pixel_noise_sigma": -1}},
+         "bad scene spec: pixel_noise_sigma must be >= 0, got -1")] + [
+        ({"scene": {"gt_translation": value}},
+         f"bad scene spec: gt_translation must be 3 finite numbers, got {value!r}")
+        for value in GT_TRANSLATION_FAULTS] + [
         ({"scene": {key: value}},
          f"bad scene spec: {key} must be a finite number, got {value!r}")
         for key, value in SCENE_NUMBER_FAULTS],
         ids=["seed-string", "seed-float", "unknown-scene-key", "floor-count-float",
              "cloud-count-bool", "trials-float", "exact-counts-string",
              "exact-counts-number", "true-rate-bool", "true-rate-string", "task-null",
-             "task-number", "misspelled-episode-key"] + [
+             "task-number", "misspelled-episode-key", "pixel-noise-negative"] + [
+            f"gt-translation-{value}" for value in GT_TRANSLATION_FAULTS] + [
             f"{key}-{value}" for key, value in SCENE_NUMBER_FAULTS])
     def test_bad_seed_key_or_count_exits_2(self, tmp_path, capsys, config, message):
         path = tmp_path / "config.json"

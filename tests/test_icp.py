@@ -1,11 +1,13 @@
 import dataclasses
+import os
 
 import numpy as np
 import pytest
 
 from panostitch.geometry import (PointCloud, PointIndex, RigidTransform,
                                  compose, pose_difference, rotation_exp,
-                                 rotation_from_axis_angle, worker_count)
+                                 rotation_from_axis_angle, thread_count,
+                                 worker_count)
 from panostitch.icp import (IcpConfig, IcpError, IcpResult,
                             correspondence_error, correspondence_gradient,
                             estimate_normals, eval_icp_error,
@@ -127,15 +129,22 @@ def resampled_room_scene(resampled_pair, seed):
 
 
 class TestEstimateNormals:
+    # Clouds that end just before, at and just after the first block
+    # boundary and a later one, and one of 8 full blocks plus 3 points.
     @pytest.mark.parametrize("n", [icp_mod.NORMAL_BLOCK - 1, icp_mod.NORMAL_BLOCK,
                                    icp_mod.NORMAL_BLOCK + 1,
-                                   2 * icp_mod.NORMAL_BLOCK + 3])
-    def test_blocks_match_whole_cloud_reference(self, n):
+                                   4 * icp_mod.NORMAL_BLOCK - 1, 4 * icp_mod.NORMAL_BLOCK,
+                                   4 * icp_mod.NORMAL_BLOCK + 1,
+                                   8 * icp_mod.NORMAL_BLOCK + 3])
+    def test_blocks_match_whole_cloud_reference(self, monkeypatch, n):
         pts, _ = sample_room_cloud(EXTENT, n, 0.2, np.random.default_rng(n))
         cloud = PointCloud(pts + np.random.default_rng(0).normal(0, 0.003, pts.shape))
-        est = estimate_normals(cloud, k=20, viewpoint=(0.3, -0.2, 1.5))
-        assert np.array_equal(est.normals,
-                              reference_normals(cloud, 20, (0.3, -0.2, 1.5)))
+        want = reference_normals(cloud, 20, (0.3, -0.2, 1.5))
+        # 8 threads: more than most of these clouds have blocks.
+        for threads in ("1", "2", "8"):
+            monkeypatch.setenv("PANOSTITCH_THREADS", threads)
+            est = estimate_normals(cloud, k=20, viewpoint=(0.3, -0.2, 1.5))
+            assert np.array_equal(est.normals, want), threads
 
     @pytest.mark.parametrize("case", ["n-equals-k", "duplicates-negative"])
     def test_edge_clouds_match_reference(self, rng, case):
@@ -599,6 +608,128 @@ class TestStopRule:
         assert_same_result(res, ref)
 
 
+def converging_poses(rng, steps=8, angle_deg=3.0, shift=0.05, center=(0, 0, 0)):
+    """Poses about `center` that close in on the identity along one axis
+    and direction, halving the angle and shift each step, as ICP iterates
+    do; the first moves points by centimeters."""
+    c = RigidTransform(np.eye(3), np.asarray(center, dtype=float))
+    axis, direction = rng.normal(size=3), rng.normal(size=3)
+    direction *= shift / np.linalg.norm(direction)
+    poses = []
+    for step in range(steps):
+        f = 0.5 ** step
+        T = RigidTransform(rotation_from_axis_angle(axis, np.deg2rad(angle_deg) * f),
+                           f * direction)
+        poses.append(compose(c, compose(T, c.inverse())))
+    return poses
+
+
+def cache_against_index(target_pts, src, poses):
+    """Run _NearestCache.knn(., 1) and PointIndex.knn(., 1) over T(src)
+    for each pose; assert equal indices and distances at every pose and
+    return the number of rows the cache sent to the tree per pose."""
+    index = PointIndex(target_pts)
+    cache = icp_mod._NearestCache(index)
+    queried = []
+    real_knn = index.knn
+
+    def counting_knn(qs, k, **kw):
+        if k == 2:
+            queried[-1] += len(qs)
+        return real_knn(qs, k, **kw)
+
+    index.knn = counting_knn
+    for T in poses:
+        queried.append(0)
+        qs = T.apply(src)
+        got_idx, got_dist = cache.knn(qs, 1)
+        want_idx, want_dist = real_knn(qs, 1)
+        assert np.array_equal(got_idx, want_idx), len(queried)
+        assert np.array_equal(got_dist, want_dist), len(queried)
+    return queried
+
+
+class TestNearestCache:
+    """_NearestCache answers exactly what a full KD-tree query answers."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_noisy_room_clouds(self, room_cloud, seed):
+        cloud, _ = room_cloud
+        rng = np.random.default_rng(seed)
+        src = cloud.points[::2] + rng.normal(0.0, 0.01, cloud.points[::2].shape)
+        queried = cache_against_index(cloud.points, src, converging_poses(rng))
+        assert queried[0] == len(src)
+        # A sub-millimeter step leaves most neighbors in place.
+        assert queried[-1] < 0.2 * len(src)
+
+    def test_integer_grid_ties(self):
+        # Every source point sits at an exact tie of 2, 4 or 8 grid points
+        # at some pose; ties must resolve as PointIndex.knn resolves them.
+        grid = np.stack(np.meshgrid(*[np.arange(8.0)] * 3, indexing="ij"),
+                        axis=-1).reshape(-1, 3)
+        src = grid[::3] + 0.25
+        poses = [RigidTransform(np.eye(3), t) for t in (
+            (0, 0, 0), (0, 0, 0), (0.25, 0, 0), (0.25, 0.25, 0), (0.25, 0.25, 0.25),
+            (0.125, 0.25, 0.25), (-0.25, -0.25, -0.25), (0.5, 0.5, 0.5))]
+        poses.append(RigidTransform(rotation_from_axis_angle((0, 0, 1), np.pi / 2),
+                                    (7.25, 0.25, 0.25)))
+        cache_against_index(grid, src, poses)
+
+    def test_one_point_target(self, rng):
+        src = rng.normal(size=(200, 3))
+        queried = cache_against_index(np.array([[0.5, -0.2, 0.1]]), src,
+                                      converging_poses(rng, angle_deg=20.0, shift=1.0))
+        # No second point to switch to: only the first call reaches the tree.
+        assert queried == [len(src)] + [0] * (len(queried) - 1)
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_scales_at_large_offsets(self, room_cloud, scale):
+        cloud, _ = room_cloud
+        offset = np.array([1e3, -1e3, 1e3])
+        rng = np.random.default_rng(7)
+        target = cloud.points * scale + offset
+        src = (cloud.points[1::2] + rng.normal(0.0, 0.01, cloud.points[1::2].shape)) \
+            * scale + offset
+        poses = converging_poses(rng, angle_deg=3.0, shift=0.05 * scale, center=offset)
+        queried = cache_against_index(target, src, poses)
+        assert queried[-1] < 0.2 * len(src)
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_bound_exactly_met_goes_to_the_tree(self, scale):
+        # Source point p with target points j and i on one line through
+        # it, |p - j| = d and |p - i| = d + 2 delta; the pose then moves p
+        # by delta toward i, where the two tie. The bound test d + 2 delta
+        # < L meets equality up to rounding, so the stored bound's slack
+        # must send every such point to the tree. (The points sit near the
+        # origin: at large offsets, rounding the constructed coordinates
+        # would move the geometry off equality by more than the slack.)
+        rng = np.random.default_rng(3)
+        n, delta = 600, 0.3 * scale
+        u = np.array([2.0, -1.0, 0.5]) / np.linalg.norm([2.0, -1.0, 0.5])
+        cells = np.stack(np.meshgrid(*[np.arange(9.0)] * 3, indexing="ij"),
+                         axis=-1).reshape(-1, 3)[:n]
+        p = (cells * 10.0 + rng.uniform(0, 1, (n, 3))) * scale
+        d = rng.uniform(0.5, 1.0, (n, 1)) * scale
+        target = np.vstack([p - d * u, p + (d + 2 * delta) * u])
+        poses = [RigidTransform.identity(), RigidTransform(np.eye(3), delta * u)]
+        queried = cache_against_index(target, p, poses)
+        assert queried == [n, n]
+
+    def test_pose_jump_sends_every_point_to_the_tree(self, room_cloud, rng):
+        cloud, _ = room_cloud
+        src = cloud.points[::4]
+        poses = converging_poses(rng, steps=3)
+        poses.insert(2, RigidTransform(rotation_from_axis_angle((0, 0, 1), 0.5),
+                                       (2.0, -1.0, 0.5)))
+        queried = cache_against_index(cloud.points, src, poses)
+        assert queried[2] == len(src) and queried[3] == len(src)
+
+    def test_answers_k_1_only(self, room_cloud):
+        cache = icp_mod._NearestCache(PointIndex(room_cloud[0].points))
+        with pytest.raises(ValueError, match="k = 1"):
+            cache.knn(room_cloud[0].points, 2)
+
+
 class TestWorkerCount:
     def test_unset_or_empty_uses_every_cpu(self, monkeypatch):
         monkeypatch.delenv("PANOSTITCH_THREADS", raising=False)
@@ -615,3 +746,11 @@ class TestWorkerCount:
         monkeypatch.setenv("PANOSTITCH_THREADS", value)
         with pytest.raises(ValueError, match="PANOSTITCH_THREADS"):
             worker_count()
+        with pytest.raises(ValueError, match="PANOSTITCH_THREADS"):
+            thread_count()
+
+    def test_thread_count_resolves_every_cpu(self, monkeypatch):
+        monkeypatch.delenv("PANOSTITCH_THREADS", raising=False)
+        assert thread_count() == len(os.sched_getaffinity(0))
+        monkeypatch.setenv("PANOSTITCH_THREADS", "3")
+        assert thread_count() == 3

@@ -4,7 +4,9 @@
 
 The flow: `synth` (a two-room scene plus episode logs), `stitch` at
 seeds 0 and 7, `synth` and `stitch` of a denser two-room scene (20,000
-points per room, so normal estimation runs over several query blocks),
+points per room, so normal estimation runs over several query blocks;
+it is stitched a second time with PANOSTITCH_THREADS=1, and the script
+exits non-zero unless that run writes the same bytes),
 `plane` on an ASCII PLY table with `--flatten` and
 `--add-to-manifest` (into the seed-0 scene manifest), three `place`
 calls on that plane, and `eval` of the synthesized episodes. A second
@@ -41,8 +43,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -76,6 +80,8 @@ DTW_PAIRS = [("float-150x150", 150, 150, False), ("float-60x90", 60, 90, False),
              ("grid-1x1", 1, 1, True)]
 PLACES = [("mug", (0.1, 0.1, 0.12)), ("box", (0.2, 0.15, 0.1)),
           ("can", (0.07, 0.07, 0.12))]
+# The files each stitch writes.
+STITCH_ARTIFACTS = ("merged.ply", "diagnostics.json", "scene_manifest.json")
 # Scene and stitch seed of a resampled scene whose ICP cycles (the scene
 # tests/test_icp.py and tests/test_cli.py use for the cycle stop). The
 # iterate the cycle stop returns is not the one the 50th step lands on,
@@ -191,6 +197,13 @@ def flow(out: Path) -> list[Path]:
     run("synth", dense_config, "--out", out / "synth_dense")
     run("stitch", out / "synth_dense" / "stitch_manifest.json",
         "--out", out / "stitch_dense", "--seed", 0)
+    with mock.patch.dict(os.environ, {"PANOSTITCH_THREADS": "1"}):   # restored after
+        run("stitch", out / "synth_dense" / "stitch_manifest.json",
+            "--out", out / "stitch_dense_1thread", "--seed", 0)
+    for name in STITCH_ARTIFACTS:
+        if (out / "stitch_dense_1thread" / name).read_bytes() != \
+                (out / "stitch_dense" / name).read_bytes():
+            raise SystemExit(f"stitch_dense/{name} differs at PANOSTITCH_THREADS=1")
     scene = out / "stitch0" / "scene_manifest.json"
     write_ply(out / "table.ply", table_cloud(), binary=False)
     run("plane", out / "table.ply", "--flatten", out / "plane" / "flat.ply",
@@ -222,10 +235,8 @@ def flow(out: Path) -> list[Path]:
         "matches.json", "room_a.ply", "room_b.ply", "ground_truth.json",
         "stitch_manifest.json", "episodes.csv", "episodes_empirical.json")]
     for seed in (0, 7):
-        artifacts += [out / f"stitch{seed}" / name for name in (
-            "merged.ply", "diagnostics.json", "scene_manifest.json")]
-    artifacts += [out / "stitch_dense" / name for name in (
-        "merged.ply", "diagnostics.json", "scene_manifest.json")]
+        artifacts += [out / f"stitch{seed}" / name for name in STITCH_ARTIFACTS]
+    artifacts += [out / "stitch_dense" / name for name in STITCH_ARTIFACTS]
     artifacts += [out / "table.ply", out / "plane" / "flat.ply",
                   out / "plane" / "report.json", out / "plane" / "big_flat.ply",
                   out / "plane" / "big_report.json", out / "place" / "placed.json",
@@ -233,8 +244,7 @@ def flow(out: Path) -> list[Path]:
                   out / "labeled_ascii.ply", out / "labeled_binary.ply",
                   out / "dtw.json"]
     for sub in ("stitch_cycling", "stitch_ransac"):
-        artifacts += [out / sub / name for name in (
-            "merged.ply", "diagnostics.json", "scene_manifest.json")]
+        artifacts += [out / sub / name for name in STITCH_ARTIFACTS]
     return artifacts
 
 
