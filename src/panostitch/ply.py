@@ -9,6 +9,7 @@ coordinate or normal, a zero normal, or an out-of-range integer.
 from __future__ import annotations
 
 import io
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,9 @@ from .geometry import PointCloud
 
 _PROP_DTYPES = {"float": "<f4", "float32": "<f4", "int": "<i4", "int32": "<i4",
                 "uchar": "<u1", "uint8": "<u1", "double": "<f8", "float64": "<f8"}
+# The ASCII line breaks that str.splitlines knows and numpy's text reader
+# does not (it ends rows at "\n" and "\r\n" only).
+_LINE_BREAKS = str.maketrans("\r\v\f\x1c\x1d\x1e", "\n" * 6)
 
 
 class PlyError(ValueError):
@@ -57,6 +61,8 @@ def _parse_header(fh) -> tuple[str, int, list[tuple[str, str]]]:
         raise PlyError(f"unsupported PLY format: {fmt}")
     if count is None:
         raise PlyError("no vertex element in header")
+    if count < 0:
+        raise PlyError(f"negative vertex count {count} in header")
     return fmt, count, props
 
 
@@ -110,20 +116,25 @@ def read_ply(path) -> tuple[PointCloud, np.ndarray | None]:
 
 def _parse_ascii(text: str, count: int, dtype: np.dtype) -> np.ndarray:
     """Records of the first `count` nonblank rows, later rows ignored. Values
-    parse as float64; an int truncates ("3.7" reads 3) and must fit its type."""
-    rows = [ln.split() for ln in text.splitlines() if ln.strip()]
-    if len(rows) < count:
-        raise PlyError(
-            f"vertex count mismatch: header declares {count}, "
-            f"file holds {len(rows)} rows")
-    rows, width = rows[:count], len(dtype.names)
-    bad = next((i for i, row in enumerate(rows) if len(row) != width), None)
-    if bad is not None:
-        raise PlyError(f"row {bad} has {len(rows[bad])} values, expected {width}")
+    parse as float64 with numpy's C reader; an int truncates ("3.7" reads 3)
+    and must fit its type. Only a failed parse scans the rows again, to
+    name the fault."""
+    if count == 0:
+        return np.empty(0, dtype=dtype)
+    text = text.translate(_LINE_BREAKS)
+    width = len(dtype.names)
     try:
-        vals = np.array(rows, dtype=np.float64).reshape(count, width)
+        with warnings.catch_warnings():
+            # Blank lines warn that they do not count towards max_rows.
+            warnings.simplefilter("ignore", UserWarning)
+            vals = np.loadtxt(io.StringIO(text), dtype=np.float64, ndmin=2,
+                              max_rows=count, comments=None)
     except ValueError as e:
-        raise PlyError(f"bad vertex value: {e}") from None
+        raise PlyError(_row_fault(text, count, width)
+                       or f"bad vertex value: {e}") from None
+    if vals.shape != (count, width):
+        raise PlyError(_row_fault(text, count, width)
+                       or f"vertex rows parse as shape {vals.shape}")
     rec = np.empty(count, dtype=dtype)
     for name, col in zip(dtype.names, vals.T):
         lim = np.iinfo(dtype[name]) if dtype[name].kind in "iu" else None
@@ -131,6 +142,20 @@ def _parse_ascii(text: str, count: int, dtype: np.dtype) -> np.ndarray:
             raise PlyError(f"value out of range for integer property '{name}'")
         rec[name] = col
     return rec
+
+
+def _row_fault(text: str, count: int, width: int) -> str | None:
+    """What is wrong with the rows of `text`: fewer than `count` nonblank
+    rows, or one of the first `count` without `width` values; None when
+    neither holds."""
+    rows = [ln.split() for ln in text.splitlines() if ln.strip()]
+    if len(rows) < count:
+        return (f"vertex count mismatch: header declares {count}, "
+                f"file holds {len(rows)} rows")
+    bad = next((i for i, row in enumerate(rows[:count]) if len(row) != width), None)
+    if bad is not None:
+        return f"row {bad} has {len(rows[bad])} values, expected {width}"
+    return None
 
 
 def write_ply(path, cloud: PointCloud, binary: bool = True,

@@ -2,12 +2,16 @@ import csv
 import dataclasses
 import io
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import panostitch
 from panostitch.cli import PAIR_KEYS, _pair_config, main
 from panostitch.epipolar import RansacConfig
 from panostitch.geometry import pose_difference
@@ -88,6 +92,9 @@ SCENE_NUMBER_FAULTS = [(key, value) for key in ("gt_yaw_deg", "camera_height_m",
 GT_TRANSLATION_FAULTS = [["-1.6", "-0.4", "0"], [-1.6, -0.4, True], [-1.6, -0.4],
                          [-1.6, -0.4, 0.0, 1.0], [-1.6, float("nan"), 0.0],
                          [-1.6, -0.4, None], "-1.6", None, {"x": 1.0}]
+# room_extent values synth must refuse: not three finite non-bool numbers > 0.
+ROOM_EXTENT_FAULTS = [[True, 4, 3], [0, 4, 3], [5, -4, 3], ["5", 4, 3],
+                      [5, 4, float("inf")], [5, 4, 3, 1], None]
 
 
 class TestSynthCommand:
@@ -160,13 +167,18 @@ class TestSynthCommand:
         for value in GT_TRANSLATION_FAULTS] + [
         ({"scene": {key: value}},
          f"bad scene spec: {key} must be a finite number, got {value!r}")
-        for key, value in SCENE_NUMBER_FAULTS],
+        for key, value in SCENE_NUMBER_FAULTS] + [
+        ({"scene": {"room_extent": value, "gt_translation": [0.1, 0.1, 0],
+                    "cloud_point_count": 500}},
+         f"bad scene spec: room_extent must be 3 finite numbers > 0, got {value!r}")
+        for value in ROOM_EXTENT_FAULTS],
         ids=["seed-string", "seed-float", "unknown-scene-key", "floor-count-float",
              "cloud-count-bool", "trials-float", "exact-counts-string",
              "exact-counts-number", "true-rate-bool", "true-rate-string", "task-null",
              "task-number", "misspelled-episode-key", "pixel-noise-negative"] + [
             f"gt-translation-{value}" for value in GT_TRANSLATION_FAULTS] + [
-            f"{key}-{value}" for key, value in SCENE_NUMBER_FAULTS])
+            f"{key}-{value}" for key, value in SCENE_NUMBER_FAULTS] + [
+            f"room-extent-{value}" for value in ROOM_EXTENT_FAULTS])
     def test_bad_seed_key_or_count_exits_2(self, tmp_path, capsys, config, message):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(config))
@@ -733,3 +745,17 @@ class TestThreadsVariable:
         assert run("eval", "--episodes", DATA / "microwave_episodes.csv",
                    "--report", report) == 0
         assert report.exists()
+
+
+def test_import_leaves_scipy_spatial_unloaded():
+    # plane, place, eval and synth build no KD-tree, so importing the CLI
+    # must not import scipy.spatial; PointIndex imports it on first use.
+    src = Path(panostitch.__file__).parent.parent
+    code = ("import sys, panostitch.cli, panostitch.geometry as g; "
+            "print('scipy.spatial' in sys.modules); g.PointIndex([[0.0, 0.0, 0.0]]); "
+            "print('scipy.spatial' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.split() == ["False", "True"]

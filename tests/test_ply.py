@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from panostitch.geometry import PointCloud
-from panostitch.ply import PlyError, read_ply, write_ply
+from panostitch.ply import PlyError, _parse_ascii, _vertex_dtype, read_ply, write_ply
 
 
 @pytest.fixture
@@ -123,3 +123,99 @@ def test_ascii_reader_tolerances(tmp_path, body, expected):
     cloud, room_ids = read_ply(path)
     np.testing.assert_array_equal(cloud.points, [[1, 2, 3], [4, 5, 6]])
     np.testing.assert_array_equal(room_ids, expected)
+
+
+@pytest.mark.parametrize("binary", [True, False])
+def test_rejects_negative_vertex_count(tmp_path, binary):
+    path = tmp_path / "neg.ply"
+    fmt = "binary_little_endian" if binary else "ascii"
+    path.write_bytes(f"ply\nformat {fmt} 1.0\nelement vertex -1\nproperty float x\n"
+                     "property float y\nproperty float z\nend_header\n".encode()
+                     + (np.zeros(6, "<f4").tobytes() if binary else b"0 0 0\n1 1 1\n"))
+    with pytest.raises(PlyError, match="negative vertex count -1"):
+        read_ply(path)
+
+
+def reference_parse_ascii(text, count, dtype):
+    """The ASCII body reader before numpy's C reader: rows split in Python,
+    values converted by np.array. _parse_ascii must return the same records
+    or raise PlyError with the same message, except where README says."""
+    rows = [ln.split() for ln in text.splitlines() if ln.strip()]
+    if len(rows) < count:
+        raise PlyError(
+            f"vertex count mismatch: header declares {count}, "
+            f"file holds {len(rows)} rows")
+    rows, width = rows[:count], len(dtype.names)
+    bad = next((i for i, row in enumerate(rows) if len(row) != width), None)
+    if bad is not None:
+        raise PlyError(f"row {bad} has {len(rows[bad])} values, expected {width}")
+    try:
+        vals = np.array(rows, dtype=np.float64).reshape(count, width)
+    except ValueError as e:
+        raise PlyError(f"bad vertex value: {e}") from None
+    rec = np.empty(count, dtype=dtype)
+    for name, col in zip(dtype.names, vals.T):
+        lim = np.iinfo(dtype[name]) if dtype[name].kind in "iu" else None
+        if lim is not None and not np.all((col > lim.min - 1) & (col < lim.max + 1)):
+            raise PlyError(f"value out of range for integer property '{name}'")
+        rec[name] = col
+    return rec
+
+
+def parse_outcome(reader, body, count):
+    """("ok", record bytes) or ("error", message) of one ASCII body read
+    with the x, y, z, room_id layout."""
+    dtype = _vertex_dtype([("float", "x"), ("float", "y"), ("float", "z"),
+                           ("int", "room_id")])
+    try:
+        return "ok", reader(body, count, dtype).tobytes()
+    except PlyError as e:
+        return "error", str(e)
+
+
+ASCII_BODIES = {
+    "tabs": ("1\t2\t3\t0\n4\t5\t6\t1\n", 2),
+    "crlf": ("1 2 3 0\r\n4 5 6 1\r\n", 2),
+    "lone-cr": ("1 2 3 0\r4 5 6 1\r", 2),
+    "vt-ff-fs-breaks": ("1 2 3 0\v4 5 6 1\f7 8 9 2\x1c", 3),
+    "unit-separator-space": ("1\x1f2\x1f3\x1f0\n4 5 6 1\n", 2),
+    "blank-and-space-lines": ("\n1 2 3 0\n\n   \n\t\n4 5 6 1\n\n", 2),
+    "garbage-after-count": ("1 2 3 0\n4 5 6 1\nnot a row\n7 8\n", 2),
+    "exponents": ("1e-07 1.5E+02 -2.5e3 0\n.5 5. +1e0 1e1\n", 2),
+    "nan-inf": ("nan inf -inf 0\nNaN Infinity -Infinity 1\n", 2),
+    "int-truncation": ("1 2 3 3.7\n4 5 6 -3.7\n", 2),
+    "int-out-of-range": ("1 2 3 0\n4 5 6 3e9\n", 2),
+    "int-nan": ("1 2 3 nan\n", 1),
+    "wrong-width-first": ("1 2 3\n4 5 6 1\n7 8 9 2\n", 3),
+    "wrong-width-middle": ("1 2 3 0\n\n4 5 6\n7 8 9 2\n", 3),
+    "wrong-width-last": ("1 2 3 0\n4 5 6 1\n7 8 9 2 5\n", 3),
+    "wrong-width-every-row": ("1 2 3\n4 5 6\n", 2),
+    "wrong-width-after-bad-value": ("x 2 3 0\n4 5 6\n", 2),
+    "count-0": ("", 0),
+    "count-0-garbage": ("not a row\n", 0),
+    "too-few-rows": ("1 2 3 0\n", 2),
+    "too-few-rows-wrong-width": ("1 2 3\n", 2),
+    "empty-body": ("\n  \n", 2),
+}
+
+
+@pytest.mark.parametrize("body, count", ASCII_BODIES.values(), ids=ASCII_BODIES.keys())
+def test_ascii_parse_matches_reference(body, count):
+    assert parse_outcome(_parse_ascii, body, count) == \
+        parse_outcome(reference_parse_ascii, body, count)
+
+
+def test_ascii_underscore_digits_rejected():
+    # Python's float reads "1_0" as 10; numpy's reader refuses it.
+    assert parse_outcome(reference_parse_ascii, "1 2 3 1_0\n", 1)[0] == "ok"
+    status, message = parse_outcome(_parse_ascii, "1 2 3 1_0\n", 1)
+    assert status == "error" and message.startswith("bad vertex value: ")
+
+
+def test_ascii_bad_value_message_names_numpy_detail():
+    # Both readers refuse a non-number; the detail after the prefix is the
+    # converter's own wording, which differs between them.
+    for reader in (_parse_ascii, reference_parse_ascii):
+        status, message = parse_outcome(reader, "1 2 abc 0\n", 1)
+        assert status == "error" and message.startswith("bad vertex value: ")
+        assert "abc" in message

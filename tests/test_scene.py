@@ -275,6 +275,10 @@ class TestBestPlaneSupport:
         assert np.array_equal(got[0], ref[0]) and got[1] == ref[1]
 
     def test_tie_goes_to_the_earlier_chunk(self, small_budget, rng):
+        self.check_earlier_chunk_tie(rng)
+
+    @staticmethod
+    def check_earlier_chunk_tie(rng):
         # Two parallel 600-point planes; candidate 3 spans the lower one,
         # candidate 25 (third chunk) the upper one, the rest are junk.
         low = np.column_stack([rng.uniform(-1, 1, (600, 2)), np.zeros(600)])
@@ -294,6 +298,57 @@ class TestBestPlaneSupport:
             assert np.array_equal(np.flatnonzero(mask), np.arange(600))
             ref = reference_plane_support(pts, 30, 0.01, _ScriptedTriples(scripted))
             assert np.array_equal(mask, ref[0]) and count == ref[1]
+
+    # Clouds one point short of a point block, exactly one, one point over,
+    # and three blocks plus a remainder.
+    @pytest.mark.parametrize("n", [_plane_search._POINT_BLOCK - 1,
+                                   _plane_search._POINT_BLOCK,
+                                   _plane_search._POINT_BLOCK + 1,
+                                   3 * _plane_search._POINT_BLOCK + 123])
+    @pytest.mark.parametrize("threads", ["1", "2", "8"])
+    def test_point_blocks_and_threads_match_reference(self, monkeypatch, threads, n):
+        monkeypatch.setenv("PANOSTITCH_THREADS", threads)
+        # 20 candidates per chunk: 101 draws make five full chunks and a
+        # last chunk of one candidate, scored by gemv.
+        monkeypatch.setattr(_plane_search, "_SCORE_BUDGET", 20 * n)
+        pts = self.floor_and_wall(np.random.default_rng(n), n)
+        got = _plane_search.best_plane_support(pts, 101, 0.01,
+                                               np.random.default_rng(5))
+        ref = reference_plane_support(pts, 101, 0.01, np.random.default_rng(5))
+        assert np.array_equal(got[0], ref[0]) and got[1] == ref[1]
+
+    @pytest.mark.parametrize("seed", [17, 18, 19])
+    @pytest.mark.parametrize("threads", ["1", "2", "8"])
+    def test_lone_candidate_across_point_blocks_and_threads(self, monkeypatch,
+                                                            threads, seed):
+        # As test_lone_candidate_scores_like_reference, over three point
+        # blocks; scoring these draws with gemm changes their count.
+        monkeypatch.setenv("PANOSTITCH_THREADS", threads)
+        n = 2 * _plane_search._POINT_BLOCK + 77
+        pts = np.random.default_rng(seed).normal(size=(n, 3))
+        got = _plane_search.best_plane_support(pts, 1, 0.0,
+                                               np.random.default_rng(seed))
+        ref = reference_plane_support(pts, 1, 0.0, np.random.default_rng(seed))
+        assert np.array_equal(got[0], ref[0]) and got[1] == ref[1]
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.02])
+    @pytest.mark.parametrize("threads", ["1", "2", "8"])
+    def test_grid_ties_across_point_blocks_and_threads(self, monkeypatch, threads,
+                                                       threshold):
+        monkeypatch.setenv("PANOSTITCH_THREADS", threads)
+        n = 2 * _plane_search._POINT_BLOCK + 77
+        monkeypatch.setattr(_plane_search, "_SCORE_BUDGET", 10 * n)
+        pts = np.round(np.random.default_rng(3).uniform(-1, 1, size=(n, 3)), 1)
+        got = _plane_search.best_plane_support(pts, 201, threshold,
+                                               np.random.default_rng(8))
+        ref = reference_plane_support(pts, 201, threshold, np.random.default_rng(8))
+        assert np.array_equal(got[0], ref[0]) and got[1] == ref[1]
+
+    @pytest.mark.parametrize("threads", ["1", "2", "8"])
+    def test_tie_goes_to_the_earlier_chunk_on_any_thread_count(
+            self, small_budget, rng, monkeypatch, threads):
+        monkeypatch.setenv("PANOSTITCH_THREADS", threads)
+        self.check_earlier_chunk_tie(rng)
 
 
 class TestFlattenToPlane:
