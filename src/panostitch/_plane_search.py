@@ -6,13 +6,15 @@ Results are a pure function of (points, config, rng state).
 
 Candidates are scored in chunks of _SCORE_BUDGET // n, one chunk per
 task on geometry.thread_count() threads. A task walks the points in
-blocks of _POINT_BLOCK and keeps one (chunk, _POINT_BLOCK) distance
-buffer and one boolean buffer of its own: the distances are written in
-place by matmul, subtract and abs, and each candidate's inliers in a
-block are counted along one contiguous row and added to its total. The
-working set of a task stays in cache, and no n-sized temporaries are
-allocated. Column blocks of the product round exactly like the full
-product, so neither the block size nor the thread count changes a bit.
+blocks of _POINT_BLOCK (a one-point tail joins the last full block) and
+keeps one block-wide distance buffer and one boolean buffer of its own:
+the distances are written in place by matmul, subtract and abs, and
+each candidate's inliers in a block are counted along one contiguous row
+and added to its total. The working set of a task stays in cache, and no
+n-sized temporaries are allocated. Column blocks of the product round
+exactly like the full product as long as none is one point wide (BLAS
+then switches from gemm to gemv, or from gemv to dot), so neither the
+block size nor the thread count changes a bit.
 """
 
 from __future__ import annotations
@@ -76,17 +78,23 @@ def best_plane_support(pts: np.ndarray, iterations: int, threshold: float,
 
     chunk = min(keep.size, max(1, _SCORE_BUDGET // max(n, 1)))
     pts_t = np.ascontiguousarray(pts.T)
+    # A block one point wide would turn the chunk's product into gemv (and
+    # a lone candidate's into dot), which round unlike the full product;
+    # a one-point tail joins the block before it.
+    bounds = list(range(0, n, _POINT_BLOCK)) + [n]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    blocks = list(zip(bounds[:-1], bounds[1:]))
+    width = max(hi - lo for lo, hi in blocks)
 
     def score(start: int) -> np.ndarray:
         """Inlier counts of the candidates in the chunk at start."""
         nc = normals[start:start + chunk]
         oc = offsets[start:start + chunk, None]
-        width = min(n, _POINT_BLOCK)
         dist = np.empty((len(nc), width))
         near = np.empty((len(nc), width), dtype=bool)
         counts = np.zeros(len(nc), dtype=np.int64)
-        for lo in range(0, n, width):
-            hi = min(lo + width, n)
+        for lo, hi in blocks:
             d, hit = dist[:, :hi - lo], near[:, :hi - lo]
             if len(nc) == 1:
                 # BLAS scores a lone candidate with gemv, whose rounding can

@@ -133,8 +133,11 @@ def _parse_ascii(text: str, count: int, dtype: np.dtype) -> np.ndarray:
         raise PlyError(_row_fault(text, count, width)
                        or f"bad vertex value: {e}") from None
     if vals.shape != (count, width):
-        raise PlyError(_row_fault(text, count, width)
-                       or f"vertex rows parse as shape {vals.shape}")
+        # numpy's reader and str.split agree on rows and fields of ASCII
+        # text, so a row count or width the reader got wrong is named here.
+        fault = _row_fault(text, count, width)
+        assert fault is not None, vals.shape
+        raise PlyError(fault)
     rec = np.empty(count, dtype=dtype)
     for name, col in zip(dtype.names, vals.T):
         lim = np.iinfo(dtype[name]) if dtype[name].kind in "iu" else None

@@ -331,6 +331,30 @@ class TestBestPlaneSupport:
         ref = reference_plane_support(pts, 1, 0.0, np.random.default_rng(seed))
         assert np.array_equal(got[0], ref[0]) and got[1] == ref[1]
 
+    @pytest.mark.parametrize("blocks", [1, 3])
+    @pytest.mark.parametrize("threads", ["1", "2", "8"])
+    def test_one_point_tail_scores_like_reference(self, monkeypatch, threads, blocks):
+        # A cloud one point past whole blocks. At threshold 0 a count is how
+        # many of its three points land exactly on their plane, so scoring
+        # the last point with another BLAS routine than the full product
+        # (gemv for a chunk, dot for a lone candidate) changes the counts
+        # of triples that hold it.
+        monkeypatch.setenv("PANOSTITCH_THREADS", threads)
+        n = blocks * _plane_search._POINT_BLOCK + 1
+        rng = np.random.default_rng(blocks)
+        pts = rng.normal(size=(n, 3))
+        triples = np.array([rng.choice(n - 1, 3, replace=False) for _ in range(8)])
+        triples[np.arange(8), np.arange(8) % 3] = n - 1
+        # Each triple alone, twice in one chunk (so its count decides the
+        # result), and all eight in one chunk.
+        scripts = [t[None] for t in triples] + [np.stack([t, t]) for t in triples]
+        for scripted in scripts + [triples]:
+            got = _plane_search.best_plane_support(pts, len(scripted), 0.0,
+                                                   _ScriptedTriples(scripted))
+            ref = reference_plane_support(pts, len(scripted), 0.0,
+                                          _ScriptedTriples(scripted))
+            assert np.array_equal(got[0], ref[0]) and got[1] == ref[1]
+
     @pytest.mark.parametrize("threshold", [0.0, 0.02])
     @pytest.mark.parametrize("threads", ["1", "2", "8"])
     def test_grid_ties_across_point_blocks_and_threads(self, monkeypatch, threads,
