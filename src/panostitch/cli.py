@@ -22,6 +22,7 @@ import io
 import json
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +30,8 @@ import numpy as np
 from . import scene as scene_mod
 from ._atomic import write_atomic, write_json
 from .epipolar import CheiralityError, EstimationError, RansacConfig
-from .geometry import (Aabb, GeometryError, PointCloud, RigidTransform, is_int,
-                       is_number, is_positive_number, rot_z, worker_count)
+from .geometry import (Aabb, GeometryError, PointCloud, RigidTransform, from_json,
+                       is_json, rot_z, worker_count)
 from .icp import IcpConfig, IcpError
 from .metrics import (MetricError, generalization_report, parse_tier,
                       read_episode_csv, read_rates_csv, simreal_correlation,
@@ -93,69 +94,66 @@ def _read_cloud(path: Path) -> PointCloud:
 # stitch
 # ---------------------------------------------------------------------------
 
-REQUIRED_PAIR_KEYS = ("room_a", "room_b", "match_file", "cloud_a", "cloud_b")
-PAIR_KEYS = REQUIRED_PAIR_KEYS + ("camera_height_m", "gravity_axis", "ransac",
-                                  "icp", "voxel_size")
+@dataclass(frozen=True)
+class StitchPair:
+    """One entry of a stitch manifest's `pairs` list."""
 
+    room_a: str
+    room_b: str
+    match_file: str
+    cloud_a: str
+    cloud_b: str
+    camera_height_m: float = DEFAULT_CAMERA_HEIGHT
+    gravity_axis: tuple[float, float, float] = PairConfig.gravity_axis
+    ransac: RansacConfig = RansacConfig()
+    icp: IcpConfig = IcpConfig()
+    voxel_size: float | None = PairConfig.voxel_size
 
-def _pair_config(entry: dict) -> PairConfig:
-    if not isinstance(entry, dict):
-        raise CliError(EXIT_INPUT, f"bad pair config: {entry!r} is not an object")
-    for key in REQUIRED_PAIR_KEYS:
-        if key not in entry:
-            raise CliError(EXIT_INPUT, f"pair entry missing field {key!r}")
-        if not isinstance(entry[key], str):
-            raise CliError(EXIT_INPUT, f"bad pair config: {key} must be a string, "
-                                       f"got {entry[key]!r}")
-    try:
-        unknown = sorted(set(entry) - set(PAIR_KEYS))
-        if unknown:
-            raise ValueError(f"unknown keys {unknown}")
-        return PairConfig(
-            ransac=RansacConfig(**entry.get("ransac", {})),
-            ground=GroundConfig(entry.get("camera_height_m", DEFAULT_CAMERA_HEIGHT)),
-            icp=IcpConfig(**entry.get("icp", {})),
-            **{k: entry[k] for k in ("gravity_axis", "voxel_size") if k in entry})
-    except (TypeError, ValueError) as e:
-        raise CliError(EXIT_INPUT, f"bad pair config: {e}") from e
+    def config(self) -> PairConfig:
+        return PairConfig(self.ransac, GroundConfig(self.camera_height_m), self.icp,
+                          self.gravity_axis, self.voxel_size)
 
 
 def cmd_stitch(args) -> int:
     manifest_path = Path(args.manifest)
     out_dir = Path(args.out)
     data = _load_json(manifest_path, "stitch manifest")
-    pairs = data.get("pairs")
-    if not pairs or not isinstance(pairs, list):
+    entries = data.get("pairs")
+    if not entries or not isinstance(entries, list):
         raise CliError(EXIT_INPUT, "stitch manifest needs a non-empty list of pairs")
     base = manifest_path.parent
 
-    configs = [_pair_config(entry) for entry in pairs]
+    try:
+        pairs = [from_json(StitchPair, entry) for entry in entries]
+        configs = [p.config() for p in pairs]
+    except ValueError as e:
+        raise CliError(EXIT_INPUT, f"bad pair config: {e}") from e
     rooms: dict[str, Path] = {}
-    for entry in pairs:
-        rooms.setdefault(entry["room_a"], base / entry["cloud_a"])
-        rooms.setdefault(entry["room_b"], base / entry["cloud_b"])
-        for f in (entry["match_file"], entry["cloud_a"], entry["cloud_b"]):
+    for p in pairs:
+        rooms.setdefault(p.room_a, base / p.cloud_a)
+        rooms.setdefault(p.room_b, base / p.cloud_b)
+        for f in (p.match_file, p.cloud_a, p.cloud_b):
             if not (base / f).exists():
                 raise CliError(EXIT_INPUT, f"file not found: {base / f}")
 
-    root = data.get("root_room", pairs[0]["room_a"])
+    root = data.get("root_room", pairs[0].room_a)
     if not isinstance(root, str) or root not in rooms:
         raise CliError(EXIT_INPUT, f"root room {root!r} not present in pairs")
     try:
         scene_mod.spanning_tree_order(
-            rooms, [(p["room_a"], p["room_b"]) for p in pairs], root)
+            rooms, [(p.room_a, p.room_b) for p in pairs], root)
     except SceneGraphError as e:
         raise CliError(EXIT_GRAPH, str(e)) from e
 
     clouds = {rid: _read_cloud(path) for rid, path in rooms.items()}
     registrations = []
-    for entry, cfg in zip(pairs, configs):
-        label = f"pair:{entry['room_a']}->{entry['room_b']}"
+    for p, cfg in zip(pairs, configs):
+        label = f"pair:{p.room_a}->{p.room_b}"
         t0 = time.perf_counter()
         try:
-            matches = load_matches(base / entry["match_file"])
+            matches = load_matches(base / p.match_file)
             result: PairResult = register_room_pair(
-                matches, clouds[entry["room_a"]], clouds[entry["room_b"]],
+                matches, clouds[p.room_a], clouds[p.room_b],
                 cfg=cfg, seed=fork_seed(args.seed, label))
         except MatchFileError as e:
             raise CliError(EXIT_INPUT, f"{label}: {e}") from e
@@ -167,7 +165,7 @@ def cmd_stitch(args) -> int:
              alpha=result.alpha, icp_iterations=result.icp.iterations,
              icp_converged=result.icp.converged,
              icp_stop_reason=result.icp.stop_reason)
-        registrations.append((entry, result))
+        registrations.append((p, result))
 
     manifest = scene_mod.SceneManifest(
         rooms=[scene_mod.RoomNode(id=rid, cloud=clouds[rid],
@@ -175,10 +173,10 @@ def cmd_stitch(args) -> int:
                for rid in sorted(rooms)],
         pair_registrations=[
             scene_mod.PairRegistration(
-                room_a=e["room_a"], room_b=e["room_b"],
+                room_a=p.room_a, room_b=p.room_b,
                 T_coarse=r.T_coarse, T_fine=r.T_fine,
                 diagnostics=r.diagnostics())
-            for e, r in registrations],
+            for p, r in registrations],
         root_room=root)
 
     t0 = time.perf_counter()
@@ -198,8 +196,8 @@ def cmd_stitch(args) -> int:
     scene_mod.save_manifest(out_dir / "scene_manifest.json", manifest)
     write_json(out_dir / "diagnostics.json", {
         "root_room": root,
-        "pairs": [{"room_a": e["room_a"], "room_b": e["room_b"],
-                   **r.diagnostics()} for e, r in registrations],
+        "pairs": [{"room_a": p.room_a, "room_b": p.room_b,
+                   **r.diagnostics()} for p, r in registrations],
         "merged_points": len(merged.cloud),
     })
     _log("stitch", "done", out=str(out_dir))
@@ -337,63 +335,53 @@ def cmd_eval(args) -> int:
 # synth
 # ---------------------------------------------------------------------------
 
-SCENE_DEFAULTS = {"room_extent": (5.0, 4.0, 3.0), "floor_point_count": 150,
-                  "wall_point_count": 150, "camera_height_m": 1.5, "gt_yaw_deg": 11.0,
-                  "gt_translation": (-1.6, -0.4, 0.0), "pixel_noise_sigma": 0.0,
-                  "outlier_fraction": 0.0, "pano_width": 2048, "cloud_point_count": 4000}
+@dataclass(frozen=True)
+class SceneSpec:
+    """A synth config's `scene` object."""
 
+    room_extent: tuple[float, float, float] = (5.0, 4.0, 3.0)
+    floor_point_count: int = 150
+    wall_point_count: int = 150
+    camera_height_m: float = 1.5
+    gt_yaw_deg: float = 11.0
+    gt_translation: tuple[float, float, float] = (-1.6, -0.4, 0.0)
+    pixel_noise_sigma: float = 0.0
+    outlier_fraction: float = 0.0
+    pano_width: int = 2048
+    cloud_point_count: int = 4000
 
-def _scene_config(data: dict, seed: int) -> SynthSceneConfig:
-    unknown = sorted(set(data) - set(SCENE_DEFAULTS))
-    if unknown:
-        raise ValueError(f"unknown keys {unknown}")
-    d = {**SCENE_DEFAULTS, **data}
-    for key in ("camera_height_m", "gt_yaw_deg", "pixel_noise_sigma", "outlier_fraction"):
-        if not is_number(d[key]):
-            raise ValueError(f"{key} must be a finite number, got {d[key]!r}")
-    t = d["gt_translation"]
-    if not (isinstance(t, (list, tuple)) and len(t) == 3 and all(map(is_number, t))):
-        raise ValueError(f"gt_translation must be 3 finite numbers, got {t!r}")
-    e = d["room_extent"]
-    if not (isinstance(e, (list, tuple)) and len(e) == 3
-            and all(map(is_positive_number, e))):
-        raise ValueError(f"room_extent must be 3 finite numbers > 0, got {e!r}")
-    gt = RigidTransform(rot_z(np.deg2rad(float(d["gt_yaw_deg"]))),
-                        np.asarray(t, dtype=float))
-    return SynthSceneConfig(
-        room_extent=tuple(e), floor_point_count=d["floor_point_count"],
-        wall_point_count=d["wall_point_count"], camera_height=float(d["camera_height_m"]),
-        gt_relative_pose=gt, pixel_noise_sigma=float(d["pixel_noise_sigma"]),
-        outlier_fraction=float(d["outlier_fraction"]), seed=seed,
-        pano_width=d["pano_width"], cloud_point_count=d["cloud_point_count"])
-
-
-def _episode_spec(e: dict) -> EpisodeSpec:
-    unknown = sorted(set(e) - {"task", "tier", "n_trials", "true_rate", "exact_counts"})
-    if unknown:
-        raise ValueError(f"unknown keys {unknown}")
-    return EpisodeSpec(task=e["task"], tier=parse_tier(e["tier"]), n_trials=e["n_trials"],
-                       true_rate=e["true_rate"], exact_counts=e.get("exact_counts", False))
+    def config(self, seed: int) -> SynthSceneConfig:
+        gt = RigidTransform(rot_z(np.deg2rad(self.gt_yaw_deg)), self.gt_translation)
+        return SynthSceneConfig(
+            room_extent=self.room_extent, floor_point_count=self.floor_point_count,
+            wall_point_count=self.wall_point_count,
+            camera_height=float(self.camera_height_m), gt_relative_pose=gt,
+            pixel_noise_sigma=float(self.pixel_noise_sigma),
+            outlier_fraction=float(self.outlier_fraction), seed=seed,
+            pano_width=self.pano_width, cloud_point_count=self.cloud_point_count)
 
 
 def cmd_synth(args) -> int:
     config = _load_json(Path(args.config), "synth config")
     out_dir = Path(args.out)
     seed = args.seed if args.seed is not None else config.get("seed", 0)
-    if not is_int(seed):
+    if not is_json(seed, int):
         raise CliError(EXIT_INPUT, f"bad synth config: seed must be an integer, got {seed!r}")
 
     if "scene" in config:
         try:
-            pair = synth_room_pair(_scene_config(config["scene"], seed))
-        except (TypeError, ValueError) as e:
+            pair = synth_room_pair(from_json(SceneSpec, config["scene"]).config(seed))
+        except ValueError as e:
             raise CliError(EXIT_INPUT, f"bad scene spec: {e}") from e
         entry = {"room_a": "room_a", "room_b": "room_b", "match_file": "matches.json",
                  "cloud_a": "room_a.ply", "cloud_b": "room_b.ply",
                  "camera_height_m": pair.camera_height,
                  "gravity_axis": [float(v) for v in pair.gravity_a],
                  **{k: config[k] for k in ("ransac", "icp", "voxel_size") if k in config}}
-        _pair_config(entry)   # exit 2 now, not when the manifest is stitched
+        try:   # exit 2 now, not when the manifest is stitched
+            from_json(StitchPair, entry).config()
+        except ValueError as e:
+            raise CliError(EXIT_INPUT, f"bad pair config: {e}") from e
         write_json(out_dir / "matches.json", pair.match_data)
         # Clouds ship positions only; the pipeline estimates normals itself.
         write_ply(out_dir / "room_a.ply", PointCloud(pair.cloud_a.points))
@@ -413,9 +401,10 @@ def cmd_synth(args) -> int:
 
     if "episodes" in config:
         try:
-            specs = [_episode_spec(e) for e in config["episodes"]]
+            specs = [from_json(EpisodeSpec, e, tier=parse_tier)
+                     for e in config["episodes"]]
             synth = synth_episodes(specs, seed=fork_seed(seed, "episodes"))
-        except (KeyError, TypeError, ValueError) as e:
+        except (TypeError, ValueError) as e:
             raise CliError(EXIT_INPUT, f"bad episode spec: {e}") from e
         write_episode_csv(out_dir / "episodes.csv", synth.episodes)
         write_json(out_dir / "episodes_empirical.json", {

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import check_rotation, check_unit, is_int, is_positive_number
+from .geometry import check_rotation, check_unit
 from .panorama import BearingMatchSet
 
 PARALLEL_RAY_TOL = 1e-8
@@ -38,9 +38,8 @@ class RansacConfig:
     min_inliers: int = 8
 
     def __post_init__(self):
-        if not (is_int(self.iterations) and is_int(self.min_inliers)) \
-                or not is_positive_number(self.threshold) \
-                or self.iterations <= 0 or self.min_inliers < 8:
+        if not 0 < self.threshold < np.inf or self.iterations <= 0 \
+                or self.min_inliers < 8:
             raise ValueError(f"invalid RANSAC config: {self}")
 
 

@@ -4,12 +4,15 @@ Points and directions are plain float64 numpy arrays of shape (3,);
 point sets are (N, 3). Rigid transforms are stored as a rotation matrix
 plus a translation vector, which is the representation the point-to-plane
 linearization consumes directly. All values are immutable after
-construction and safe to share across threads.
+construction and safe to share across threads. The module also holds
+`from_json`, the one typed reader of the JSON configs.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,19 +25,64 @@ class GeometryError(ValueError):
     """Invalid geometric input (non-finite values, broken invariants)."""
 
 
-def is_int(v) -> bool:
-    """True for an integer that is not a bool (JSON true/false)."""
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+_NOUNS = {int: ("an integer", "integers"), float: ("a finite number", "finite numbers"),
+          bool: ("true or false", "booleans"), str: ("a string", "strings")}
 
 
-def is_number(v) -> bool:
-    """True for a finite number that is not a bool."""
-    return (is_int(v) or isinstance(v, (float, np.floating))) and -np.inf < v < np.inf
+def is_json(value, tp) -> bool:
+    """True if a decoded JSON value has annotation type `tp`: an int, or a
+    finite int or float for float (neither a bool), a bool, a str, a
+    fixed-length tuple (an array, each item of its own type) or `X | None`."""
+    if tp is int or tp is float:
+        return isinstance(value, (int, tp)) and not isinstance(value, bool) \
+            and abs(value) < np.inf
+    if tp is bool or tp is str:
+        return isinstance(value, tp)
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) is tuple:
+        return isinstance(value, (list, tuple)) and len(value) == len(args) \
+            and all(map(is_json, value, args))
+    return value is None or is_json(value, args[0])    # X | None
 
 
-def is_positive_number(v) -> bool:
-    """True for a finite number > 0 that is not a bool."""
-    return is_number(v) and v > 0
+def _describe(tp) -> str:
+    args = typing.get_args(tp)
+    if typing.get_origin(tp) is tuple:
+        return f"{len(args)} {_NOUNS[args[0]][1]}"
+    return _NOUNS[tp][0] if tp in _NOUNS else "null or " + _describe(args[0])
+
+
+def from_json(cls, data, /, _path: str = "", **parsers):
+    """Build the frozen dataclass `cls` from a decoded JSON object. Every key
+    must be a field, and every field without a default a key; each value must
+    have its field's type (is_json), a config dataclass field being read the
+    same way from a nested object, or go through `parsers[name]` if it is a
+    string. Faults raise ValueError naming the key, as in `ransac.threshold
+    must be a finite number, got nan`; __post_init__ then checks ranges."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{_path} must be an object, got {data!r}" if _path
+                         else f"{data!r} is not an object")
+    fields = dataclasses.fields(cls)
+    required = {f.name for f in fields if f.default is dataclasses.MISSING
+                and f.default_factory is dataclasses.MISSING}
+    for what, keys in (("unknown", set(data) - {f.name for f in fields}),
+                       ("missing", required - set(data))):
+        if keys:
+            where = f" in {_path}" if _path else ""
+            raise ValueError(f"{what} keys {sorted(keys)}{where}")
+    types = typing.get_type_hints(cls)
+    kwargs = {}
+    for name, value in data.items():
+        key = f"{_path}.{name}" if _path else name
+        tp = str if name in parsers else types[name]
+        if dataclasses.is_dataclass(tp):
+            value = from_json(tp, value, key)
+        elif not is_json(value, tp):
+            raise ValueError(f"{key} must be {_describe(tp)}, got {value!r}")
+        elif name in parsers:
+            value = parsers[name](value)
+        kwargs[name] = tuple(value) if isinstance(value, list) else value
+    return cls(**kwargs)
 
 
 def as_vec3(v) -> np.ndarray:

@@ -42,8 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (Aabb, PointCloud, PointIndex, RigidTransform, compose,
-                       is_int, is_number, is_positive_number, rotation_exp,
-                       thread_count)
+                       rotation_exp, thread_count)
 
 SINGULAR_COND = 1e12
 NORMAL_BLOCK = 2048     # query points per neighbor gather in estimate_normals
@@ -67,12 +66,9 @@ class IcpConfig:
     overlap_margin: float = 0.5          # AABB-intersection expansion, meters
 
     def __post_init__(self):
-        if not (is_int(self.max_iterations) and is_int(self.normal_k)) \
-                or self.max_iterations <= 0 or self.normal_k < 3 \
-                or not (0 < self.rel_tol < 1) \
-                or not (is_number(self.overlap_margin) and self.overlap_margin >= 0) \
-                or not (self.max_corr_dist is None
-                        or is_positive_number(self.max_corr_dist)):
+        if self.max_iterations <= 0 or self.normal_k < 3 or not 0 < self.rel_tol < 1 \
+                or not 0 <= self.overlap_margin < np.inf \
+                or not (self.max_corr_dist is None or 0 < self.max_corr_dist < np.inf):
             raise ValueError(f"invalid ICP config: {self}")
 
 

@@ -15,8 +15,7 @@ import numpy as np
 
 from .epipolar import (RansacConfig, decompose_essential, estimate_essential,
                        triangulate_set)
-from .geometry import (PointCloud, RigidTransform, is_number, is_positive_number,
-                       unit, voxel_downsample)
+from .geometry import PointCloud, RigidTransform, unit, voxel_downsample
 from .icp import IcpConfig, IcpResult, estimate_normals, point_to_plane_icp
 from .panorama import BearingMatchSet
 from .scale import GroundConfig, apply_scale, recover_scale, select_ground_points
@@ -39,14 +38,9 @@ class PairConfig:
     voxel_size: float | None = DEFAULT_VOXEL_SIZE   # None: no downsampling
 
     def __post_init__(self):
-        object.__setattr__(self, "gravity_axis", tuple(self.gravity_axis))
-        if len(self.gravity_axis) != 3 or not all(map(is_number, self.gravity_axis)):
-            raise ValueError("gravity_axis must be 3 finite numbers, "
-                             f"got {list(self.gravity_axis)!r}")
         unit(self.gravity_axis)  # rejects the zero vector
-        if not (self.voxel_size is None or is_positive_number(self.voxel_size)):
-            raise ValueError("voxel_size must be null or a finite number > 0, "
-                             f"got {self.voxel_size!r}")
+        if not (self.voxel_size is None or 0 < self.voxel_size < np.inf):
+            raise ValueError(f"voxel_size must be > 0 or null, got {self.voxel_size!r}")
 
 
 @dataclass(frozen=True)

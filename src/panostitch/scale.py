@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._plane_search import best_plane_support
-from .geometry import (GeometryError, Plane, RigidTransform, fit_plane_lsq,
-                       is_positive_number, unit)
+from .geometry import GeometryError, Plane, RigidTransform, fit_plane_lsq, unit
 from .epipolar import RelativePose, TriangulatedSet
 
 DEFAULT_CAMERA_HEIGHT = 1.5
@@ -39,9 +38,8 @@ class GroundConfig:
     camera_height: float = DEFAULT_CAMERA_HEIGHT   # meters above the floor
 
     def __post_init__(self):
-        if not is_positive_number(self.camera_height):
-            raise ValueError("camera height must be a finite number > 0, "
-                             f"got {self.camera_height!r}")
+        if not 0 < self.camera_height < np.inf:
+            raise ValueError(f"camera height must be > 0, got {self.camera_height!r}")
 
 
 @dataclass(frozen=True)

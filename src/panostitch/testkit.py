@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import PointCloud, RigidTransform, compose, is_int, is_number, rot_z
+from .geometry import PointCloud, RigidTransform, compose, rot_z
 from .metrics import EpisodeRecord, Tier
 from .panorama import PanoramaSpec, bearing_to_pixel
 from .epipolar import RelativePose
@@ -44,11 +44,8 @@ class SynthSceneConfig:
     edge_margin: float = 0.15   # keep samples off face junctions
 
     def __post_init__(self):
-        if any(e <= 0 for e in self.room_extent):
-            raise SynthError("room extents must be positive")
-        if not all(map(is_int, (self.floor_point_count, self.wall_point_count,
-                                self.pano_width, self.cloud_point_count))):
-            raise SynthError("point counts and pano_width must be integers")
+        if not all(e > 0 for e in self.room_extent):
+            raise SynthError(f"room_extent must be > 0, got {self.room_extent!r}")
         if self.floor_point_count <= 0 or self.wall_point_count <= 0:
             raise SynthError("point counts must be positive")
         if self.camera_height <= 0:
@@ -250,25 +247,23 @@ def chain_room_poses(pair_poses: list[RigidTransform]) -> list[RigidTransform]:
 # Episode synthesis
 # ---------------------------------------------------------------------------
 
+EPISODE_SHORTEST_LEN_RANGE = (2.0, 10.0)   # meters, drawn uniformly
+EPISODE_MEAN_DETOUR = 0.3   # actual = shortest * (1 + Exp(EPISODE_MEAN_DETOUR))
+
+
 @dataclass(frozen=True)
 class EpisodeSpec:
     task: str
     tier: Tier
     n_trials: int
     true_rate: float
-    shortest_len_range: tuple[float, float] = (2.0, 10.0)
-    mean_detour: float = 0.3          # actual = shortest * (1 + Exp(mean_detour))
     exact_counts: bool = False        # successes = round(rate * n), shuffled
 
     def __post_init__(self):
-        if not isinstance(self.task, str):
-            raise SynthError(f"task must be a string, got {self.task!r}")
-        if not (is_number(self.true_rate) and 0.0 <= self.true_rate <= 1.0):
-            raise SynthError(f"true_rate must be a number in [0, 1], got {self.true_rate!r}")
-        if not is_int(self.n_trials) or self.n_trials <= 0:
-            raise SynthError(f"n_trials must be a positive integer, got {self.n_trials!r}")
-        if not isinstance(self.exact_counts, bool):
-            raise SynthError(f"exact_counts must be true or false, got {self.exact_counts!r}")
+        if not 0.0 <= self.true_rate <= 1.0:
+            raise SynthError(f"true_rate must be in [0, 1], got {self.true_rate!r}")
+        if self.n_trials <= 0:
+            raise SynthError(f"n_trials must be > 0, got {self.n_trials!r}")
 
 
 @dataclass(frozen=True)
@@ -290,8 +285,8 @@ def synth_episodes(specs: list[EpisodeSpec], seed: int = 0) -> SynthEpisodes:
             rng.shuffle(outcomes)
         else:
             outcomes = rng.uniform(size=s.n_trials) < s.true_rate
-        shortest = rng.uniform(*s.shortest_len_range, size=s.n_trials)
-        detour = rng.exponential(s.mean_detour, size=s.n_trials)
+        shortest = rng.uniform(*EPISODE_SHORTEST_LEN_RANGE, size=s.n_trials)
+        detour = rng.exponential(EPISODE_MEAN_DETOUR, size=s.n_trials)
         for ok, l, dt in zip(outcomes, shortest, detour):
             episodes.append(EpisodeRecord(
                 task=s.task, tier=s.tier, success=bool(ok),

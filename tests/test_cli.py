@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 import panostitch
-from panostitch.cli import PAIR_KEYS, _pair_config, main
+from panostitch.cli import StitchPair, main
 from panostitch.epipolar import RansacConfig
-from panostitch.geometry import pose_difference
+from panostitch.geometry import from_json, pose_difference
 from panostitch.ply import read_ply, write_ply
 from panostitch.scene import load_manifest, overlap_rms
 from panostitch.geometry import PointCloud, RigidTransform
@@ -141,19 +141,19 @@ class TestSynthCommand:
          "bad synth config: seed must be an integer, got 1.5"),
         ({"scene": {"floor_points": 5}}, "bad scene spec: unknown keys ['floor_points']"),
         ({"scene": {"floor_point_count": 2.7}},
-         "bad scene spec: point counts and pano_width must be integers"),
+         "bad scene spec: floor_point_count must be an integer, got 2.7"),
         ({"scene": {"cloud_point_count": True}},
-         "bad scene spec: point counts and pano_width must be integers"),
+         "bad scene spec: cloud_point_count must be an integer, got True"),
         ({"episodes": [{**EPISODE, "n_trials": 2.7}]},
-         "bad episode spec: n_trials must be a positive integer, got 2.7"),
+         "bad episode spec: n_trials must be an integer, got 2.7"),
         ({"episodes": [{**EPISODE, "exact_counts": "false"}]},
          "bad episode spec: exact_counts must be true or false, got 'false'"),
         ({"episodes": [{**EPISODE, "exact_counts": 1}]},
          "bad episode spec: exact_counts must be true or false, got 1"),
         ({"episodes": [{**EPISODE, "true_rate": True}]},
-         "bad episode spec: true_rate must be a number in [0, 1], got True"),
+         "bad episode spec: true_rate must be a finite number, got True"),
         ({"episodes": [{**EPISODE, "true_rate": "1"}]},
-         "bad episode spec: true_rate must be a number in [0, 1], got '1'"),
+         "bad episode spec: true_rate must be a finite number, got '1'"),
         ({"episodes": [{**EPISODE, "task": None}]},
          "bad episode spec: task must be a string, got None"),
         ({"episodes": [{**EPISODE, "task": 1}]},
@@ -170,7 +170,9 @@ class TestSynthCommand:
         for key, value in SCENE_NUMBER_FAULTS] + [
         ({"scene": {"room_extent": value, "gt_translation": [0.1, 0.1, 0],
                     "cloud_point_count": 500}},
-         f"bad scene spec: room_extent must be 3 finite numbers > 0, got {value!r}")
+         f"bad scene spec: room_extent must be > 0, got {tuple(value)!r}"
+         if value in ([0, 4, 3], [5, -4, 3]) else
+         f"bad scene spec: room_extent must be 3 finite numbers, got {value!r}")
         for value in ROOM_EXTENT_FAULTS],
         ids=["seed-string", "seed-float", "unknown-scene-key", "floor-count-float",
              "cloud-count-bool", "trials-float", "exact-counts-string",
@@ -188,10 +190,11 @@ class TestSynthCommand:
 
     @pytest.mark.parametrize("settings, message", [
         ({"icp": {"bogus": 1}}, "'bogus'"),
-        ({"ransac": {"iterations": 2.5}}, "invalid RANSAC config"),
-        ({"voxel_size": "0.02"}, "voxel_size must be null or a finite number > 0"),
-        ({"ransac": {"threshold": True}}, "invalid RANSAC config"),
-        ({"ransac": {"threshold": float("inf")}}, "invalid RANSAC config")],
+        ({"ransac": {"iterations": 2.5}}, "ransac.iterations must be an integer, got 2.5"),
+        ({"voxel_size": "0.02"}, "voxel_size must be null or a finite number, got '0.02'"),
+        ({"ransac": {"threshold": True}}, "ransac.threshold must be a finite number, got True"),
+        ({"ransac": {"threshold": float("inf")}},
+         "ransac.threshold must be a finite number, got inf")],
         ids=["icp-unknown-key", "ransac-iterations-float", "voxel-size-string",
              "ransac-threshold-bool", "ransac-threshold-inf"])
     def test_bad_stitch_settings_exit_2_before_writing(self, tmp_path, capsys,
@@ -362,14 +365,16 @@ class TestStitchCommand:
     def test_bad_ransac_threshold_exits_2(self, synth_dir, tmp_path, capsys, threshold):
         bad = _pair_manifest(synth_dir, tmp_path, ransac={"threshold": threshold})
         assert run("stitch", bad, "--out", tmp_path / "o") == 2
-        assert "bad pair config: invalid RANSAC config" in capsys.readouterr().err
+        message = ("invalid RANSAC config" if threshold in (0, -1e-3)
+                   else f"ransac.threshold must be a finite number, got {threshold!r}")
+        assert f"bad pair config: {message}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("fields, message", [
         ({"ransac": {"seed": 4242}}, "'seed'"),
         ({"ground": {"camera_height": 1.5}}, "unknown keys ['ground']"),
         ({"voxel": 1.0}, "unknown keys ['voxel']"),
-        ({"camera_height_m": "abc"}, "camera height must be a finite number > 0, got 'abc'")],
+        ({"camera_height_m": "abc"}, "camera_height_m must be a finite number, got 'abc'")],
         ids=["ransac-seed", "ground-block", "misspelled-key", "camera-height-string"])
     def test_unknown_or_removed_setting_exits_2(self, synth_dir, tmp_path, capsys,
                                                 fields, message):
@@ -408,10 +413,9 @@ class TestStitchCommand:
         section = section.split("\n### ", 1)[0]
         example = json.loads(section.split("```json", 1)[1].split("```", 1)[0])
         [entry] = example["pairs"]
-        assert set(entry) <= set(PAIR_KEYS)
-        assert _pair_config(entry) == PairConfig()
-        names = PAIR_KEYS + tuple(f.name for cfg in (RansacConfig, IcpConfig)
-                                  for f in dataclasses.fields(cfg))
+        assert from_json(StitchPair, entry).config() == PairConfig()
+        names = [f.name for cfg in (StitchPair, RansacConfig, IcpConfig)
+                 for f in dataclasses.fields(cfg)]
         for name in names:
             assert f"`{name}`" in section, name
 
