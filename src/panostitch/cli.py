@@ -65,7 +65,7 @@ def _log(stage: str, event: str, **fields) -> None:
           file=sys.stderr)
 
 
-def _load_json(path: Path, what: str) -> dict:
+def _load_json(path: Path, what: str, keys: tuple[str, ...]) -> dict:
     if not path.exists():
         raise CliError(EXIT_INPUT, f"file not found: {path}")
     try:
@@ -75,6 +75,9 @@ def _load_json(path: Path, what: str) -> dict:
         raise CliError(EXIT_INPUT, f"malformed {what} {path}: {e}") from e
     if not isinstance(data, dict):
         raise CliError(EXIT_INPUT, f"malformed {what} {path}: not a JSON object")
+    unknown = sorted(set(data) - set(keys))
+    if unknown:
+        raise CliError(EXIT_INPUT, f"bad {what}: unknown keys {unknown}")
     return data
 
 
@@ -117,7 +120,7 @@ class StitchPair:
 def cmd_stitch(args) -> int:
     manifest_path = Path(args.manifest)
     out_dir = Path(args.out)
-    data = _load_json(manifest_path, "stitch manifest")
+    data = _load_json(manifest_path, "stitch manifest", ("pairs", "root_room"))
     entries = data.get("pairs")
     if not entries or not isinstance(entries, list):
         raise CliError(EXIT_INPUT, "stitch manifest needs a non-empty list of pairs")
@@ -213,7 +216,7 @@ def _load_scene_manifest(path: Path) -> scene_mod.SceneManifest:
         raise CliError(EXIT_INPUT, f"file not found: {path}")
     try:
         return scene_mod.load_manifest(path)
-    except (ManifestError, json.JSONDecodeError, KeyError, ValueError) as e:
+    except (ManifestError, json.JSONDecodeError, ValueError) as e:
         raise CliError(EXIT_INPUT, f"bad scene manifest: {e}") from e
 
 
@@ -362,7 +365,8 @@ class SceneSpec:
 
 
 def cmd_synth(args) -> int:
-    config = _load_json(Path(args.config), "synth config")
+    config = _load_json(Path(args.config), "synth config",
+                        ("seed", "scene", "episodes", "ransac", "icp", "voxel_size"))
     out_dir = Path(args.out)
     seed = args.seed if args.seed is not None else config.get("seed", 0)
     if not is_json(seed, int):

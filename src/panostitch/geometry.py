@@ -11,6 +11,7 @@ construction and safe to share across threads. The module also holds
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import typing
 from dataclasses import dataclass, field
@@ -35,7 +36,7 @@ def is_json(value, tp) -> bool:
     fixed-length tuple (an array, each item of its own type) or `X | None`."""
     if tp is int or tp is float:
         return isinstance(value, (int, tp)) and not isinstance(value, bool) \
-            and abs(value) < np.inf
+            and abs(value) < math.inf
     if tp is bool or tp is str:
         return isinstance(value, tp)
     args = typing.get_args(tp)

@@ -17,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .geometry import from_json, is_json
+
 MIN_SCORE = 0.2
 MIN_MATCHES = 8
 
@@ -104,28 +106,39 @@ def _require(cond: bool, msg: str):
         raise MatchFileError(msg)
 
 
+def _number(m: dict, key: str) -> float:
+    """m[key] if it is a finite number. Matches are checked value by value
+    with is_json: a from_json call per match would cost far more."""
+    v = m[key]
+    if not is_json(v, float):
+        raise ValueError(f"{key} must be a finite number, got {v!r}")
+    return v
+
+
 def parse_match_dict(data: dict) -> BearingMatchSet:
     """Build a BearingMatchSet from decoded match-file JSON."""
     for key in ("pano_a", "pano_b", "matches"):
         _require(key in data, f"match file missing '{key}'")
-    try:
-        spec_a = PanoramaSpec(int(data["pano_a"]["width"]), int(data["pano_a"]["height"]))
-        spec_b = PanoramaSpec(int(data["pano_b"]["width"]), int(data["pano_b"]["height"]))
-    except (KeyError, TypeError, ValueError) as e:
-        raise MatchFileError(f"bad panorama spec: {e}") from e
+    specs = []
+    for key in ("pano_a", "pano_b"):
+        try:
+            specs.append(from_json(PanoramaSpec, data[key]))
+        except ValueError as e:
+            raise MatchFileError(f"bad panorama spec {key}: {e}") from e
+    spec_a, spec_b = specs
 
     matches = data["matches"]
     _require(isinstance(matches, list), "'matches' must be a list")
     ua, va, ub, vb, sc = [], [], [], [], []
     for i, m in enumerate(matches):
         try:
-            s = float(m["score"])
+            s = _number(m, "score")
             if s < MIN_SCORE:
                 continue
-            ua.append(float(m["ua"]))
-            va.append(float(m["va"]))
-            ub.append(float(m["ub"]))
-            vb.append(float(m["vb"]))
+            ua.append(_number(m, "ua"))
+            va.append(_number(m, "va"))
+            ub.append(_number(m, "ub"))
+            vb.append(_number(m, "vb"))
             sc.append(s)
         except (KeyError, TypeError, ValueError) as e:
             raise MatchFileError(f"malformed match entry {i}: {e}") from e

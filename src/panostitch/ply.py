@@ -45,12 +45,17 @@ def _parse_header(fh) -> tuple[str, int, list[tuple[str, str]]]:
         if not line or line.startswith("comment"):
             continue
         parts = line.split()
+        if len(parts) < {"format": 2, "element": 3, "property": 3}.get(parts[0], 1):
+            raise PlyError(f"malformed header line {line!r}")
         if parts[0] == "format":
             fmt = parts[1]
         elif parts[0] == "element":
             in_vertex = parts[1] == "vertex"
             if in_vertex:
-                count = int(parts[2])
+                try:
+                    count = int(parts[2])
+                except ValueError:
+                    raise PlyError(f"bad vertex count {parts[2]!r} in header") from None
         elif parts[0] == "property" and in_vertex:
             if parts[1] == "list":
                 raise PlyError("list properties are not supported")
@@ -68,9 +73,12 @@ def _parse_header(fh) -> tuple[str, int, list[tuple[str, str]]]:
 
 def _vertex_dtype(props: list[tuple[str, str]]) -> np.dtype:
     """Record dtype of a vertex layout [(prop_type, prop_name)]."""
-    for ptype, _ in props:
+    names = [n for _, n in props]
+    for ptype, name in props:
         if ptype not in _PROP_DTYPES:
             raise PlyError(f"unsupported property type: {ptype}")
+        if names.count(name) > 1:
+            raise PlyError(f"vertex property {name!r} declared more than once")
     return np.dtype([(n, _PROP_DTYPES[t]) for t, n in props])
 
 

@@ -20,8 +20,8 @@ import numpy as np
 from ._atomic import write_json
 from ._plane_search import best_plane_support
 from .geometry import (Aabb, GeometryError, Plane, PointCloud, PointIndex,
-                       RigidTransform, as_vec3, compose, fit_plane_lsq, rot_z,
-                       unit)
+                       RigidTransform, as_vec3, compose, fit_plane_lsq, is_json,
+                       rot_z, unit)
 
 SCHEMA_VERSION = 1
 FLATTEN_STDDEV_LIMIT = 0.01  # meters; pre-flatten inlier spread contract
@@ -452,9 +452,18 @@ def manifest_to_dict(m: SceneManifest) -> dict:
 
 
 def manifest_from_dict(d: dict) -> SceneManifest:
-    if d.get("schema_version") != SCHEMA_VERSION:
-        raise ManifestError(
-            f"unsupported manifest schema version: {d.get('schema_version')}")
+    if not isinstance(d, dict):
+        raise ManifestError(f"manifest must be a JSON object, got {type(d).__name__}")
+    version = d.get("schema_version")
+    if not (is_json(version, int) and version == SCHEMA_VERSION):
+        raise ManifestError(f"unsupported manifest schema version: {version!r}")
+    try:
+        return _manifest_from_dict(d)
+    except (KeyError, TypeError, IndexError) as e:
+        raise ManifestError(f"malformed manifest entry: {e!r}") from e
+
+
+def _manifest_from_dict(d: dict) -> SceneManifest:
     rooms = [RoomNode(id=r["id"], cloud=None, cloud_path=r.get("cloud"),
                       local_to_world=RigidTransform.from_quat_xyz(r["local_to_world"]))
              for r in d.get("rooms", [])]

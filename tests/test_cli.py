@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import panostitch
-from panostitch.cli import StitchPair, main
+from panostitch.cli import SceneSpec, StitchPair, main
 from panostitch.epipolar import RansacConfig
 from panostitch.geometry import from_json, pose_difference
 from panostitch.ply import read_ply, write_ply
@@ -20,6 +20,8 @@ from panostitch.scene import load_manifest, overlap_rms
 from panostitch.geometry import PointCloud, RigidTransform
 from panostitch.icp import IcpConfig
 from panostitch.pipeline import PairConfig
+from panostitch.metrics import parse_tier
+from panostitch.testkit import EpisodeSpec
 
 DATA = Path(__file__).parent / "data"
 README = Path(__file__).parent.parent / "README.md"
@@ -208,6 +210,13 @@ class TestSynthCommand:
         assert "bad pair config: " in err and message in err
         assert not (tmp_path / "o").exists()
 
+    def test_unknown_top_level_key_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"seeed": 3, "episodes": [EPISODE]}))
+        assert run("synth", path, "--out", tmp_path / "o") == 2
+        assert "bad synth config: unknown keys ['seeed']" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("config", ["[1]", '"scene"', "null", "3"],
                              ids=["array", "string", "null", "number"])
     def test_config_that_is_not_an_object_exits_2(self, tmp_path, capsys, config):
@@ -224,6 +233,47 @@ class TestSynthCommand:
         assert run("synth", path, "--out", tmp_path / "o") == 0
         [entry] = json.loads((tmp_path / "o" / "stitch_manifest.json").read_text())["pairs"]
         assert {k: entry[k] for k in settings} == settings
+
+
+# Every field of every JSON input, sent each of these values. A value the
+# field's type accepts is skipped; every other one must exit 2 naming the key.
+ODD_VALUES = {"true": True, "string": "1", "null": None, "nan": float("nan"),
+              "inf": float("inf"), "array": [1], "object": {}}
+ACCEPTED = {("pair", k, "string") for k in ("room_a", "room_b", "match_file",
+                                            "cloud_a", "cloud_b")} | {
+    ("pair", "ransac", "object"), ("pair", "icp", "object"),
+    ("pair", "voxel_size", "null"), ("icp", "max_corr_dist", "null"),
+    ("episode", "task", "string"), ("episode", "tier", "string"),
+    ("episode", "exact_counts", "true")}
+JSON_INPUTS = {"pair": StitchPair, "ransac": RansacConfig, "icp": IcpConfig,
+               "scene": SceneSpec, "episode": EpisodeSpec}
+ODD_VALUE_CASES = [(kind, f.name, name) for kind, cls in JSON_INPUTS.items()
+                   for f in dataclasses.fields(cls) for name in ODD_VALUES
+                   if (kind, f.name, name) not in ACCEPTED]
+
+
+@pytest.mark.parametrize("kind, key, name", ODD_VALUE_CASES,
+                         ids=["-".join(case) for case in ODD_VALUE_CASES])
+def test_value_of_wrong_type_exits_2(tmp_path, capsys, kind, key, name):
+    value = ODD_VALUES[name]
+    pair = {"room_a": "room_a", "room_b": "room_b", "match_file": "matches.json",
+            "cloud_a": "room_a.ply", "cloud_b": "room_b.ply"}
+    if kind in ("pair", "ransac", "icp"):
+        pair.update({key: value} if kind == "pair" else {kind: {key: value}})
+        command, doc, prefix = "stitch", {"pairs": [pair]}, "bad pair config"
+        if kind != "pair":
+            key = f"{kind}.{key}"
+    elif kind == "scene":
+        command, doc, prefix = "synth", {"scene": {key: value}}, "bad scene spec"
+    else:
+        command, prefix = "synth", "bad episode spec"
+        doc = {"episodes": [{**EPISODE, key: value}]}
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    assert run(command, path, "--out", tmp_path / "o") == 2
+    err = capsys.readouterr().err
+    assert f"error: {prefix}: {key} must be " in err and f"got {value!r}" in err, err
+    assert not (tmp_path / "o").exists()
 
 
 class TestStitchCommand:
@@ -407,17 +457,25 @@ class TestStitchCommand:
         assert not [e for e in events if e["event"] == "pair_registered"]
 
     def test_readme_manifest_is_accepted(self):
-        """The README's stitch manifest example uses only accepted keys,
-        documents each of them, and shows the defaults."""
-        section = README.read_text().split("### Stitch manifest", 1)[1]
-        section = section.split("\n### ", 1)[0]
-        example = json.loads(section.split("```json", 1)[1].split("```", 1)[0])
+        """The README's stitch manifest and synth config examples use only
+        accepted keys, document each of them, and show the defaults."""
+        def section(title):
+            text = README.read_text().split(f"### {title}", 1)[1].split("\n### ", 1)[0]
+            return text, json.loads(text.split("```json", 1)[1].split("```", 1)[0])
+
+        text, example = section("Stitch manifest")
         [entry] = example["pairs"]
         assert from_json(StitchPair, entry).config() == PairConfig()
-        names = [f.name for cfg in (StitchPair, RansacConfig, IcpConfig)
-                 for f in dataclasses.fields(cfg)]
-        for name in names:
-            assert f"`{name}`" in section, name
+        for cfg in (StitchPair, RansacConfig, IcpConfig):
+            for f in dataclasses.fields(cfg):
+                assert f"`{f.name}`" in text, f.name
+        text, example = section("Synth config")
+        assert from_json(SceneSpec, example["scene"]) == SceneSpec()
+        [episode] = example["episodes"]
+        assert not from_json(EpisodeSpec, episode, tier=parse_tier).exact_counts
+        for cfg in (SceneSpec, EpisodeSpec):
+            for f in dataclasses.fields(cfg):
+                assert f"`{f.name}`" in text, f.name
 
     @pytest.mark.parametrize("change, message", [
         (lambda m: m.update(pairs=[5]), "bad pair config: 5 is not an object"),
@@ -441,6 +499,26 @@ class TestStitchCommand:
         assert run("stitch", path, "--out", tmp_path / "o") == 2
         err = capsys.readouterr().err
         assert message in err and "bad PLY" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_nan_keypoint_exits_2(self, synth_dir, tmp_path, capsys):
+        path = _pair_manifest(synth_dir, tmp_path)
+        data = json.loads((tmp_path / "matches.json").read_text())
+        data["matches"][0].update(score=0.9, ua=float("nan"))
+        (tmp_path / "matches.json").write_text(json.dumps(data))
+        assert run("stitch", path, "--out", tmp_path / "o") == 2
+        assert ("pair:room_a->room_b: malformed match entry 0: ua must be a finite "
+                "number, got nan") in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_unknown_top_level_key_exits_2(self, synth_dir, tmp_path, capsys):
+        path = _pair_manifest(synth_dir, tmp_path)
+        manifest = json.loads(path.read_text())
+        manifest["root_rooom"] = manifest.pop("root_room")
+        path.write_text(json.dumps(manifest))
+        assert run("stitch", path, "--out", tmp_path / "o") == 2
+        assert ("bad stitch manifest: unknown keys ['root_rooom']"
+                in capsys.readouterr().err)
         assert not (tmp_path / "o").exists()
 
     def test_manifest_that_is_not_an_object_exits_2(self, tmp_path, capsys):
@@ -650,6 +728,35 @@ class TestPlaceCommand:
                        "--out", out) == 0
             outs.append(load_manifest(out).assets[0].pose.matrix())
         np.testing.assert_array_equal(outs[0], outs[1])
+
+
+# Scene manifests that place and plane --add-to-manifest must refuse.
+BAD_SCENE_MANIFESTS = {
+    "array": ("[1]", "manifest must be a JSON object, got list"),
+    "room-not-object": ('{"schema_version": 1, "rooms": [5]}',
+                        "malformed manifest entry: TypeError"),
+    "version-true": ('{"schema_version": true}',
+                     "unsupported manifest schema version: True"),
+}
+
+
+@pytest.mark.parametrize("command", ["place", "plane"])
+@pytest.mark.parametrize("case", BAD_SCENE_MANIFESTS)
+def test_bad_scene_manifest_exits_2(tmp_path, capsys, rng, command, case):
+    text, message = BAD_SCENE_MANIFESTS[case]
+    path = tmp_path / "scene.json"
+    path.write_text(text)
+    if command == "place":
+        argv = ["place", path, "--plane", "table", "--asset-id", "mug",
+                "--aabb-min", 0, 0, 0, "--aabb-max", 0.1, 0.1, 0.1]
+    else:
+        table = tmp_path / "table.ply"
+        write_ply(table, PointCloud(np.column_stack(
+            [rng.uniform(-0.5, 0.5, (200, 2)), np.full(200, 0.8)])))
+        argv = ["plane", table, "--add-to-manifest", path]
+    assert run(*argv) == 2
+    assert f"bad scene manifest: {message}" in capsys.readouterr().err
+    assert path.read_text() == text
 
 
 class TestFullWorkflow:

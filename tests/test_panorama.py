@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -118,6 +119,27 @@ class TestLoadMatches:
         path.write_text("{not json")
         with pytest.raises(MatchFileError):
             load_matches(path)
+
+    @pytest.mark.parametrize("key", ["ua", "va", "ub", "vb", "score"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), True, "512.5"],
+                             ids=["nan", "inf", "true", "string"])
+    def test_match_value_not_a_finite_number(self, tmp_path, key, value):
+        data = _match_dict(10)
+        data["matches"][3][key] = value
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(data))   # NaN and Infinity as JSON allows
+        with pytest.raises(MatchFileError, match=re.escape(
+                f"malformed match entry 3: {key} must be a finite number, got {value!r}")):
+            load_matches(path)
+
+    @pytest.mark.parametrize("value", [2048.7, "2048", True, None],
+                             ids=["fraction", "string", "true", "null"])
+    def test_pano_size_not_an_integer(self, value):
+        data = _match_dict(10)
+        data["pano_b"]["width"] = value
+        with pytest.raises(MatchFileError, match=re.escape(
+                f"bad panorama spec pano_b: width must be an integer, got {value!r}")):
+            parse_match_dict(data)
 
     def test_missing_fields(self):
         with pytest.raises(MatchFileError, match="missing"):

@@ -1,6 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
+from panostitch.cli import main
 from panostitch.geometry import PointCloud
 from panostitch.ply import PlyError, _parse_ascii, _vertex_dtype, read_ply, write_ply
 
@@ -134,6 +137,34 @@ def test_rejects_negative_vertex_count(tmp_path, binary):
                      + (np.zeros(6, "<f4").tobytes() if binary else b"0 0 0\n1 1 1\n"))
     with pytest.raises(PlyError, match="negative vertex count -1"):
         read_ply(path)
+
+
+# One malformed header line each, in an otherwise valid one-vertex ASCII file.
+HEADER_FAULTS = {
+    "vertex-without-count": ("element vertex 1", "element vertex",
+                             "malformed header line 'element vertex'"),
+    "vertex-count-not-integer": ("element vertex 1", "element vertex 1.5",
+                                 "bad vertex count '1.5' in header"),
+    "property-without-name": ("property float z", "property float",
+                              "malformed header line 'property float'"),
+    "format-without-value": ("format ascii 1.0", "format",
+                             "malformed header line 'format'"),
+    "repeated-property": ("property float z", "property float z\nproperty float z",
+                          "vertex property 'z' declared more than once"),
+}
+
+
+@pytest.mark.parametrize("fault", HEADER_FAULTS)
+def test_malformed_header_line_exits_2(tmp_path, capsys, fault):
+    line, bad, message = HEADER_FAULTS[fault]
+    text = ("ply\nformat ascii 1.0\nelement vertex 1\nproperty float x\n"
+            "property float y\nproperty float z\nend_header\n0 0 0\n")
+    path = tmp_path / "bad.ply"
+    path.write_text(text.replace(line, bad, 1))
+    with pytest.raises(PlyError, match=re.escape(message)):
+        read_ply(path)
+    assert main(["plane", str(path)]) == 2
+    assert f"bad PLY {path}: {message}" in capsys.readouterr().err
 
 
 def reference_parse_ascii(text, count, dtype):
