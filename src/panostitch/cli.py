@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -372,6 +373,19 @@ def cmd_synth(args) -> int:
     if not is_json(seed, int):
         raise CliError(EXIT_INPUT, f"bad synth config: seed must be an integer, got {seed!r}")
 
+    if "scene" not in config and "episodes" not in config:
+        raise CliError(EXIT_INPUT, "synth config needs 'scene' and/or 'episodes'")
+    specs = []
+    if "episodes" in config:
+        episodes = config["episodes"]
+        if not isinstance(episodes, list) or not episodes:
+            raise CliError(EXIT_INPUT, "bad synth config: episodes must be a non-empty "
+                                       f"list, got {episodes!r}")
+        try:
+            specs = [from_json(EpisodeSpec, e, tier=parse_tier) for e in episodes]
+        except (TypeError, ValueError) as e:
+            raise CliError(EXIT_INPUT, f"bad episode spec: {e}") from e
+
     if "scene" in config:
         try:
             pair = synth_room_pair(from_json(SceneSpec, config["scene"]).config(seed))
@@ -403,21 +417,13 @@ def cmd_synth(args) -> int:
         _log("synth", "scene_written", out=str(out_dir),
              matches=len(pair.match_data["matches"]))
 
-    if "episodes" in config:
-        try:
-            specs = [from_json(EpisodeSpec, e, tier=parse_tier)
-                     for e in config["episodes"]]
-            synth = synth_episodes(specs, seed=fork_seed(seed, "episodes"))
-        except (TypeError, ValueError) as e:
-            raise CliError(EXIT_INPUT, f"bad episode spec: {e}") from e
+    if specs:
+        synth = synth_episodes(specs, seed=fork_seed(seed, "episodes"))
         write_episode_csv(out_dir / "episodes.csv", synth.episodes)
         write_json(out_dir / "episodes_empirical.json", {
             f"{task}/{tier.value}": rate
             for (task, tier), rate in synth.empirical_sr.items()})
         _log("synth", "episodes_written", count=len(synth.episodes))
-
-    if "scene" not in config and "episodes" not in config:
-        raise CliError(EXIT_INPUT, "synth config needs 'scene' and/or 'episodes'")
     return EXIT_OK
 
 
@@ -425,6 +431,7 @@ def cmd_synth(args) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache   # one parser per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="panostitch",

@@ -8,6 +8,11 @@ pose (R, t_hat) maps frame-a coordinates into frame b:
     p_b = R @ p_a + s * t_hat        (s > 0 is the unknown metric scale)
 
 which makes E = [t_hat]x @ R satisfy b_b^T E b_a = 0 for true matches.
+
+RANSAC scores hypotheses with one matrix product per block of them,
+into a buffer of SUPPORT_BLOCK residuals. The few residuals that fall
+within a certified rounding band of the threshold are recomputed term
+by term, so every inlier mask has the bits of numpy's einsum.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from .geometry import check_rotation, check_unit
 from .panorama import BearingMatchSet
 
 PARALLEL_RAY_TOL = 1e-8
-SUPPORT_BLOCK = 65_536   # residuals per block of hypotheses in _support
+SUPPORT_BLOCK = 65_536   # entries of _support's gemm buffer (hypotheses x matches)
 
 
 class EstimationError(RuntimeError):
@@ -97,34 +102,81 @@ def _eight_point(sa: np.ndarray, sb: np.ndarray) -> tuple[np.ndarray, np.ndarray
 _RANSAC_BATCH = 512
 
 
+def _nine_term_residuals(e: np.ndarray, bb: np.ndarray, ba: np.ndarray) -> np.ndarray:
+    """b_b^T E b_a for rows of E (k, 3, 3) and bearings (k, 3), adding the
+    terms (bb_i * E_ij) * ba_j in (i, j) order from the (0, 0) term: the
+    order and rounding of numpy's einsum("ni,cij,nj->cn")."""
+    r = (bb[:, 0] * e[:, 0, 0]) * ba[:, 0]
+    for i in range(3):
+        for j in range(3):
+            if i or j:
+                r = r + (bb[:, i] * e[:, i, j]) * ba[:, j]
+    return r
+
+
+_GAMMA_11 = 11 * 2.0 ** -53 / (1 - 11 * 2.0 ** -53)
+
+
 def _support(E: np.ndarray, bb: np.ndarray, ba: np.ndarray,
              threshold: float) -> np.ndarray:
     """Inlier masks |b_b^T E_c b_a| <= threshold, shape (C, n), for E of
-    shape (C, 3, 3).
+    shape (C, 3, 3), with the bits of numpy's einsum("ni,cij,nj->cn").
 
-    Each residual adds the nine terms (bb_i * E_ij) * ba_j in (i, j)
-    order, the order numpy's einsum("ni,cij,nj->cn") adds them in, so the
-    residuals have its bits. Hypotheses are scored max(1, SUPPORT_BLOCK // n)
-    at a time in two reused buffers, which keeps the work in cache.
+    Residuals come from one matrix product per block of
+    max(1, SUPPORT_BLOCK // n) hypotheses, R = E.reshape(-1, 9) @ M^T with
+    M[m, 3i + j] = bb[m, i] * ba[m, j], into one reused buffer. The product
+    rounds unlike the einsum, so an entry whose |R| lies within a band B of
+    the threshold, or is NaN, gets its bit from _nine_term_residuals.
+
+    The band: let S = sum_ij |bb_i| |E_ij| |ba_j| and u = 2^-53. At most
+    ten roundings touch any term: two products and eight additions in the
+    nine-term sum; M's entry, the product and eight additions in the gemm,
+    whatever its summation order and with or without FMA. So each value
+    lies within gamma_11 * S of the exact residual, gamma_k = k u / (1 - k u)
+    (Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1), and
+    the two lie within 2 gamma_11 * S of each other. By Cauchy-Schwarz,
+    S <= ||E_c||_F ||bb_m|| ||ba_m||. Hence
+
+        B = 4 gamma_11 max_c ||E_c||_F max_m(||bb_m|| ||ba_m||)
+            + 64 * 2^-1074 * max(1, max_c ||E_c||_F, max_m ||ba_m||),
+
+    where the factor 4 leaves 2x slack for the rounded norms, B and
+    |R| - threshold. The last term covers underflow: a product that falls
+    below 2^-1022 is off by at most 2^-1075, times the factor applied after
+    it (an entry of E or of b_a). An entry with ||R| - threshold| > B thus
+    has the einsum's bit. Norms are taken with hypot, so they neither
+    underflow nor overflow. If a norm is 2^300 or more, or is not finite, a
+    product could overflow; B is then infinite and every entry is
+    recomputed.
     """
     n = len(bb)
-    bbT, baT = np.ascontiguousarray(bb.T), np.ascontiguousarray(ba.T)
+    # C order: from C-ordered bearings the product comes out F-ordered, and
+    # matmul on that operand took ~16 ms per block instead of ~25 us (2-CPU
+    # x86-64, OpenBLAS 0.3.31).
+    MT = np.multiply(bb.T[:, None, :], ba.T[None, :, :], order="C").reshape(9, n)
+    e_norm = np.hypot.reduce(E.reshape(len(E), 9), axis=1).max(initial=0.0)
+    nb, na = np.hypot.reduce(bb, axis=1), np.hypot.reduce(ba, axis=1)
+    if np.max([e_norm, nb.max(), na.max()]) < 2.0 ** 300:
+        band = (4 * _GAMMA_11 * e_norm * (nb * na).max()
+                + 64 * 2.0 ** -1074 * max(1.0, e_norm, na.max()))
+    else:
+        band = np.inf
     rows = max(1, SUPPORT_BLOCK // n)
     mask = np.empty((len(E), n), dtype=bool)
-    acc = np.empty((min(rows, len(E)), n))
-    term = np.empty_like(acc)
+    res = np.empty((min(rows, len(E)), n))
+    sure = np.empty(res.shape, dtype=bool)
     for lo in range(0, len(E), rows):
         e = E[lo:lo + rows]
-        a, t = acc[:len(e)], term[:len(e)]
-        for i in range(3):
-            for j in range(3):
-                out = a if i == j == 0 else t
-                np.multiply(bbT[i], e[:, i, j, None], out=out)
-                np.multiply(out, baT[j], out=out)
-                if out is t:
-                    np.add(a, t, out=a)
-        np.abs(a, out=a)
-        np.less_equal(a, threshold, out=mask[lo:lo + len(e)])
+        r, ok, m = res[:len(e)], sure[:len(e)], mask[lo:lo + len(e)]
+        np.matmul(e.reshape(-1, 9), MT, out=r)
+        np.abs(r, out=r)
+        np.less_equal(r, threshold, out=m)
+        np.subtract(r, threshold, out=r)
+        np.abs(r, out=r)
+        np.greater(r, band, out=ok)   # False where R is NaN
+        if not ok.all():
+            c, k = np.nonzero(~ok)
+            m[c, k] = np.abs(_nine_term_residuals(e[c], bb[k], ba[k])) <= threshold
     return mask
 
 
@@ -138,9 +190,8 @@ def estimate_essential(matches: BearingMatchSet, cfg: RansacConfig = RansacConfi
     respects cfg.threshold. Identical (matches, cfg, seed) inputs always
     reproduce the same result. A low_confidence flag marks best models
     supported by under 30% of the matches. Candidates are drawn and
-    solved in batches of _RANSAC_BATCH and scored by _support in blocks
-    of hypotheses; blocking changes no residual bit, and the result is
-    still a pure function of the seed.
+    solved in batches of _RANSAC_BATCH and scored by _support, whose masks
+    have the einsum's bits; the result is a pure function of the seed.
     """
     ba, bb = matches.bearings_a, matches.bearings_b
     n = len(matches)

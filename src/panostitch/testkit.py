@@ -46,8 +46,9 @@ class SynthSceneConfig:
     def __post_init__(self):
         if not all(e > 0 for e in self.room_extent):
             raise SynthError(f"room_extent must be > 0, got {self.room_extent!r}")
-        if self.floor_point_count <= 0 or self.wall_point_count <= 0:
-            raise SynthError("point counts must be positive")
+        for key in ("floor_point_count", "wall_point_count", "cloud_point_count"):
+            if getattr(self, key) <= 0:
+                raise SynthError(f"{key} must be > 0, got {getattr(self, key)!r}")
         if self.camera_height <= 0:
             raise SynthError("camera height must be positive")
         if not self.pixel_noise_sigma >= 0:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import panostitch
-from panostitch.cli import SceneSpec, StitchPair, main
+from panostitch.cli import SceneSpec, StitchPair, build_parser, main
 from panostitch.epipolar import RansacConfig
 from panostitch.geometry import from_json, pose_difference
 from panostitch.ply import read_ply, write_ply
@@ -163,7 +163,16 @@ class TestSynthCommand:
         ({"episodes": [{**EPISODE, "exact_count": True}]},
          "bad episode spec: unknown keys ['exact_count']"),
         ({"scene": {"pixel_noise_sigma": -1}},
-         "bad scene spec: pixel_noise_sigma must be >= 0, got -1")] + [
+         "bad scene spec: pixel_noise_sigma must be >= 0, got -1"),
+        ({"scene": {"cloud_point_count": -5}},
+         "bad scene spec: cloud_point_count must be > 0, got -5"),
+        ({"scene": {"cloud_point_count": 0}},
+         "bad scene spec: cloud_point_count must be > 0, got 0"),
+        ({"episodes": []}, "bad synth config: episodes must be a non-empty list, got []"),
+        ({"episodes": {"a": 1}},
+         "bad synth config: episodes must be a non-empty list, got {'a': 1}"),
+        ({"scene": {"cloud_point_count": 500}, "episodes": []},
+         "bad synth config: episodes must be a non-empty list, got []")] + [
         ({"scene": {"gt_translation": value}},
          f"bad scene spec: gt_translation must be 3 finite numbers, got {value!r}")
         for value in GT_TRANSLATION_FAULTS] + [
@@ -179,7 +188,9 @@ class TestSynthCommand:
         ids=["seed-string", "seed-float", "unknown-scene-key", "floor-count-float",
              "cloud-count-bool", "trials-float", "exact-counts-string",
              "exact-counts-number", "true-rate-bool", "true-rate-string", "task-null",
-             "task-number", "misspelled-episode-key", "pixel-noise-negative"] + [
+             "task-number", "misspelled-episode-key", "pixel-noise-negative",
+             "cloud-count-negative", "cloud-count-zero", "episodes-empty",
+             "episodes-object", "episodes-empty-with-scene"] + [
             f"gt-translation-{value}" for value in GT_TRANSLATION_FAULTS] + [
             f"{key}-{value}" for key, value in SCENE_NUMBER_FAULTS] + [
             f"room-extent-{value}" for value in ROOM_EXTENT_FAULTS])
@@ -225,6 +236,16 @@ class TestSynthCommand:
         assert run("synth", path, "--out", tmp_path / "o") == 2
         assert "malformed synth config" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_main_calls_share_one_parser_but_not_its_arguments(self, tmp_path):
+        assert build_parser() is build_parser()
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": 5, "episodes": [EPISODE] * 4}))
+        assert run("synth", config, "--out", tmp_path / "a", "--seed", 9) == 0
+        assert run("synth", config, "--out", tmp_path / "b") == 0
+        assert run("synth", config, "--out", tmp_path / "c", "--seed", 5) == 0
+        rows = {d: (tmp_path / d / "episodes.csv").read_bytes() for d in "abc"}
+        assert rows["b"] == rows["c"] != rows["a"]
 
     def test_stitch_settings_are_copied(self, tmp_path):
         path = tmp_path / "config.json"

@@ -106,6 +106,13 @@ def rigid_motion_matches(n, seed, unit=True):
     return make_match_set(ba, bb)
 
 
+def product_residuals(E, bb, ba):
+    """|b_b^T E b_a| from one matrix product, as _support computes it
+    before its recheck."""
+    M = (bb[:, :, None] * ba[:, None, :]).reshape(len(bb), 9)
+    return np.abs(E.reshape(-1, 9) @ M.T)
+
+
 def assert_same_as_reference(matches, cfg, seed):
     try:
         ref = reference_essential(matches, cfg, seed)
@@ -155,6 +162,42 @@ class TestSupportKernel:
         thr = res[17]
         np.testing.assert_array_equal(epipolar_mod._support(E[None], bb, ba, thr)[0],
                                       res <= thr)
+
+    # The cases below put the threshold where the matrix product and the
+    # einsum round to different mask bits, so only the rounding band and its
+    # exact recheck give the einsum mask. Each first asserts that a plain
+    # product's mask would be wrong on its data.
+
+    @pytest.mark.parametrize("scale, unit", [(1.0, True), (1.0, False),
+                                             (1e6, False), (1e-6, False)])
+    def test_threshold_on_a_residual_the_product_rounds_differently(self, scale, unit):
+        matches = rigid_motion_matches(300, seed=11, unit=unit)
+        ba, bb = matches.bearings_a, matches.bearings_b
+        idx = np.argpartition(np.random.default_rng(11).random((512, 300)), 7, axis=1)[:, :8]
+        E = epipolar_mod._eight_point(ba[idx], bb[idx])[0] * scale
+        res = np.abs(np.einsum("ni,cij,nj->cn", bb, E, ba))
+        gemm = product_residuals(E, bb, ba)
+        differ = np.flatnonzero(gemm != res)
+        assert differ.size
+        # The differing entry nearest the default threshold, scaled.
+        c, k = np.unravel_index(differ[np.argmin(np.abs(res.flat[differ] - 1e-3 * scale))],
+                                res.shape)
+        thresholds = [np.nextafter(res[c, k], 0.0), res[c, k], np.nextafter(res[c, k], 1.0)]
+        assert any(((gemm <= thr) != (res <= thr)).any() for thr in thresholds)
+        for thr in thresholds:
+            np.testing.assert_array_equal(epipolar_mod._support(E, bb, ba, thr), res <= thr)
+
+    @pytest.mark.parametrize("threshold", [1e-16, 5e-324])
+    def test_thresholds_at_the_rounding_floor(self, threshold):
+        # E = [t]x with bb = ba: every exact residual is 0, so the einsum
+        # keeps a mix of exact zeros and rounding noise near 1e-16.
+        rng = np.random.default_rng(7)
+        b = rng.normal(size=(2000, 3)) * rng.uniform(0.5, 2.0, size=(2000, 1))
+        E = np.stack([skew(t) for t in rng.normal(size=(64, 3))])
+        res = np.abs(np.einsum("ni,cij,nj->cn", b, E, b))
+        assert ((product_residuals(E, b, b) <= threshold) != (res <= threshold)).any()
+        np.testing.assert_array_equal(epipolar_mod._support(E, b, b, threshold),
+                                      res <= threshold)
 
 
 class TestEstimateEssentialOracle:
