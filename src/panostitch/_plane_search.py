@@ -15,10 +15,29 @@ n-sized temporaries are allocated. Column blocks of the product round
 exactly like the full product as long as none is one point wide (BLAS
 then switches from gemm to gemv, or from gemv to dot), so neither the
 block size nor the thread count changes a bit.
+
+A candidate stops being scored once it cannot reach the best count: after
+a block ending at point hi, a candidate whose count so far plus the
+n - hi points not yet scored is strictly below `best`, the largest count
+of any chunk that has already finished, leaves its chunk's product and
+reports -1. Its full count would be below a count some candidate really
+has, so it cannot be the maximum; and since the test is strict, every
+candidate that ties the maximum is scored to the end, so the first
+maximum (the earliest candidate) still wins, whichever chunk finishes
+first. The threads read `best` after every block without a lock: a stale
+read is the count of a chunk that finished earlier, at most the current
+`best`, and only prunes less (a finished chunk raises `best` under a
+lock, so no raise is lost). Which candidates stop early therefore varies
+with the thread count and finishing order, but the returned mask and
+count do not. Rows of a gemm product keep their bits when other rows are
+dropped, as long as two rows remain; a one-row product is gemv and
+rounds differently, so a chunk that began with two or more candidates
+keeps a second row rather than shrink to one.
 """
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -58,7 +77,10 @@ def best_plane_support(pts: np.ndarray, iterations: int, threshold: float,
     When `axis` is given, candidates whose unit normal satisfies
     |normal . axis| < min_cos are skipped (used to keep floor fits
     gravity-consistent). Returns (mask, count) for the best candidate,
-    or None when no valid candidate exists.
+    the first one with the most inliers, or None when no valid candidate
+    exists. A candidate stops being scored once its count can no longer
+    reach that of a finished chunk (see the module docstring); the result
+    is the same bits as scoring every candidate against every point.
     """
     n = pts.shape[0]
     idx = sample_triples(rng, n, iterations)
@@ -87,15 +109,29 @@ def best_plane_support(pts: np.ndarray, iterations: int, threshold: float,
     blocks = list(zip(bounds[:-1], bounds[1:]))
     width = max(hi - lo for lo, hi in blocks)
 
+    best = -1   # largest count of a finished chunk; raised under best_lock
+    best_lock = threading.Lock()
+
     def score(start: int) -> np.ndarray:
-        """Inlier counts of the candidates in the chunk at start."""
+        """Inlier counts of the candidates in the chunk at start, -1 for
+        each candidate that stopped early."""
+        nonlocal best
         nc = normals[start:start + chunk]
         oc = offsets[start:start + chunk, None]
         dist = np.empty((len(nc), width))
         near = np.empty((len(nc), width), dtype=bool)
         counts = np.zeros(len(nc), dtype=np.int64)
+        rows = np.arange(len(nc))            # chunk rows still scored
+        result = np.full(len(nc), -1, dtype=np.int64)
         for lo, hi in blocks:
-            d, hit = dist[:, :hi - lo], near[:, :hi - lo]
+            alive = counts + (n - lo) >= best
+            if not alive.all():
+                if len(nc) > 1 and np.count_nonzero(alive) == 1:
+                    alive[np.argmin(alive)] = True   # never a one-row product
+                nc, oc, counts, rows = nc[alive], oc[alive], counts[alive], rows[alive]
+                if not len(nc):
+                    return result
+            d, hit = dist[:len(nc), :hi - lo], near[:len(nc), :hi - lo]
             if len(nc) == 1:
                 # BLAS scores a lone candidate with gemv, whose rounding can
                 # differ from gemm's; keep the (points x normal) product.
@@ -106,10 +142,13 @@ def best_plane_support(pts: np.ndarray, iterations: int, threshold: float,
             np.abs(d, out=d)
             np.less_equal(d, threshold, out=hit)
             counts += np.count_nonzero(hit, axis=1)
-        return counts
+        result[rows] = counts
+        with best_lock:
+            best = max(best, int(counts.max()))
+        return result
 
     with ThreadPoolExecutor(thread_count()) as pool:
         counts = np.concatenate(list(pool.map(score, range(0, keep.size, chunk))))
-    best = int(np.argmax(counts))    # first maximum: the earliest chunk wins ties
-    mask = np.abs(pts @ normals[best] - offsets[best]) <= threshold
-    return mask, int(counts[best])
+    top = int(np.argmax(counts))     # first maximum: the earliest candidate wins ties
+    mask = np.abs(pts @ normals[top] - offsets[top]) <= threshold
+    return mask, int(counts[top])

@@ -222,6 +222,15 @@ def _load_scene_manifest(path: Path) -> scene_mod.SceneManifest:
 
 
 def cmd_plane(args) -> int:
+    # The manifest is checked before any work, so a refused one leaves no
+    # flattened PLY or report behind.
+    manifest = plane_id = None
+    if args.add_to_manifest:
+        manifest = _load_scene_manifest(Path(args.add_to_manifest))
+        plane_id = args.plane_id or f"plane{len(manifest.planes)}"
+        if any(p.id == plane_id for p in manifest.planes):
+            raise CliError(EXIT_INPUT,
+                           f"plane id {plane_id!r} already in manifest")
     cloud = _read_cloud(Path(args.cloud))
     try:
         plane, inliers = fit_plane_ransac(cloud, seed=fork_seed(args.seed, "plane"))
@@ -242,16 +251,10 @@ def cmd_plane(args) -> int:
         write_ply(Path(args.flatten), flat, binary=True)
         report["flattened_ply"] = str(args.flatten)
         report["post_flatten_stddev_m"] = inlier_stddev(flat, plane, inliers)
-    if args.add_to_manifest:
-        manifest_path = Path(args.add_to_manifest)
-        manifest = _load_scene_manifest(manifest_path)
-        plane_id = args.plane_id or f"plane{len(manifest.planes)}"
-        if any(p.id == plane_id for p in manifest.planes):
-            raise CliError(EXIT_INPUT,
-                           f"plane id {plane_id!r} already in manifest")
+    if manifest is not None:
         manifest.planes.append(
             support_plane_from_inliers(plane_id, cloud, plane, inliers))
-        scene_mod.save_manifest(manifest_path, manifest)
+        scene_mod.save_manifest(Path(args.add_to_manifest), manifest)
         report["plane_id"] = plane_id
     if args.report:
         write_json(Path(args.report), report)

@@ -707,6 +707,29 @@ class TestPlaneCommand:
         assert run("plane", path) == 5
         assert "no plane with >= 50 inliers (best support: 30)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case, message", [
+        ("missing", "file not found"),
+        ("schema-99", "unsupported manifest schema version: 99"),
+        ("duplicate-id", "plane id 'table' already in manifest"),
+    ])
+    def test_refused_manifest_writes_nothing(self, table_ply, tmp_path, rng, capsys,
+                                             case, message):
+        from conftest import build_table_manifest
+
+        from panostitch.scene import save_manifest
+        manifest = tmp_path / "scene.json"
+        if case == "schema-99":
+            manifest.write_text('{"schema_version": 99}')
+        elif case == "duplicate-id":
+            save_manifest(manifest, build_table_manifest(rng))
+        before = manifest.read_bytes() if manifest.exists() else None
+        flat, report = tmp_path / "flat.ply", tmp_path / "plane.json"
+        assert run("plane", table_ply, "--flatten", flat, "--report", report,
+                   "--add-to-manifest", manifest, "--plane-id", "table") == 2
+        assert message in capsys.readouterr().err
+        assert not flat.exists() and not report.exists()
+        assert (manifest.read_bytes() if manifest.exists() else None) == before
+
 
 class TestPlaceCommand:
     @pytest.fixture

@@ -209,6 +209,31 @@ class _ScriptedTriples:
         return self.triples.copy()
 
 
+class _OrderedPool:
+    """Stands in for ThreadPoolExecutor in _plane_search: scores the chunks
+    one at a time, last chunk first when reverse, and keeps each chunk's
+    counts by its start."""
+
+    def __init__(self, reverse=False):
+        self.reverse = reverse
+        self.results = {}
+
+    def __call__(self, workers):
+        return self
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, starts):
+        starts = list(starts)
+        for start in (starts[::-1] if self.reverse else starts):
+            self.results[start] = fn(start)
+        return [self.results[start] for start in starts]
+
+
 class TestBestPlaneSupport:
     @pytest.fixture
     def small_budget(self, monkeypatch):
@@ -373,6 +398,104 @@ class TestBestPlaneSupport:
             self, small_budget, rng, monkeypatch, threads):
         monkeypatch.setenv("PANOSTITCH_THREADS", threads)
         self.check_earlier_chunk_tie(rng)
+
+    @staticmethod
+    def two_planes_over_three_blocks(rng):
+        """Three point blocks: a 5,000-point plane at z = 1, junk, then a
+        5,000-point plane at z = 0 that starts 904 points before the last
+        block, so after the second block its candidate has 904 inliers and
+        exactly 5,000 reachable. Candidate 3 (first chunk of 10) spans the
+        lower plane, candidate 25 (third chunk) the upper one, the rest
+        junk."""
+        b = _plane_search._POINT_BLOCK
+        n, c = 3 * b, b + 904
+        high = np.column_stack([rng.uniform(-1, 1, (c, 2)), np.ones(c)])
+        junk = rng.uniform(-3, 3, size=(n - 2 * c, 3)) + [0.0, 0.0, 10.0]
+        low = np.column_stack([rng.uniform(-1, 1, (c, 2)), np.zeros(c)])
+        triples = c + np.arange(30 * 3).reshape(30, 3)
+        triples[3] = n - c + np.arange(3)
+        triples[25] = np.arange(3)
+        return np.vstack([high, junk, low]), triples
+
+    def best_with_pool(self, monkeypatch, pts, triples, threshold, pool):
+        monkeypatch.setattr(_plane_search, "ThreadPoolExecutor", pool)
+        got = _plane_search.best_plane_support(pts, len(triples), threshold,
+                                               _ScriptedTriples(triples))
+        ref = reference_plane_support(pts, len(triples), threshold,
+                                      _ScriptedTriples(triples))
+        assert np.array_equal(got[0], ref[0]) and got[1] == ref[1]
+        return got
+
+    def test_tie_in_an_earlier_chunk_survives_a_later_chunk_finishing_first(
+            self, monkeypatch, rng):
+        # The last chunk finishes first with 5,000. The lower plane's
+        # candidate can then only just tie it, and a tie is kept scoring,
+        # so the earlier candidate still wins.
+        pts, triples = self.two_planes_over_three_blocks(rng)
+        monkeypatch.setattr(_plane_search, "_SCORE_BUDGET", 10 * len(pts))
+        pool = _OrderedPool(reverse=True)
+        mask, count = self.best_with_pool(monkeypatch, pts, triples, 0.01, pool)
+        assert count == 5000 and pool.results[20][5] == 5000
+        assert pool.results[0][3] == 5000
+        assert np.array_equal(np.flatnonzero(mask), np.arange(len(pts) - 5000, len(pts)))
+
+    def test_later_chunk_pruned_whole(self, monkeypatch, rng):
+        # In order, the first chunk finishes with 5,000; no junk candidate
+        # of the second chunk can reach it once two blocks are scored.
+        pts, triples = self.two_planes_over_three_blocks(rng)
+        monkeypatch.setattr(_plane_search, "_SCORE_BUDGET", 10 * len(pts))
+        pool = _OrderedPool()
+        mask, count = self.best_with_pool(monkeypatch, pts, triples, 0.01, pool)
+        assert count == 5000 and pool.results[0][3] == 5000
+        assert np.all(pool.results[10] == -1)
+        assert np.array_equal(np.flatnonzero(mask), np.arange(len(pts) - 5000, len(pts)))
+
+    def test_threshold_zero_chunk_down_to_one_survivor(self, monkeypatch):
+        # At threshold 0 a grid point on a tilted plane counts only when
+        # the product rounds its distance to exactly 0, which gemm does for
+        # the points kept below and a one-row product (gemv) need not.
+        # Candidate 0 spans 200 points at z = 20 exactly; candidate 7 spans
+        # 190 such grid points in the first block and 20 in the 20-point
+        # last block, so after the first block it is the only one of its
+        # chunk that can still reach 200, and it wins with its last block.
+        rng = np.random.default_rng(0)
+        b = _plane_search._POINT_BLOCK
+        i, j = rng.integers(-30, 31, (2, 20_000))
+        grid = np.round(np.column_stack([i, j, i + 2 * j]) * 0.1, 1)
+        a = grid[0]
+        normal = np.cross(grid[1] - a, grid[2] - a)
+        normal /= np.linalg.norm(normal)
+        offset = np.einsum("ij,ij->i", a[None], normal[None])[0]
+        exact = 3 + np.flatnonzero(
+            (grid[3:] @ np.stack([normal, [0.6, 0.8, 0.0]]).T)[:, 0] == offset)
+        table = np.column_stack([rng.uniform(-1, 1, (200, 2)), np.full(200, 20.0)])
+        junk = rng.uniform(-3, 3, size=(b - 3 - 200 - 190, 3)) + [0.0, 0.0, 40.0]
+        pts = np.vstack([grid[:3], table, grid[exact[:190]], junk, grid[exact[190:210]]])
+        assert len(pts) == b + 20
+        triples = 203 + 190 + np.arange(10 * 3).reshape(10, 3)
+        triples[0] = (3, 4, 5)
+        triples[7] = (0, 1, 2)
+        monkeypatch.setattr(_plane_search, "_SCORE_BUDGET", 5 * len(pts))
+        pool = _OrderedPool()
+        mask, count = self.best_with_pool(monkeypatch, pts, triples, 0.0, pool)
+        assert count >= 210 and pool.results[5][2] == count
+        assert pool.results[0][0] == 200
+
+    @pytest.mark.parametrize("threads", ["1", "2", "8"])
+    def test_table_scan_on_any_thread_count(self, monkeypatch, threads):
+        # Which candidates stop early depends on which chunks finish first.
+        monkeypatch.setenv("PANOSTITCH_THREADS", threads)
+        rng = np.random.default_rng(7)
+        n = 100_000
+        pts = np.column_stack([rng.uniform(-0.6, 0.6, n), rng.uniform(-0.4, 0.4, n),
+                               0.75 + rng.normal(0.0, 0.005, n)])
+        clutter = rng.random(n) < 0.25
+        pts[clutter] = rng.uniform((-0.6, -0.4, 0.75), (0.6, 0.4, 1.05),
+                                   size=(int(clutter.sum()), 3))
+        got = _plane_search.best_plane_support(pts, 1000, 0.01,
+                                               np.random.default_rng(4))
+        ref = reference_plane_support(pts, 1000, 0.01, np.random.default_rng(4))
+        assert np.array_equal(got[0], ref[0]) and got[1] == ref[1]
 
 
 class TestFlattenToPlane:

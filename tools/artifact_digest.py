@@ -12,11 +12,14 @@ exits non-zero unless that run writes the same bytes),
 calls on that plane, and `eval` of the synthesized episodes. A second
 `plane --flatten` runs on a cluttered 106,000-point table, where the
 plane search scores its 1,000 candidates in 27 chunks of 37 and one of
-a single candidate. Both `plane` steps run a second time with
-PANOSTITCH_THREADS=1 (the manifest restored first), and the script
-exits non-zero unless that run writes the same bytes. A labeled cloud
-(normals and room ids) is also written as ASCII PLY, read back and
-written as binary, so both directions of the ASCII codec are covered. `dtw.json` holds the `repr`
+a single candidate, and a candidate stops early once it cannot reach the
+count of a chunk that has finished, so which candidates stop depends on
+the thread count. Both `plane` steps run again with PANOSTITCH_THREADS=1
+and with PANOSTITCH_THREADS=8 (the manifest restored before each), and
+the script exits non-zero unless those runs write the same bytes. A
+labeled cloud (normals and room ids) is also written as ASCII PLY, read
+back and written as binary, so both directions of the ASCII codec are
+covered. `dtw.json` holds the `repr`
 of `dtw` and of `dtw(normalize=True)` over seeded float and
 integer-grid trajectory pairs, the grid ones full of equal-cost ties.
 Last, a two-room scene built with the library the way the benchmark
@@ -182,21 +185,23 @@ def run(*argv) -> None:
         raise SystemExit(f"panostitch {argv[0]} exited {code}")
 
 
-def run_plane_twice(cloud: Path, *argv, manifest: Path | None = None) -> None:
-    """`plane` on cloud, then again with PANOSTITCH_THREADS=1 into the same
-    paths (the manifest it adds to restored first); exits non-zero unless
-    the second run writes the same bytes."""
+def run_plane_threads(cloud: Path, *argv, manifest: Path | None = None) -> None:
+    """`plane` on cloud, then again with PANOSTITCH_THREADS=1 and =8 into
+    the same paths (the manifest it adds to restored before each); exits
+    non-zero unless every run writes the same bytes."""
     before = manifest.read_bytes() if manifest else None
     run("plane", cloud, *argv)
     outputs = [a for a in argv if isinstance(a, Path)]   # the files it writes
     first = [path.read_bytes() for path in outputs]
-    if manifest:
-        manifest.write_bytes(before)
-    with mock.patch.dict(os.environ, {"PANOSTITCH_THREADS": "1"}):   # restored after
-        run("plane", cloud, *argv)
-    for path, data in zip(outputs, first):
-        if path.read_bytes() != data:
-            raise SystemExit(f"plane output {path.name} differs at PANOSTITCH_THREADS=1")
+    for threads in ("1", "8"):
+        if manifest:
+            manifest.write_bytes(before)
+        with mock.patch.dict(os.environ, {"PANOSTITCH_THREADS": threads}):   # restored after
+            run("plane", cloud, *argv)
+        for path, data in zip(outputs, first):
+            if path.read_bytes() != data:
+                raise SystemExit(f"plane output {path.name} differs at "
+                                 f"PANOSTITCH_THREADS={threads}")
 
 
 def flow(out: Path) -> list[Path]:
@@ -225,12 +230,12 @@ def flow(out: Path) -> list[Path]:
             raise SystemExit(f"stitch_dense/{name} differs at PANOSTITCH_THREADS=1")
     scene = out / "stitch0" / "scene_manifest.json"
     write_ply(out / "table.ply", table_cloud(), binary=False)
-    run_plane_twice(out / "table.ply", "--flatten", out / "plane" / "flat.ply",
-                    "--report", out / "plane" / "report.json", "--add-to-manifest", scene,
-                    "--plane-id", "table", "--seed", 2, manifest=scene)
+    run_plane_threads(out / "table.ply", "--flatten", out / "plane" / "flat.ply",
+                      "--report", out / "plane" / "report.json", "--add-to-manifest", scene,
+                      "--plane-id", "table", "--seed", 2, manifest=scene)
     write_ply(out / "big_table.ply", cluttered_table(BIG_TABLE_POINTS, seed=3))
-    run_plane_twice(out / "big_table.ply", "--flatten", out / "plane" / "big_flat.ply",
-                    "--report", out / "plane" / "big_report.json", "--seed", 4)
+    run_plane_threads(out / "big_table.ply", "--flatten", out / "plane" / "big_flat.ply",
+                      "--report", out / "plane" / "big_report.json", "--seed", 4)
     for k, (asset, size) in enumerate(PLACES):
         dest = [] if k < 2 else ["--out", out / "place" / "placed.json"]
         run("place", scene, "--plane", "table", "--asset-id", asset,
