@@ -225,6 +225,8 @@ def cmd_plane(args) -> int:
     # The manifest is checked before any work, so a refused one leaves no
     # flattened PLY or report behind.
     manifest = plane_id = None
+    if args.plane_id is not None and not args.add_to_manifest:
+        raise CliError(EXIT_INPUT, "--plane-id needs --add-to-manifest")
     if args.add_to_manifest:
         manifest = _load_scene_manifest(Path(args.add_to_manifest))
         plane_id = args.plane_id or f"plane{len(manifest.planes)}"

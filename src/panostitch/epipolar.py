@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import check_rotation, check_unit
+from .geometry import check_rotation, check_unit, screened_le
 from .panorama import BearingMatchSet
 
 PARALLEL_RAY_TOL = 1e-8
@@ -124,30 +124,19 @@ def _support(E: np.ndarray, bb: np.ndarray, ba: np.ndarray,
 
     Residuals come from one matrix product per block of
     max(1, SUPPORT_BLOCK // n) hypotheses, R = E.reshape(-1, 9) @ M^T with
-    M[m, 3i + j] = bb[m, i] * ba[m, j], into one reused buffer. The product
-    rounds unlike the einsum, so an entry whose |R| lies within a band B of
-    the threshold, or is NaN, gets its bit from _nine_term_residuals.
-
-    The band: let S = sum_ij |bb_i| |E_ij| |ba_j| and u = 2^-53. At most
-    ten roundings touch any term: two products and eight additions in the
+    M[m, 3i + j] = bb[m, i] * ba[m, j], into one reused buffer, and |R|
+    screens the einsum (geometry.screened_le): entries within B of the
+    threshold, or NaN, get their bit from _nine_term_residuals. At most ten
+    roundings touch any term (two products and eight additions in the
     nine-term sum; M's entry, the product and eight additions in the gemm,
-    whatever its summation order and with or without FMA. So each value
-    lies within gamma_11 * S of the exact residual, gamma_k = k u / (1 - k u)
-    (Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1), and
-    the two lie within 2 gamma_11 * S of each other. By Cauchy-Schwarz,
-    S <= ||E_c||_F ||bb_m|| ||ba_m||. Hence
+    in any order, with or without FMA), and by Cauchy-Schwarz the terms'
+    magnitudes sum to at most ||E_c||_F ||bb_m|| ||ba_m||. Hence
 
         B = 4 gamma_11 max_c ||E_c||_F max_m(||bb_m|| ||ba_m||)
             + 64 * 2^-1074 * max(1, max_c ||E_c||_F, max_m ||ba_m||),
 
-    where the factor 4 leaves 2x slack for the rounded norms, B and
-    |R| - threshold. The last term covers underflow: a product that falls
-    below 2^-1022 is off by at most 2^-1075, times the factor applied after
-    it (an entry of E or of b_a). An entry with ||R| - threshold| > B thus
-    has the einsum's bit. Norms are taken with hypot, so they neither
-    underflow nor overflow. If a norm is 2^300 or more, or is not finite, a
-    product could overflow; B is then infinite and every entry is
-    recomputed.
+    the last term covering a product below 2^-1022, off by 2^-1075 at most,
+    times the factor applied after it (an entry of E or of b_a).
     """
     n = len(bb)
     # C order: from C-ordered bearings the product comes out F-ordered, and
@@ -164,19 +153,15 @@ def _support(E: np.ndarray, bb: np.ndarray, ba: np.ndarray,
     rows = max(1, SUPPORT_BLOCK // n)
     mask = np.empty((len(E), n), dtype=bool)
     res = np.empty((min(rows, len(E)), n))
-    sure = np.empty(res.shape, dtype=bool)
+    far = np.empty(res.shape, dtype=bool)
     for lo in range(0, len(E), rows):
         e = E[lo:lo + rows]
-        r, ok, m = res[:len(e)], sure[:len(e)], mask[lo:lo + len(e)]
+        r = res[:len(e)]
         np.matmul(e.reshape(-1, 9), MT, out=r)
         np.abs(r, out=r)
-        np.less_equal(r, threshold, out=m)
-        np.subtract(r, threshold, out=r)
-        np.abs(r, out=r)
-        np.greater(r, band, out=ok)   # False where R is NaN
-        if not ok.all():
-            c, k = np.nonzero(~ok)
-            m[c, k] = np.abs(_nine_term_residuals(e[c], bb[k], ba[k])) <= threshold
+        screened_le(r, threshold, band,
+                    lambda c, k: _nine_term_residuals(e[c], bb[k], ba[k]),
+                    mask[lo:lo + len(e)], far[:len(e)])
     return mask
 
 

@@ -445,6 +445,28 @@ class Aabb:
         return bool(np.all(self.min <= other.max) and np.all(other.min <= self.max))
 
 
+def screened_le(r: np.ndarray, threshold: float, band: float, exact,
+                out: np.ndarray, scratch: np.ndarray) -> None:
+    """out = |x| <= threshold for a 2-D array x of residuals defined by a
+    fixed-order formula, exact(rows, cols), given a screen r within `band`
+    of |x|: out = r <= threshold - band and scratch = r > threshold + band
+    come from the screen, and only the entries the two leave over (in the
+    band, or NaN) from exact, so no bit depends on how r was rounded. If
+    each term of r and x passes through at most k roundings, each lies
+    within gamma_k S of the exact value, S the sum of the terms' magnitudes
+    (Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1;
+    gamma_k = k u / (1 - k u), u = 2^-53). Callers take band = 4 gamma_k
+    times a bound on S from hypot norms (2x slack) plus an underflow term,
+    or inf (every entry to exact) once a norm is 2^300 or more or not
+    finite, as a product could then overflow.
+    """
+    np.less_equal(r, threshold - band, out=out)
+    np.greater(r, threshold + band, out=scratch)
+    if not np.logical_or(out, scratch, out=scratch).all():
+        rows, cols = np.nonzero(~scratch)
+        out[rows, cols] = np.abs(exact(rows, cols)) <= threshold
+
+
 # ---------------------------------------------------------------------------
 # Nearest-neighbor index
 # ---------------------------------------------------------------------------

@@ -730,6 +730,17 @@ class TestPlaneCommand:
         assert not flat.exists() and not report.exists()
         assert (manifest.read_bytes() if manifest.exists() else None) == before
 
+    def test_plane_id_without_manifest_exits_2_before_reading(self, table_ply, tmp_path,
+                                                              capsys, monkeypatch):
+        from panostitch import cli
+
+        monkeypatch.setattr(cli, "_read_cloud", lambda path: pytest.fail("cloud read"))
+        flat, report = tmp_path / "flat.ply", tmp_path / "plane.json"
+        assert run("plane", table_ply, "--flatten", flat, "--report", report,
+                   "--plane-id", "table") == 2
+        assert "--plane-id needs --add-to-manifest" in capsys.readouterr().err
+        assert not flat.exists() and not report.exists()
+
 
 class TestPlaceCommand:
     @pytest.fixture

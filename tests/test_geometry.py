@@ -7,7 +7,8 @@ from panostitch.geometry import (Aabb, GeometryError, Plane, PointCloud,
                                  PointIndex, RigidTransform, compose,
                                  fit_plane_lsq, is_rotation, pose_difference,
                                  quaternion_to_rotation, rot_z,
-                                 rotation_to_quaternion, voxel_downsample)
+                                 rotation_to_quaternion, screened_le,
+                                 voxel_downsample)
 
 from conftest import random_rotation, random_transform
 
@@ -222,6 +223,61 @@ class TestAabb:
     def test_min_must_not_exceed_max(self):
         with pytest.raises(GeometryError):
             Aabb((1, 0, 0), (0, 1, 1))
+
+
+class TestScreenedLe:
+    @staticmethod
+    def screen(r, threshold, band, exact_values):
+        """screened_le's bits and the (row, col) entries it sent to exact,
+        whose residuals are exact_values."""
+        r = np.atleast_2d(np.asarray(r, dtype=float))
+        asked = []
+
+        def exact(rows, cols):
+            asked.extend(zip(rows.tolist(), cols.tolist()))
+            return np.atleast_2d(exact_values)[rows, cols]
+
+        out, scratch = np.empty(r.shape, dtype=bool), np.empty(r.shape, dtype=bool)
+        screened_le(r, threshold, band, exact, out, scratch)
+        return out.tolist(), asked
+
+    def test_band_edges(self):
+        # threshold 1, band 0.25: the screen decides r <= 0.75 and r > 1.25,
+        # and the residual decides the closed band between (where each one
+        # here disagrees with the screen).
+        r = [0.5, 0.75, np.nextafter(0.75, 1.0), 1.0, 1.25, np.nextafter(1.25, 2.0)]
+        exact = [np.nan, np.nan, 2.0, -0.5, -1.0, np.nan]
+        out, asked = self.screen(r, 1.0, 0.25, exact)
+        assert out == [[True, True, False, True, True, False]]
+        assert asked == [(0, 2), (0, 3), (0, 4)]
+
+    def test_rows_and_columns_reach_exact(self):
+        r = [[0.0, 1.0, 3.0], [np.nan, 2.9, 1.1]]
+        exact = [[9.0, 0.5, 9.0], [-2.0, 9.0, 1.5]]
+        out, asked = self.screen(r, 1.0, 0.25, exact)
+        assert out == [[True, True, False], [False, False, False]]
+        assert asked == [(0, 1), (1, 0), (1, 2)]
+
+    def test_nan_goes_to_exact(self):
+        out, asked = self.screen([np.nan, 0.0, 5.0, np.nan], 1.0, 0.25,
+                                 [0.5, np.nan, np.nan, np.nan])
+        assert out == [[True, True, False, False]]
+        assert asked == [(0, 0), (0, 3)]
+
+    def test_infinite_band_sends_every_entry_to_exact(self):
+        out, asked = self.screen([0.0, 1.0, 1e300, np.inf], 1.0, np.inf,
+                                 [3.0, 1.0, -0.25, np.nan])
+        assert out == [[False, True, True, False]]
+        assert asked == [(0, 0), (0, 1), (0, 2), (0, 3)]
+
+    def test_zero_band_keeps_the_screen(self):
+        r = [0.0, 1.0, np.nextafter(1.0, 2.0), np.nan]
+        out, asked = self.screen(r, 1.0, 0.0, [np.nan, np.nan, np.nan, 0.0])
+        assert out == [[True, True, False, True]]
+        assert asked == [(0, 3)]
+        # At threshold 0, only r == 0 is in.
+        out, asked = self.screen([0.0, 5e-324], 0.0, 0.0, [np.nan, np.nan])
+        assert out == [[True, False]] and asked == []
 
 
 def test_pose_difference_zero_for_equal(rng):

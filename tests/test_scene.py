@@ -157,11 +157,9 @@ class TestFitPlaneRansac:
         np.testing.assert_array_equal(i1, i2)
 
 
-def reference_plane_support(pts, iterations, threshold, rng, axis=None,
-                            min_cos=0.0):
-    """The scorer before buffer reuse: each chunk of candidates scores the
-    (points x candidates) product and sums its inlier bools down axis 0.
-    best_plane_support must return the same mask and count."""
+def plane_candidates(pts, iterations, rng, axis=None, min_cos=0.0):
+    """(normals, offsets) of the valid candidates, drawn as
+    best_plane_support draws them, or None when there is none."""
     n = pts.shape[0]
     idx = _plane_search.sample_triples(rng, n, iterations)
     a = pts[idx[:, 0]]
@@ -176,13 +174,20 @@ def reference_plane_support(pts, iterations, threshold, rng, axis=None,
     if keep.size == 0:
         return None
     normals = normals[keep] / norms[keep, None]
-    offsets = np.einsum("ij,ij->i", pts[idx[keep, 0]], normals)
+    return normals, np.einsum("ij,ij->i", pts[idx[keep, 0]], normals)
 
+
+def product_plane_support(pts, normals, offsets, threshold):
+    """The scorer before the rounding band: each chunk of candidates scores
+    the (points x candidates) product and sums its inlier bools down axis 0,
+    and the winner's mask is the (points x normal) product. Its bits follow
+    whichever BLAS kernel each product's shape selects."""
+    n = pts.shape[0]
     chunk = max(1, _plane_search._SCORE_BUDGET // max(n, 1))
     best_count = -1
     best_normal = None
     best_offset = 0.0
-    for start in range(0, keep.size, chunk):
+    for start in range(0, len(normals), chunk):
         nc = normals[start:start + chunk]
         oc = offsets[start:start + chunk]
         dist = np.abs(pts @ nc.T - oc[None, :])
@@ -195,6 +200,27 @@ def reference_plane_support(pts, iterations, threshold, rng, axis=None,
 
     mask = np.abs(pts @ best_normal - best_offset) <= threshold
     return mask, best_count
+
+
+def reference_plane_support(pts, iterations, threshold, rng, axis=None,
+                            min_cos=0.0):
+    """Every candidate against every point by plane_residuals; the first
+    maximum wins. best_plane_support must return the same mask and count.
+    At a threshold above 0 (where no test puts a distance within the
+    rounding band) the product scorer must agree too, so masks away from
+    the band are those of the product."""
+    candidates = plane_candidates(pts, iterations, rng, axis, min_cos)
+    if candidates is None:
+        return None
+    normals, offsets = candidates
+    counts = [np.count_nonzero(np.abs(_plane_search.plane_residuals(pts, nrm, off))
+                               <= threshold) for nrm, off in zip(normals, offsets)]
+    top = int(np.argmax(counts))
+    mask = np.abs(_plane_search.plane_residuals(pts, normals[top], offsets[top])) <= threshold
+    if threshold > 0:
+        product_mask, product_count = product_plane_support(pts, normals, offsets, threshold)
+        assert np.array_equal(product_mask, mask) and product_count == counts[top]
+    return mask, counts[top]
 
 
 class _ScriptedTriples:
@@ -280,8 +306,8 @@ class TestBestPlaneSupport:
     @pytest.mark.parametrize("seed", range(5, 10))
     def test_lone_candidate_scores_like_reference(self, seed):
         # At threshold 0 the count is how many of the three sampled points
-        # land exactly on their own plane, which depends on the rounding
-        # of the one-candidate product.
+        # land exactly on their own plane by plane_residuals, whatever the
+        # one-candidate product rounds their distances to.
         pts = np.random.default_rng(seed).normal(size=(200, 3))
         got = _plane_search.best_plane_support(pts, 1, 0.0,
                                                np.random.default_rng(seed))
@@ -334,7 +360,7 @@ class TestBestPlaneSupport:
     def test_point_blocks_and_threads_match_reference(self, monkeypatch, threads, n):
         monkeypatch.setenv("PANOSTITCH_THREADS", threads)
         # 20 candidates per chunk: 101 draws make five full chunks and a
-        # last chunk of one candidate, scored by gemv.
+        # last chunk of one candidate, scored by a one-row product.
         monkeypatch.setattr(_plane_search, "_SCORE_BUDGET", 20 * n)
         pts = self.floor_and_wall(np.random.default_rng(n), n)
         got = _plane_search.best_plane_support(pts, 101, 0.01,
@@ -347,7 +373,7 @@ class TestBestPlaneSupport:
     def test_lone_candidate_across_point_blocks_and_threads(self, monkeypatch,
                                                             threads, seed):
         # As test_lone_candidate_scores_like_reference, over three point
-        # blocks; scoring these draws with gemm changes their count.
+        # blocks, each scored by a one-row product.
         monkeypatch.setenv("PANOSTITCH_THREADS", threads)
         n = 2 * _plane_search._POINT_BLOCK + 77
         pts = np.random.default_rng(seed).normal(size=(n, 3))
@@ -360,10 +386,9 @@ class TestBestPlaneSupport:
     @pytest.mark.parametrize("threads", ["1", "2", "8"])
     def test_one_point_tail_scores_like_reference(self, monkeypatch, threads, blocks):
         # A cloud one point past whole blocks. At threshold 0 a count is how
-        # many of its three points land exactly on their plane, so scoring
-        # the last point with another BLAS routine than the full product
-        # (gemv for a chunk, dot for a lone candidate) changes the counts
-        # of triples that hold it.
+        # many of its three points land exactly on their plane, and the last
+        # point is scored by a one-column product, which rounds unlike the
+        # full product, in the triples that hold it.
         monkeypatch.setenv("PANOSTITCH_THREADS", threads)
         n = blocks * _plane_search._POINT_BLOCK + 1
         rng = np.random.default_rng(blocks)
@@ -452,8 +477,8 @@ class TestBestPlaneSupport:
 
     def test_threshold_zero_chunk_down_to_one_survivor(self, monkeypatch):
         # At threshold 0 a grid point on a tilted plane counts only when
-        # the product rounds its distance to exactly 0, which gemm does for
-        # the points kept below and a one-row product (gemv) need not.
+        # plane_residuals gives exactly 0, as it does for the points kept
+        # below; the lone survivor is then scored by a one-row product.
         # Candidate 0 spans 200 points at z = 20 exactly; candidate 7 spans
         # 190 such grid points in the first block and 20 in the 20-point
         # last block, so after the first block it is the only one of its
@@ -466,8 +491,7 @@ class TestBestPlaneSupport:
         normal = np.cross(grid[1] - a, grid[2] - a)
         normal /= np.linalg.norm(normal)
         offset = np.einsum("ij,ij->i", a[None], normal[None])[0]
-        exact = 3 + np.flatnonzero(
-            (grid[3:] @ np.stack([normal, [0.6, 0.8, 0.0]]).T)[:, 0] == offset)
+        exact = 3 + np.flatnonzero(_plane_search.plane_residuals(grid[3:], normal, offset) == 0)
         table = np.column_stack([rng.uniform(-1, 1, (200, 2)), np.full(200, 20.0)])
         junk = rng.uniform(-3, 3, size=(b - 3 - 200 - 190, 3)) + [0.0, 0.0, 40.0]
         pts = np.vstack([grid[:3], table, grid[exact[:190]], junk, grid[exact[190:210]]])
@@ -496,6 +520,39 @@ class TestBestPlaneSupport:
                                                np.random.default_rng(4))
         ref = reference_plane_support(pts, 1000, 0.01, np.random.default_rng(4))
         assert np.array_equal(got[0], ref[0]) and got[1] == ref[1]
+
+    # 300 seeded 200-point normal clouds, 20 candidates each, at threshold 0:
+    # each candidate's count is how many of its own three points land
+    # exactly on its plane, where the product's rounding would decide.
+    NORMAL_CLOUD_SEEDS = range(300)
+
+    @staticmethod
+    def normal_cloud_support(seed):
+        pts = np.random.default_rng(seed).normal(size=(200, 3))
+        return _plane_search.best_plane_support(pts, 20, 0.0, np.random.default_rng(seed))
+
+    def test_count_is_the_mask_sum(self):
+        bad = []
+        for seed in self.NORMAL_CLOUD_SEEDS:
+            mask, count = self.normal_cloud_support(seed)
+            if np.count_nonzero(mask) != count:
+                bad.append(seed)
+        assert bad == []
+
+    def test_result_depends_on_no_chunk_size_or_thread_count(self, monkeypatch):
+        # Budgets of one candidate per chunk, of 7 and of all 20.
+        bad = []
+        for seed in self.NORMAL_CLOUD_SEEDS:
+            results = []
+            for budget in (1, 1400, 4_000_000):
+                for threads in ("1", "2"):
+                    monkeypatch.setattr(_plane_search, "_SCORE_BUDGET", budget)
+                    monkeypatch.setenv("PANOSTITCH_THREADS", threads)
+                    results.append(self.normal_cloud_support(seed))
+            mask, count = results[0]
+            if any(not np.array_equal(m, mask) or c != count for m, c in results[1:]):
+                bad.append(seed)
+        assert bad == []
 
 
 class TestFlattenToPlane:

@@ -11,12 +11,13 @@ exits non-zero unless that run writes the same bytes),
 `--add-to-manifest` (into the seed-0 scene manifest), three `place`
 calls on that plane, and `eval` of the synthesized episodes. A second
 `plane --flatten` runs on a cluttered 106,000-point table, where the
-plane search scores its 1,000 candidates in 27 chunks of 37 and one of
-a single candidate, and a candidate stops early once it cannot reach the
-count of a chunk that has finished, so which candidates stop depends on
-the thread count. Both `plane` steps run again with PANOSTITCH_THREADS=1
-and with PANOSTITCH_THREADS=8 (the manifest restored before each), and
-the script exits non-zero unless those runs write the same bytes. A
+plane search scores its candidates in chunks of 37, and a candidate
+stops early once it cannot reach the count of a chunk that has
+finished, so which candidates stop depends on the thread count. Both
+`plane` steps run again with PANOSTITCH_THREADS=1, with
+PANOSTITCH_THREADS=8 and with the plane search's _SCORE_BUDGET patched
+to one candidate per chunk (the manifest restored before each), and the
+script exits non-zero unless those runs write the same bytes. A
 labeled cloud (normals and room ids) is also written as ASCII PLY, read
 back and written as binary, so both directions of the ASCII codec are
 covered. `dtw.json` holds the `repr`
@@ -55,7 +56,7 @@ from unittest import mock
 
 import numpy as np
 
-from panostitch import cli
+from panostitch import _plane_search, cli
 from panostitch.geometry import PointCloud, RigidTransform, rot_z
 from panostitch.metrics import dtw
 from panostitch.ply import read_ply, write_ply
@@ -185,23 +186,29 @@ def run(*argv) -> None:
         raise SystemExit(f"panostitch {argv[0]} exited {code}")
 
 
-def run_plane_threads(cloud: Path, *argv, manifest: Path | None = None) -> None:
-    """`plane` on cloud, then again with PANOSTITCH_THREADS=1 and =8 into
-    the same paths (the manifest it adds to restored before each); exits
-    non-zero unless every run writes the same bytes."""
+def run_plane_variants(cloud: Path, *argv, manifest: Path | None = None) -> None:
+    """`plane` on cloud, then again with PANOSTITCH_THREADS=1 and =8 and
+    with _SCORE_BUDGET patched to one candidate per chunk, into the same
+    paths (the manifest it adds to restored before each); exits non-zero
+    unless every run writes the same bytes."""
     before = manifest.read_bytes() if manifest else None
     run("plane", cloud, *argv)
     outputs = [a for a in argv if isinstance(a, Path)]   # the files it writes
     first = [path.read_bytes() for path in outputs]
-    for threads in ("1", "8"):
+    # Each patch is undone when its run ends.
+    variants = [(f"PANOSTITCH_THREADS={threads}",
+                 mock.patch.dict(os.environ, {"PANOSTITCH_THREADS": threads}))
+                for threads in ("1", "8")]
+    variants.append(("one candidate per chunk",
+                     mock.patch.object(_plane_search, "_SCORE_BUDGET", 1)))
+    for label, patch in variants:
         if manifest:
             manifest.write_bytes(before)
-        with mock.patch.dict(os.environ, {"PANOSTITCH_THREADS": threads}):   # restored after
+        with patch:
             run("plane", cloud, *argv)
         for path, data in zip(outputs, first):
             if path.read_bytes() != data:
-                raise SystemExit(f"plane output {path.name} differs at "
-                                 f"PANOSTITCH_THREADS={threads}")
+                raise SystemExit(f"plane output {path.name} differs at {label}")
 
 
 def flow(out: Path) -> list[Path]:
@@ -230,12 +237,12 @@ def flow(out: Path) -> list[Path]:
             raise SystemExit(f"stitch_dense/{name} differs at PANOSTITCH_THREADS=1")
     scene = out / "stitch0" / "scene_manifest.json"
     write_ply(out / "table.ply", table_cloud(), binary=False)
-    run_plane_threads(out / "table.ply", "--flatten", out / "plane" / "flat.ply",
-                      "--report", out / "plane" / "report.json", "--add-to-manifest", scene,
-                      "--plane-id", "table", "--seed", 2, manifest=scene)
+    run_plane_variants(out / "table.ply", "--flatten", out / "plane" / "flat.ply",
+                       "--report", out / "plane" / "report.json", "--add-to-manifest", scene,
+                       "--plane-id", "table", "--seed", 2, manifest=scene)
     write_ply(out / "big_table.ply", cluttered_table(BIG_TABLE_POINTS, seed=3))
-    run_plane_threads(out / "big_table.ply", "--flatten", out / "plane" / "big_flat.ply",
-                      "--report", out / "plane" / "big_report.json", "--seed", 4)
+    run_plane_variants(out / "big_table.ply", "--flatten", out / "plane" / "big_flat.ply",
+                       "--report", out / "plane" / "big_report.json", "--seed", 4)
     for k, (asset, size) in enumerate(PLACES):
         dest = [] if k < 2 else ["--out", out / "place" / "placed.json"]
         run("place", scene, "--plane", "table", "--asset-id", asset,
