@@ -32,7 +32,7 @@ from . import scene as scene_mod
 from ._atomic import write_atomic, write_json
 from .epipolar import CheiralityError, EstimationError, RansacConfig
 from .geometry import (Aabb, GeometryError, PointCloud, RigidTransform, from_json,
-                       is_json, rot_z, worker_count)
+                       is_json, rot_z, thread_count)
 from .icp import IcpConfig, IcpError
 from .metrics import (MetricError, generalization_report, parse_tier,
                       read_episode_csv, read_rates_csv, simreal_correlation,
@@ -67,8 +67,6 @@ def _log(stage: str, event: str, **fields) -> None:
 
 
 def _load_json(path: Path, what: str, keys: tuple[str, ...]) -> dict:
-    if not path.exists():
-        raise CliError(EXIT_INPUT, f"file not found: {path}")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -83,8 +81,6 @@ def _load_json(path: Path, what: str, keys: tuple[str, ...]) -> dict:
 
 
 def _read_cloud(path: Path) -> PointCloud:
-    if not path.exists():
-        raise CliError(EXIT_INPUT, f"file not found: {path}")
     try:
         cloud, _ = read_ply(path)
     except PlyError as e:
@@ -148,6 +144,11 @@ def cmd_stitch(args) -> int:
             rooms, [(p.room_a, p.room_b) for p in pairs], root)
     except SceneGraphError as e:
         raise CliError(EXIT_GRAPH, str(e)) from e
+    for p in pairs:
+        for rid, path in ((p.room_a, base / p.cloud_a), (p.room_b, base / p.cloud_b)):
+            if path != rooms[rid]:
+                raise CliError(EXIT_INPUT, f"room {rid!r} has two cloud files: "
+                                           f"{rooms[rid]} and {path}")
 
     clouds = {rid: _read_cloud(path) for rid, path in rooms.items()}
     registrations = []
@@ -192,9 +193,6 @@ def cmd_stitch(args) -> int:
          points=len(merged.cloud),
          elapsed_s=round(time.perf_counter() - t0, 4))
 
-    for room in manifest.rooms:
-        room.local_to_world = merged.world_transforms[room.id]
-
     write_ply(out_dir / "merged.ply", merged.cloud, binary=True,
               room_ids=merged.room_ids)
     scene_mod.save_manifest(out_dir / "scene_manifest.json", manifest)
@@ -213,8 +211,6 @@ def cmd_stitch(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _load_scene_manifest(path: Path) -> scene_mod.SceneManifest:
-    if not path.exists():
-        raise CliError(EXIT_INPUT, f"file not found: {path}")
     try:
         return scene_mod.load_manifest(path)
     except (ManifestError, json.JSONDecodeError, ValueError) as e:
@@ -301,8 +297,6 @@ def cmd_eval(args) -> int:
     if args.episodes:
         try:
             episodes = read_episode_csv(Path(args.episodes))
-        except FileNotFoundError:
-            raise CliError(EXIT_INPUT, f"file not found: {args.episodes}") from None
         except MetricError as e:
             raise CliError(EXIT_INPUT, f"{args.episodes}: {e}") from e
         report = generalization_report(episodes)
@@ -319,8 +313,6 @@ def cmd_eval(args) -> int:
     if args.correlate:
         try:
             entries = read_rates_csv(Path(args.correlate))
-        except FileNotFoundError:
-            raise CliError(EXIT_INPUT, f"file not found: {args.correlate}") from None
         except MetricError as e:
             raise CliError(EXIT_INPUT, f"{args.correlate}: {e}") from e
         try:
@@ -377,6 +369,8 @@ def cmd_synth(args) -> int:
     seed = args.seed if args.seed is not None else config.get("seed", 0)
     if not is_json(seed, int):
         raise CliError(EXIT_INPUT, f"bad synth config: seed must be an integer, got {seed!r}")
+    if seed < 0:
+        raise CliError(EXIT_INPUT, f"bad synth config: seed must be >= 0, got {seed}")
 
     if "scene" not in config and "episodes" not in config:
         raise CliError(EXIT_INPUT, "synth config needs 'scene' and/or 'episodes'")
@@ -436,6 +430,14 @@ def cmd_synth(args) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
+def non_negative_int(text: str) -> int:
+    """argparse type of every --seed; a negative value exits 2."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 @functools.cache   # one parser per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -447,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stitch", help="register and merge rooms per a manifest")
     p.add_argument("manifest", help="stitch manifest JSON")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.set_defaults(func=cmd_stitch)
 
     p = sub.add_parser("plane", help="fit a support plane to a cloud")
@@ -458,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="register the plane in this scene manifest")
     p.add_argument("--plane-id", dest="plane_id",
                    help="id for --add-to-manifest (default: plane<N>)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.set_defaults(func=cmd_plane)
 
     p = sub.add_parser("place", help="place an asset on a support plane")
@@ -471,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
                    dest="aabb_max", metavar=("X", "Y", "Z"))
     p.add_argument("--label", default="")
     p.add_argument("--out", help="write updated manifest here (default: in place)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.set_defaults(func=cmd_place)
 
     p = sub.add_parser("eval", help="episode reports and sim-real correlation")
@@ -484,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate synthetic scenes and episodes")
     p.add_argument("config", help="synth config JSON")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=non_negative_int, default=None)
     p.set_defaults(func=cmd_synth)
 
     return parser
@@ -494,10 +496,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         try:
-            worker_count()
+            thread_count()
         except ValueError as e:
             raise CliError(EXIT_INPUT, str(e)) from e
-        return args.func(args)
+        try:
+            return args.func(args)
+        except FileNotFoundError as e:
+            raise CliError(EXIT_INPUT, f"file not found: {e.filename}") from e
     except CliError as e:
         _log(args.command, "error", code=e.code, message=str(e))
         print(f"error: {e}", file=sys.stderr)

@@ -471,23 +471,18 @@ def screened_le(r: np.ndarray, threshold: float, band: float, exact,
 # Nearest-neighbor index
 # ---------------------------------------------------------------------------
 
-def worker_count() -> int:
-    """Threads for batched nearest-neighbor queries: the PANOSTITCH_THREADS
-    cap (a positive decimal integer), or -1 (every CPU) when it is unset or
-    empty; any other value raises ValueError. Results do not depend on it."""
+def thread_count() -> int:
+    """Threads for the parallel stages (KD-tree queries, normal blocks,
+    plane search): the PANOSTITCH_THREADS cap (a positive decimal
+    integer), or the number of CPUs this process may run on when it is
+    unset or empty; any other value raises ValueError. Results do not
+    depend on it."""
     cap = os.environ.get("PANOSTITCH_THREADS")
     if not cap:
-        return -1
+        return len(os.sched_getaffinity(0))
     if not (cap.isascii() and cap.isdigit() and int(cap) > 0):
         raise ValueError(f"PANOSTITCH_THREADS must be a positive integer, got {cap!r}")
     return int(cap)
-
-
-def thread_count() -> int:
-    """worker_count() as a number of threads: -1 becomes the number of
-    CPUs this process may run on."""
-    workers = worker_count()
-    return workers if workers > 0 else len(os.sched_getaffinity(0))
 
 
 @dataclass
@@ -530,10 +525,10 @@ class PointIndex:
     def knn(self, qs, k: int, *, serial: bool = False
             ) -> tuple[np.ndarray, np.ndarray]:
         """k nearest neighbors per query point: (indices, distances), each
-        (N, k), or (N,) at k = 1. Runs on worker_count() threads, or on
+        (N, k), or (N,) at k = 1. Runs on thread_count() threads, or on
         the calling thread alone when serial (a caller that runs its own
         thread pool). Results do not depend on the thread count."""
         qs = as_points(qs)
-        workers = 1 if serial else worker_count()
+        workers = 1 if serial else thread_count()
         dist, idx = self._tree.query(qs, k=k, workers=workers)
         return np.asarray(idx, dtype=np.int64), np.asarray(dist, dtype=np.float64)

@@ -185,13 +185,14 @@ def spanning_tree_order(room_ids, edges, root: str) -> list[tuple[int, str, str,
     return order
 
 
-def resolve_world_transforms(manifest: SceneManifest) -> dict[str, RigidTransform]:
-    """World pose per room from the pairwise registration tree.
+def merge_rooms(manifest: SceneManifest) -> MergeResult:
+    """Concatenate room clouds in the unified frame, labeling each point
+    with its source room, and set each room's local_to_world.
 
     For a pair (a, b) with transform T mapping a-frame into b-frame,
     world(b) = world(a) o T^-1, which keeps the tree-exactness identity
-    world(b)^-1 o world(a) = T. Poses compose along spanning_tree_order,
-    which raises on a cycle or an unreachable room.
+    world(b)^-1 o world(a) = T. Poses compose from the root room along
+    spanning_tree_order, which raises on a cycle or an unreachable room.
     """
     if not manifest.rooms:
         raise SceneGraphError("manifest has no rooms")
@@ -204,13 +205,6 @@ def resolve_world_transforms(manifest: SceneManifest) -> dict[str, RigidTransfor
         # forward: cur == room_a, T: cur -> other; world(other) = world(cur) o T^-1
         T = regs[k].T_fine
         world[other] = compose(world[cur], T.inverse() if forward else T)
-    return world
-
-
-def merge_rooms(manifest: SceneManifest) -> MergeResult:
-    """Concatenate room clouds in the unified frame, labeling each point
-    with its source room."""
-    world = resolve_world_transforms(manifest)
     parts = []
     labels = []
     for i, room in enumerate(manifest.rooms):
@@ -219,6 +213,8 @@ def merge_rooms(manifest: SceneManifest) -> MergeResult:
         moved = room.cloud.transformed(world[room.id])
         parts.append(moved.points)
         labels.append(np.full(len(moved), i, dtype=np.int64))
+    for room in manifest.rooms:   # set last: a refused manifest keeps its poses
+        room.local_to_world = world[room.id]
     merged = PointCloud(np.vstack(parts))
     return MergeResult(cloud=merged, room_ids=np.concatenate(labels),
                        world_transforms=world)

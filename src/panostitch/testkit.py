@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import PointCloud, RigidTransform, compose, rot_z
+from .geometry import PointCloud, RigidTransform, rot_z
 from .metrics import EpisodeRecord, Tier
 from .panorama import PanoramaSpec, bearing_to_pixel
 from .epipolar import RelativePose
@@ -230,18 +230,6 @@ def synth_room_pair(cfg: SynthSceneConfig) -> SynthRoomPair:
         gravity_a=np.array([0.0, 0.0, -1.0]),
         camera_height=cfg.camera_height,
     )
-
-
-def chain_room_poses(pair_poses: list[RigidTransform]) -> list[RigidTransform]:
-    """World pose of each room in a chain given frame-to-frame gt maps.
-
-    pair_poses[i] maps room i's frame into room i+1's frame; room 0 is
-    the world. Mirrors what merge_rooms should reconstruct.
-    """
-    world = [RigidTransform.identity()]
-    for T in pair_poses:
-        world.append(compose(world[-1], T.inverse()))
-    return world
 
 
 # ---------------------------------------------------------------------------

@@ -361,6 +361,20 @@ class TestStitchCommand:
         assert run("stitch", bad, "--out", tmp_path / "o") == 3
         assert "cycle" in capsys.readouterr().err
 
+    def test_room_with_two_cloud_files_exits_2(self, synth_dir, tmp_path, capsys):
+        pair = dict(json.loads(
+            (synth_dir / "stitch_manifest.json").read_text())["pairs"][0])
+        # room_b is room_b.ply in the first pair and room_a.ply in the second.
+        other = {**pair, "room_a": "room_b", "room_b": "room_c"}
+        bad = tmp_path / "two_clouds.json"
+        bad.write_text(json.dumps({"root_room": "room_a", "pairs": [pair, other]}))
+        for name in ("matches.json", "room_a.ply", "room_b.ply"):
+            shutil.copy(synth_dir / name, tmp_path / name)
+        assert run("stitch", bad, "--out", tmp_path / "o") == 2
+        assert (f"room 'room_b' has two cloud files: {tmp_path / 'room_b.ply'} "
+                f"and {tmp_path / 'room_a.ply'}") in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("shape", ["cycle", "disconnected"])
     def test_graph_checked_before_clouds_are_read(self, synth_dir, tmp_path,
                                                    capsys, shape):
@@ -891,6 +905,61 @@ class TestEvalCommand:
 
     def test_no_inputs_exits_2(self):
         assert run("eval") == 2
+
+
+@pytest.mark.parametrize("case", ["stitch", "plane", "place", "synth-flag",
+                                  "synth-episodes", "synth-scene"])
+def test_negative_seed_exits_2(synth_dir, tmp_path, rng, capsys, case):
+    from conftest import build_table_manifest
+
+    from panostitch.scene import save_manifest
+    scene = tmp_path / "scene.json"
+    save_manifest(scene, build_table_manifest(rng))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "seed": 0 if case == "synth-flag" else -1,
+        **({"scene": {}} if case == "synth-scene" else {"episodes": [EPISODE]})}))
+    out = tmp_path / "o"
+    argv = {
+        "stitch": ["stitch", synth_dir / "stitch_manifest.json", "--out", out,
+                   "--seed", -1],
+        "plane": ["plane", synth_dir / "room_a.ply", "--seed", -1],
+        "place": ["place", scene, "--plane", "table", "--asset-id", "mug",
+                  "--aabb-min", 0, 0, 0, "--aabb-max", 0.1, 0.1, 0.1, "--seed", -1],
+        "synth-flag": ["synth", config, "--out", out, "--seed", -1],
+        "synth-episodes": ["synth", config, "--out", out],
+        "synth-scene": ["synth", config, "--out", out],
+    }[case]
+    try:
+        code = run(*argv)
+    except SystemExit as e:   # argparse refuses the value
+        code = e.code
+    assert code == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["stitch", "synth", "plane", "plane-manifest", "place",
+                                  "eval-episodes", "eval-correlate"])
+def test_missing_input_exits_2(tmp_path, capsys, case):
+    missing = tmp_path / "missing"
+    cloud = tmp_path / "cloud.ply"
+    write_ply(cloud, PointCloud(np.eye(3)))
+    argv = {
+        "stitch": ["stitch", missing, "--out", tmp_path / "o"],
+        "synth": ["synth", missing, "--out", tmp_path / "o"],
+        "plane": ["plane", missing],
+        "plane-manifest": ["plane", cloud, "--add-to-manifest", missing],
+        "place": ["place", missing, "--plane", "table", "--asset-id", "mug",
+                  "--aabb-min", 0, 0, 0, "--aabb-max", 0.1, 0.1, 0.1],
+        "eval-episodes": ["eval", "--episodes", missing],
+        "eval-correlate": ["eval", "--correlate", missing],
+    }[case]
+    assert run(*argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert json.loads(err[0]) == {"stage": argv[0], "event": "error", "code": 2,
+                                  "message": f"file not found: {missing}"}
+    assert err[1] == f"error: file not found: {missing}"
 
 
 class TestThreadsVariable:

@@ -6,8 +6,7 @@ import pytest
 
 from panostitch.geometry import (PointCloud, PointIndex, RigidTransform,
                                  compose, pose_difference, rotation_exp,
-                                 rotation_from_axis_angle, thread_count,
-                                 worker_count)
+                                 rotation_from_axis_angle, thread_count)
 from panostitch.icp import (IcpConfig, IcpError, IcpResult,
                             correspondence_error, correspondence_gradient,
                             estimate_normals, eval_icp_error,
@@ -733,19 +732,17 @@ class TestNearestCache:
 class TestWorkerCount:
     def test_unset_or_empty_uses_every_cpu(self, monkeypatch):
         monkeypatch.delenv("PANOSTITCH_THREADS", raising=False)
-        assert worker_count() == -1
+        assert thread_count() == len(os.sched_getaffinity(0))
         monkeypatch.setenv("PANOSTITCH_THREADS", "")
-        assert worker_count() == -1
+        assert thread_count() == len(os.sched_getaffinity(0))
 
     def test_positive_integer_is_the_cap(self, monkeypatch):
         monkeypatch.setenv("PANOSTITCH_THREADS", "2")
-        assert worker_count() == 2
+        assert thread_count() == 2
 
     @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5", " 2"])
     def test_rejects_other_values(self, monkeypatch, value):
         monkeypatch.setenv("PANOSTITCH_THREADS", value)
-        with pytest.raises(ValueError, match="PANOSTITCH_THREADS"):
-            worker_count()
         with pytest.raises(ValueError, match="PANOSTITCH_THREADS"):
             thread_count()
 

@@ -11,7 +11,7 @@ from panostitch.scene import (AssetInstance, ManifestError, PairRegistration,
                               manifest_from_dict, manifest_to_dict, merge_rooms,
                               overlap_rms, place_asset, save_manifest)
 from panostitch import _plane_search
-from panostitch.testkit import SynthSceneConfig, chain_room_poses, synth_room_pair
+from panostitch.testkit import SynthSceneConfig, synth_room_pair
 
 from conftest import build_table_manifest as make_table_manifest, random_transform
 
@@ -35,6 +35,29 @@ def two_room_manifest():
     return manifest, pair
 
 
+def chain_manifest(rng):
+    """Rooms a - b - c, each pair mapping the first room's frame into the
+    second's."""
+    clouds = [PointCloud(rng.normal(size=(20, 3))) for _ in range(3)]
+    T_ab = random_transform(rng)   # frame a -> frame b
+    T_bc = random_transform(rng)
+    return SceneManifest(
+        rooms=[RoomNode(id=n, cloud=c) for n, c in zip("abc", clouds)],
+        pair_registrations=[PairRegistration("a", "b", T_ab, T_ab),
+                            PairRegistration("b", "c", T_bc, T_bc)],
+        root_room="a")
+
+
+def tree_manifest(rng):
+    """Rooms a - b - c - d, with pair (c, b) pointing against the walk."""
+    clouds = {n: PointCloud(rng.normal(size=(10, 3))) for n in "abcd"}
+    regs = [PairRegistration(a, b, random_transform(rng), random_transform(rng))
+            for a, b in (("a", "b"), ("c", "b"), ("c", "d"))]
+    return SceneManifest(
+        rooms=[RoomNode(id=n, cloud=c) for n, c in clouds.items()],
+        pair_registrations=regs, root_room="a")
+
+
 class TestMergeRooms:
     def test_single_room_unchanged(self, rng):
         cloud = PointCloud(rng.normal(size=(50, 3)))
@@ -56,42 +79,35 @@ class TestMergeRooms:
         assert overlap_rms(cloud_a_world, cloud_b_world) < 0.02
 
     def test_chain_composition(self, rng):
-        clouds = [PointCloud(rng.normal(size=(20, 3))) for _ in range(3)]
-        T_ab = random_transform(rng)   # frame a -> frame b
-        T_bc = random_transform(rng)
-        manifest = SceneManifest(
-            rooms=[RoomNode(id=n, cloud=c) for n, c in zip("abc", clouds)],
-            pair_registrations=[PairRegistration("a", "b", T_ab, T_ab),
-                                PairRegistration("b", "c", T_bc, T_bc)],
-            root_room="a")
+        manifest = chain_manifest(rng)
+        T_ab, T_bc = (reg.T_fine for reg in manifest.pair_registrations)
         merged = merge_rooms(manifest)
         expected_c = compose(T_ab.inverse(), T_bc.inverse())
         rot, trans = pose_difference(merged.world_transforms["c"], expected_c)
         assert rot < 1e-12 and trans < 1e-12
-        # Independent chain oracle agrees.
-        worlds = chain_room_poses([T_ab, T_bc])
-        for name, expected in zip("abc", worlds):
+        worlds = {"a": RigidTransform.identity(), "b": T_ab.inverse(), "c": expected_c}
+        for name, expected in worlds.items():
             np.testing.assert_allclose(merged.world_transforms[name].matrix(),
                                        expected.matrix(), atol=1e-12)
 
     def test_tree_exactness_invariant(self, rng):
-        clouds = {n: PointCloud(rng.normal(size=(10, 3))) for n in "abcd"}
-        regs = [PairRegistration("a", "b", random_transform(rng),
-                                 random_transform(rng)),
-                PairRegistration("c", "b", random_transform(rng),
-                                 random_transform(rng)),
-                PairRegistration("c", "d", random_transform(rng),
-                                 random_transform(rng))]
-        manifest = SceneManifest(
-            rooms=[RoomNode(id=n, cloud=c) for n, c in clouds.items()],
-            pair_registrations=regs, root_room="a")
+        manifest = tree_manifest(rng)
         merged = merge_rooms(manifest)
-        for reg in regs:
+        for reg in manifest.pair_registrations:
             w_a = merged.world_transforms[reg.room_a]
             w_b = merged.world_transforms[reg.room_b]
             recovered = compose(w_b.inverse(), w_a)
             np.testing.assert_allclose(recovered.matrix(), reg.T_fine.matrix(),
                                        atol=1e-9)
+
+    @pytest.mark.parametrize("build", [chain_manifest, tree_manifest],
+                             ids=["chain", "tree"])
+    def test_sets_each_room_local_to_world(self, rng, build):
+        manifest = build(rng)
+        merged = merge_rooms(manifest)
+        for room in manifest.rooms:
+            np.testing.assert_array_equal(room.local_to_world.matrix(),
+                                          merged.world_transforms[room.id].matrix())
 
     def test_disconnected_graph(self, rng):
         manifest = SceneManifest(
