@@ -2,6 +2,8 @@
 
 Candidate triples are drawn and scored in batches so the search cost is
 a handful of matrix products instead of one numpy call per iteration.
+Their sampler, sample_distinct, also draws the essential-matrix RANSAC's
+8-match samples.
 Results are a pure function of (points, config, rng state).
 
 Candidate (n, d) holds point p when |plane_residuals(p, n, d)| <=
@@ -44,20 +46,28 @@ _SCORE_BUDGET = 4_000_000
 _POINT_BLOCK = 4096
 
 
-def sample_triples(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
-    """(count, 3) index triples with distinct entries per row."""
+def sample_distinct(rng: np.random.Generator, n: int, count: int, k: int) -> np.ndarray:
+    """(count, k) indices into range(n), k <= n, distinct within each row.
+
+    For n <= 64 each row is the first k entries of the argsort of n
+    uniform keys, a random permutation. Above 64 the rows come from one
+    rng.integers draw, and the rows that hold a repeated index are drawn
+    again, together and in row order, until none does.
+    """
     if n <= 64:
-        # Exact distinct sampling via per-row random permutation order.
-        keys = rng.random((count, n))
-        return np.argsort(keys, axis=1)[:, :3]
-    idx = rng.integers(0, n, size=(count, 3))
-    bad = ((idx[:, 0] == idx[:, 1]) | (idx[:, 0] == idx[:, 2])
-           | (idx[:, 1] == idx[:, 2]))
-    while np.any(bad):
-        idx[bad] = rng.integers(0, n, size=(int(bad.sum()), 3))
-        bad = ((idx[:, 0] == idx[:, 1]) | (idx[:, 0] == idx[:, 2])
-               | (idx[:, 1] == idx[:, 2]))
+        return np.argsort(rng.random((count, n)), axis=1)[:, :k]
+    idx = rng.integers(0, n, size=(count, k))
+    rows = np.flatnonzero(_has_repeat(idx))
+    while rows.size:
+        idx[rows] = rng.integers(0, n, size=(rows.size, k))
+        rows = rows[_has_repeat(idx[rows])]
     return idx
+
+
+def _has_repeat(idx: np.ndarray) -> np.ndarray:
+    """Whether each row of idx holds some index twice."""
+    s = np.sort(idx, axis=1)
+    return (s[:, 1:] == s[:, :-1]).any(axis=1)
 
 
 def plane_residuals(p: np.ndarray, n: np.ndarray, d) -> np.ndarray:
@@ -79,7 +89,7 @@ def best_plane_support(pts: np.ndarray, iterations: int, threshold: float,
     every point with plane_residuals (see the module docstring).
     """
     n = pts.shape[0]
-    idx = sample_triples(rng, n, iterations)
+    idx = sample_distinct(rng, n, iterations, 3)
     a = pts[idx[:, 0]]
     normals = np.cross(pts[idx[:, 1]] - a, pts[idx[:, 2]] - a)
     norms = np.linalg.norm(normals, axis=1)

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._plane_search import sample_distinct
 from .geometry import check_rotation, check_unit, screened_le
 from .panorama import BearingMatchSet
 
@@ -87,13 +88,22 @@ def _eight_point(sa: np.ndarray, sb: np.ndarray) -> tuple[np.ndarray, np.ndarray
     Returns (E, valid): E of shape (C, 3, 3) projected onto the essential
     manifold (singular values (1, 1, 0), Frobenius norm sqrt(2)), and
     valid False where a sample does not constrain all 8 degrees of
-    freedom.
+    freedom. For minimal samples (m = 8) the null vector of the 8 x 9
+    system A is the last column of Q in a complete QR of A^T, and a sample
+    is valid when min |diag R| >= 1e-12 (Hartley & Zisserman ch. 11). For
+    m > 8 it is the last right singular vector of a thin SVD of A, valid
+    when the 8th singular value is >= 1e-12.
     """
     # Row for pair i is outer(b_b, b_a) flattened row-major, matching E.ravel().
     A = np.einsum("cni,cnj->cnij", sb, sa).reshape(sa.shape[0], sa.shape[1], 9)
-    _, s, vt = np.linalg.svd(A)
-    valid = s[:, 7] >= 1e-12
-    E = vt[:, -1].reshape(-1, 3, 3)
+    if A.shape[1] == 8:
+        q, r = np.linalg.qr(A.transpose(0, 2, 1), mode="complete")
+        valid = np.abs(np.diagonal(r, axis1=1, axis2=2)).min(axis=1) >= 1e-12
+        E = q[:, :, -1].reshape(-1, 3, 3)
+    else:
+        _, s, vt = np.linalg.svd(A, full_matrices=False)
+        valid = s[:, 7] >= 1e-12
+        E = vt[:, -1].reshape(-1, 3, 3)
     u3, _, v3 = np.linalg.svd(E)
     E = u3 @ np.diag([1.0, 1.0, 0.0])[None, :, :] @ v3
     return E, valid
@@ -174,9 +184,12 @@ def estimate_essential(matches: BearingMatchSet, cfg: RansacConfig = RansacConfi
     is re-evaluated against the refit model so every reported inlier
     respects cfg.threshold. Identical (matches, cfg, seed) inputs always
     reproduce the same result. A low_confidence flag marks best models
-    supported by under 30% of the matches. Candidates are drawn and
-    solved in batches of _RANSAC_BATCH and scored by _support, whose masks
-    have the einsum's bits; the result is a pure function of the seed.
+    supported by under 30% of the matches. Candidates are drawn, solved
+    and scored in batches of _RANSAC_BATCH: each batch draws its samples
+    of 8 distinct match indices with _plane_search.sample_distinct (one
+    integer draw per batch, rows holding a repeat drawn again), solves
+    them by QR in _eight_point and scores them with _support, whose masks
+    have the einsum's bits. The result is a pure function of the seed.
     """
     ba, bb = matches.bearings_a, matches.bearings_b
     n = len(matches)
@@ -190,10 +203,7 @@ def estimate_essential(matches: BearingMatchSet, cfg: RansacConfig = RansacConfi
     while done < cfg.iterations:
         count = min(_RANSAC_BATCH, cfg.iterations - done)
         done += count
-        # Distinct indices per sample via the 8 smallest of n random keys
-        # (kth=7 places the 8 smallest in the leading positions).
-        keys = rng.random((count, n))
-        idx = np.argpartition(keys, 7, axis=1)[:, :8]
+        idx = sample_distinct(rng, n, count, 8)
         E, valid = _eight_point(ba[idx], bb[idx])
         support = _support(E, bb, ba, cfg.threshold)
         counts = np.count_nonzero(support, axis=1)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from panostitch import epipolar as epipolar_mod
+from panostitch._plane_search import sample_distinct
 from panostitch.epipolar import (CheiralityError, EssentialEstimate, EstimationError,
                                  RansacConfig, RelativePose, decompose_essential,
                                  estimate_essential, triangulate_set)
@@ -57,8 +58,7 @@ def reference_essential(matches, cfg=RansacConfig(), seed=0):
     while done < cfg.iterations:
         count = min(epipolar_mod._RANSAC_BATCH, cfg.iterations - done)
         done += count
-        keys = rng.random((count, n))
-        idx = np.argpartition(keys, 7, axis=1)[:, :8]
+        idx = sample_distinct(rng, n, count, 8)
         E, valid = epipolar_mod._eight_point(ba[idx], bb[idx])
         res = np.abs(np.einsum("ni,cij,nj->cn", bb, E, ba))
         counts = (res <= cfg.threshold).sum(axis=1)
@@ -128,6 +128,51 @@ def assert_same_as_reference(matches, cfg, seed):
     assert est.low_confidence == ref.low_confidence
 
 
+def svd_eight_point(sa, sb):
+    """_eight_point with the null vector of a full SVD for every sample
+    size, as it was before minimal samples were solved by QR."""
+    A = np.einsum("cni,cnj->cnij", sb, sa).reshape(sa.shape[0], sa.shape[1], 9)
+    _, s, vt = np.linalg.svd(A)
+    E = vt[:, -1].reshape(-1, 3, 3)
+    u3, _, v3 = np.linalg.svd(E)
+    return u3 @ np.diag([1.0, 1.0, 0.0])[None, :, :] @ v3, s[:, 7] >= 1e-12
+
+
+class TestEightPoint:
+    def test_minimal_samples_match_the_svd_null_vector(self):
+        matches = rigid_motion_matches(2000, seed=17)
+        idx = sample_distinct(np.random.default_rng(17), 2000, 1000, 8)
+        sa, sb = matches.bearings_a[idx], matches.bearings_b[idx]
+        E, valid = epipolar_mod._eight_point(sa, sb)
+        E_svd, valid_svd = svd_eight_point(sa, sb)
+        assert valid.all() and valid_svd.all()
+        # Both are projected to Frobenius norm sqrt(2); the sign is free.
+        cos = np.abs(np.einsum("cij,cij->c", E, E_svd)) / 2.0
+        assert cos.min() >= 1.0 - 1e-12
+
+    def test_samples_with_a_repeated_pair_are_invalid(self):
+        matches = rigid_motion_matches(2000, seed=19)
+        rng = np.random.default_rng(19)
+        idx = sample_distinct(rng, 2000, 500, 8)
+        idx[:, 7] = idx[np.arange(500), rng.integers(0, 7, size=500)]
+        sa, sb = matches.bearings_a[idx], matches.bearings_b[idx]
+        assert not svd_eight_point(sa, sb)[1].any()
+        assert not epipolar_mod._eight_point(sa, sb)[1].any()
+
+    @pytest.mark.parametrize("m", [9, 300, 2000])
+    def test_refit_has_the_full_svd_bits(self, m):
+        matches = rigid_motion_matches(m, seed=m, unit=False)
+        sa, sb = matches.bearings_a[None], matches.bearings_b[None]
+        A = np.einsum("cni,cnj->cnij", sb, sa).reshape(1, m, 9)
+        _, s_thin, vt_thin = np.linalg.svd(A, full_matrices=False)
+        _, s_full, vt_full = np.linalg.svd(A)
+        assert s_thin.tobytes() == s_full.tobytes()
+        assert vt_thin.tobytes() == vt_full.tobytes()
+        E, valid = epipolar_mod._eight_point(sa, sb)
+        E_full, valid_full = svd_eight_point(sa, sb)
+        assert E.tobytes() == E_full.tobytes() and valid[0] == valid_full[0]
+
+
 class TestSupportKernel:
     @pytest.mark.parametrize("n, hypotheses", [(8, 1), (9, 511), (300, 512),
                                                 (300, 513), (2000, 512), (2001, 513)])
@@ -136,7 +181,7 @@ class TestSupportKernel:
         # n = 300 scores 218-row blocks, which do not divide 512.
         matches = rigid_motion_matches(n, seed=n + hypotheses, unit=unit)
         rng = np.random.default_rng(n)
-        idx = np.argpartition(rng.random((hypotheses, n)), 7, axis=1)[:, :8]
+        idx = sample_distinct(rng, n, hypotheses, 8)
         ba, bb = matches.bearings_a, matches.bearings_b
         E, _ = epipolar_mod._eight_point(ba[idx], bb[idx])
         res = np.abs(np.einsum("ni,cij,nj->cn", bb, E, ba))
@@ -173,7 +218,7 @@ class TestSupportKernel:
     def test_threshold_on_a_residual_the_product_rounds_differently(self, scale, unit):
         matches = rigid_motion_matches(300, seed=11, unit=unit)
         ba, bb = matches.bearings_a, matches.bearings_b
-        idx = np.argpartition(np.random.default_rng(11).random((512, 300)), 7, axis=1)[:, :8]
+        idx = sample_distinct(np.random.default_rng(11), 300, 512, 8)
         E = epipolar_mod._eight_point(ba[idx], bb[idx])[0] * scale
         res = np.abs(np.einsum("ni,cij,nj->cn", bb, E, ba))
         gemm = product_residuals(E, bb, ba)
@@ -279,11 +324,20 @@ class TestEstimateEssential:
             estimate_essential(small, seed=0)
 
     def test_low_confidence_flag_below_30_percent_support(self):
+        # At 72 % outliers a seed may find no model; over 12 seeds some must,
+        # and every model found must be flagged.
         pair = synth_room_pair(SynthSceneConfig(seed=3, outlier_fraction=0.72))
         matches = parse_match_dict(pair.match_data)
-        est = estimate_essential(matches, RansacConfig(iterations=20000), seed=0)
-        assert est.low_confidence
-        assert len(est.inlier_indices) / len(matches) < 0.3
+        found = 0
+        for seed in range(12):
+            try:
+                est = estimate_essential(matches, RansacConfig(iterations=20000), seed=seed)
+            except EstimationError:
+                continue
+            found += 1
+            assert est.low_confidence
+            assert len(est.inlier_indices) / len(matches) < 0.3
+        assert found
 
     def test_good_support_is_not_flagged(self, clean_matches):
         assert not estimate_essential(clean_matches, seed=0).low_confidence

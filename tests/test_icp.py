@@ -111,7 +111,7 @@ def assert_same_result(got: IcpResult, want: IcpResult) -> None:
 
 # A scene whose ICP assignment at iteration 5 repeats that of iteration 3
 # (a period-2 cycle); without the cycle stop it never meets rel_tol.
-CYCLING_SCENE_SEED = 1005656751
+CYCLING_SCENE_SEED = 2
 
 
 def resampled_room_scene(resampled_pair, seed):

@@ -173,11 +173,46 @@ class TestFitPlaneRansac:
         np.testing.assert_array_equal(i1, i2)
 
 
+def reference_triples(rng, n, count):
+    """The plane search's triple sampler before sample_distinct took k:
+    sample_distinct(rng, n, count, 3) must return its bytes."""
+    if n <= 64:
+        keys = rng.random((count, n))
+        return np.argsort(keys, axis=1)[:, :3]
+    idx = rng.integers(0, n, size=(count, 3))
+    bad = ((idx[:, 0] == idx[:, 1]) | (idx[:, 0] == idx[:, 2])
+           | (idx[:, 1] == idx[:, 2]))
+    while np.any(bad):
+        idx[bad] = rng.integers(0, n, size=(int(bad.sum()), 3))
+        bad = ((idx[:, 0] == idx[:, 1]) | (idx[:, 0] == idx[:, 2])
+               | (idx[:, 1] == idx[:, 2]))
+    return idx
+
+
+class TestSampleDistinct:
+    @pytest.mark.parametrize("n, count", [(40, 2000), (65, 2000), (100_000, 200_000)])
+    def test_triples_have_the_reference_bytes(self, n, count):
+        if n > 64:   # the first draw holds repeats, so rows are drawn again
+            first = np.random.default_rng(n).integers(0, n, size=(count, 3))
+            assert _plane_search._has_repeat(first).any()
+        got = _plane_search.sample_distinct(np.random.default_rng(n), n, count, 3)
+        want = reference_triples(np.random.default_rng(n), n, count)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [8, 9, 64, 65, 2000])
+    def test_rows_of_eight_are_distinct(self, n):
+        idx = _plane_search.sample_distinct(np.random.default_rng(n), n, 2000, 8)
+        assert idx.shape == (2000, 8)
+        assert idx.min() >= 0 and idx.max() < n
+        s = np.sort(idx, axis=1)
+        assert (s[:, 1:] > s[:, :-1]).all()
+
+
 def plane_candidates(pts, iterations, rng, axis=None, min_cos=0.0):
     """(normals, offsets) of the valid candidates, drawn as
     best_plane_support draws them, or None when there is none."""
     n = pts.shape[0]
-    idx = _plane_search.sample_triples(rng, n, iterations)
+    idx = _plane_search.sample_distinct(rng, n, iterations, 3)
     a = pts[idx[:, 0]]
     normals = np.cross(pts[idx[:, 1]] - a, pts[idx[:, 2]] - a)
     norms = np.linalg.norm(normals, axis=1)
@@ -240,7 +275,7 @@ def reference_plane_support(pts, iterations, threshold, rng, axis=None,
 
 
 class _ScriptedTriples:
-    """Stands in for the generator in sample_triples (n > 64 draws one
+    """Stands in for the generator in sample_distinct (n > 64 draws one
     integers() block), so a test decides which candidate lands where."""
 
     def __init__(self, triples):

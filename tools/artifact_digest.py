@@ -26,7 +26,8 @@ integer-grid trajectory pairs, the grid ones full of equal-cost ties.
 Last, a two-room scene built with the library the way the benchmark
 builds its match-heavy scenes (room B sampled again with 3 mm noise,
 binary PLYs, 2,000 matches at 40 % outliers) is stitched; its ICP
-correspondences cycle, so it covers the cycle stop. The same scene is
+correspondences cycle, so it covers the cycle stop, and the script exits
+non-zero unless its diagnostics report stop reason "cycle". The same scene is
 stitched again with RANSAC at threshold 0.003 and 700 iterations, a
 second inlier boundary and a last hypothesis batch of 188.
 Every step is seeded, so two source trees that produce the same
@@ -92,7 +93,7 @@ STITCH_ARTIFACTS = ("merged.ply", "diagnostics.json", "scene_manifest.json")
 # tests/test_icp.py and tests/test_cli.py use for the cycle stop). The
 # iterate the cycle stop returns is not the one the 50th step lands on,
 # so the merged cloud shows the change.
-CYCLING_SEED = 1005656751
+CYCLING_SEED = 2
 # RANSAC settings of the second stitch of that scene: 700 = 512 + 188.
 RANSAC_VARIANT = {"threshold": 0.003, "iterations": 700}
 
@@ -256,6 +257,10 @@ def flow(out: Path) -> list[Path]:
     (out / "dtw.json").write_text(json.dumps(dtw_values(), indent=2) + "\n")
     cycling = write_resampled_scene(out / "cycling", CYCLING_SEED)
     run("stitch", cycling, "--out", out / "stitch_cycling", "--seed", CYCLING_SEED)
+    diagnostics = json.loads((out / "stitch_cycling" / "diagnostics.json").read_text())
+    reason = diagnostics["pairs"][0]["icp"]["stop_reason"]
+    if reason != "cycle":
+        raise SystemExit(f"stitch_cycling ICP stopped on {reason!r}, not 'cycle'")
     variant = json.loads(cycling.read_text())
     variant["pairs"][0]["ransac"] = RANSAC_VARIANT
     variant_path = cycling.with_name("stitch_manifest_ransac.json")
