@@ -1,33 +1,23 @@
-"""Shared vectorized RANSAC plane search.
+"""Shared vectorized RANSAC machinery: the sampler and the support
+kernel of both RANSACs, and the plane search.
 
-Candidate triples are drawn and scored in batches so the search cost is
-a handful of matrix products instead of one numpy call per iteration.
-Their sampler, sample_distinct, also draws the essential-matrix RANSAC's
-8-match samples.
-Results are a pure function of (points, config, rng state).
+Candidates are drawn and scored in batches so the search cost is a
+handful of matrix products instead of one numpy call per iteration.
+sample_distinct draws plane triples and the essential-matrix RANSAC's
+8-match samples; support_counts counts the support of both. Results are
+a pure function of (points, config, rng state).
 
-Candidate (n, d) holds point p when |plane_residuals(p, n, d)| <=
-threshold. Scoring computes (n, d) . (p, -1) by matrix products, whose
-rounding depends on their shape and BLAS kernel, and uses them only as a
-screen (geometry.screened_le): entries within B of the threshold take
-their bit from plane_residuals. Each term passes through at most four
-roundings in both (a product and three additions in any order, with or
-without FMA; or a product, two additions and the subtraction of d), and
-|p . n|_1 + |d| <= ||p|| ||n|| + |d|, so
-
-    B = 4 gamma_4 (max ||p|| max ||n|| + max |d|)
-        + 64 * 2^-1074 * max(1, max ||n||).
-
-Counts are therefore exact, and the count is the mask's sum at any chunk
-size, point block or thread count. Candidates are scored in chunks of _SCORE_BUDGET // n, one chunk per
-task on geometry.thread_count() threads, each walking the points in
-blocks of _POINT_BLOCK with cache-sized buffers of its own. A candidate
-stops being scored once its count plus the points not yet scored is
-strictly below `best`, the largest count of a finished chunk, and
-reports -1: it cannot be the maximum, and one that ties it is scored to
-the end, so the first maximum still wins whichever chunk finishes first.
-Threads read `best` without a lock; a stale read only prunes less (a
-finished chunk raises it under a lock, so no raise is lost).
+Plane candidate (n, d) holds point p when |plane_residuals(p, n, d)| <=
+threshold; its screen is (n, d) . (p, -1). Each term passes through at
+most four roundings in both (a product and three additions in any
+order, with or without FMA; or a product, two additions and the
+subtraction of d), and |p . n|_1 + |d| <= ||p|| ||n|| + |d|, so the band
+is geometry.screen_band with k = 4 and S <= max ||p|| max ||n|| + max |d|.
+Candidates are scored in chunks of _SCORE_BUDGET // n, one kernel call
+per chunk on geometry.thread_count() threads. `best` is the largest
+count of a finished chunk, read without a lock (a stale read only prunes
+less) and raised under one, so no raise is lost, and the plane does not
+depend on the thread count or on which chunk finishes first.
 """
 
 from __future__ import annotations
@@ -37,12 +27,13 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .geometry import screened_le, thread_count
+from .geometry import screen_band, screened_le, thread_count
 
 # Cap on the candidate-by-point score buffer, in elements (memory only).
 _SCORE_BUDGET = 4_000_000
-# Points scored per step of a chunk, at most 65,535 (counts are summed in
-# uint16); a 40-candidate chunk's buffers (1.6 MB) stay in a core's L2 cache.
+# Columns (points, matches) scored per step of support_counts, at most 65,535
+# (counts are summed in uint16); a 40-candidate plane chunk's buffers (1.6 MB)
+# stay in a core's L2 cache.
 _POINT_BLOCK = 4096
 
 
@@ -68,6 +59,42 @@ def _has_repeat(idx: np.ndarray) -> np.ndarray:
     """Whether each row of idx holds some index twice."""
     s = np.sort(idx, axis=1)
     return (s[:, 1:] == s[:, :-1]).any(axis=1)
+
+
+def support_counts(hyps: np.ndarray, cols: np.ndarray, threshold: float, band: float,
+                   exact, best: list[int]) -> np.ndarray:
+    """For each row i of hyps (C, k), the exact count of columns j of cols
+    (k, n) with |exact(i, j)| <= threshold (exact takes arrays of row and
+    column indices), or -1 for a row that stopped.
+
+    |hyps @ cols|, within `band` of |exact| but rounded by its shape and
+    BLAS kernel, only screens each entry (geometry.screened_le), so no
+    count depends on how the work is split. Columns go in blocks of
+    _POINT_BLOCK; before each block, a row whose count plus the columns
+    left is strictly below best[0] stops: it cannot be the maximum, and
+    one that ties is scored to the end, so the first maximum still wins.
+    """
+    n = cols.shape[1]
+    width = min(n, _POINT_BLOCK)
+    res = np.empty((len(hyps), width))
+    near, far = np.empty((2, len(hyps), width), dtype=bool)
+    counts = np.zeros(len(hyps), dtype=np.int64)
+    rows = np.arange(len(hyps))            # rows still scored
+    result = np.full(len(hyps), -1, dtype=np.int64)
+    for lo in range(0, n, _POINT_BLOCK):
+        alive = counts + (n - lo) >= best[0]
+        if not alive.all():
+            hyps, counts, rows = hyps[alive], counts[alive], rows[alive]
+            if not len(hyps):
+                return result
+        hi = min(lo + _POINT_BLOCK, n)
+        r, hit, miss = (buf[:len(hyps), :hi - lo] for buf in (res, near, far))
+        np.matmul(hyps, cols[:, lo:hi], out=r)
+        np.abs(r, out=r)
+        screened_le(r, threshold, band, lambda i, j: exact(rows[i], lo + j), hit, miss)
+        counts += hit.view(np.uint8).sum(axis=1, dtype=np.uint16)
+    result[rows] = counts
+    return result
 
 
 def plane_residuals(p: np.ndarray, n: np.ndarray, d) -> np.ndarray:
@@ -106,46 +133,21 @@ def best_plane_support(pts: np.ndarray, iterations: int, threshold: float,
 
     p_norm = np.hypot.reduce(pts, axis=1).max()
     n_norm = np.hypot.reduce(normals, axis=1).max()
-    band = np.inf   # where a product could overflow
-    if np.max([p_norm, n_norm]) < 2.0 ** 300:
-        gamma_4 = 4 * 2.0 ** -53 / (1 - 4 * 2.0 ** -53)
-        band = (4 * gamma_4 * (p_norm * n_norm + np.abs(offsets).max())
-                + 64 * 2.0 ** -1074 * max(1.0, n_norm))
+    band = screen_band(4, (p_norm, n_norm), lambda: p_norm * n_norm + np.abs(offsets).max(),
+                       (n_norm,))
     chunk = min(keep.size, max(1, _SCORE_BUDGET // max(n, 1)))
     pts_t = np.ascontiguousarray(np.vstack([pts.T, -np.ones(n)]))   # rows p, -1
     planes = np.column_stack([normals, offsets])
-    width = min(n, _POINT_BLOCK)
-
-    best = -1   # largest count of a finished chunk; raised under best_lock
+    best = [-1]   # largest count of a finished chunk; raised under best_lock
     best_lock = threading.Lock()
 
     def score(start: int) -> np.ndarray:
-        """Inlier counts of the candidates in the chunk at start, -1 for
-        each candidate that stopped early."""
-        nonlocal best
         nc = planes[start:start + chunk]
-        dist = np.empty((len(nc), width))
-        near, far = np.empty((2, len(nc), width), dtype=bool)
-        counts = np.zeros(len(nc), dtype=np.int64)
-        rows = np.arange(len(nc))            # chunk rows still scored
-        result = np.full(len(nc), -1, dtype=np.int64)
-        for lo in range(0, n, _POINT_BLOCK):
-            alive = counts + (n - lo) >= best
-            if not alive.all():
-                nc, counts, rows = nc[alive], counts[alive], rows[alive]
-                if not len(nc):
-                    return result
-            hi = min(lo + _POINT_BLOCK, n)
-            d, hit, miss = (buf[:len(nc), :hi - lo] for buf in (dist, near, far))
-            np.matmul(nc, pts_t[:, lo:hi], out=d)
-            np.abs(d, out=d)
-            screened_le(d, threshold, band,
-                        lambda i, j: plane_residuals(pts[lo + j], nc[i, :3], nc[i, 3]), hit, miss)
-            counts += hit.view(np.uint8).sum(axis=1, dtype=np.uint16)
-        result[rows] = counts
+        counts = support_counts(nc, pts_t, threshold, band,
+                                lambda i, j: plane_residuals(pts[j], nc[i, :3], nc[i, 3]), best)
         with best_lock:
-            best = max(best, int(counts.max()))
-        return result
+            best[0] = max(best[0], int(counts.max()))
+        return counts
 
     with ThreadPoolExecutor(thread_count()) as pool:
         counts = np.concatenate(list(pool.map(score, range(0, keep.size, chunk))))

@@ -293,7 +293,10 @@ def cmd_place(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_eval(args) -> int:
-    summary: dict = {}
+    if not args.episodes and not args.correlate:
+        raise CliError(EXIT_INPUT, "eval needs --episodes and/or --correlate")
+    if (args.report or args.detail) and not args.episodes:
+        raise CliError(EXIT_INPUT, "--report and --detail need --episodes")
     if args.episodes:
         try:
             episodes = read_episode_csv(Path(args.episodes))
@@ -308,7 +311,6 @@ def cmd_eval(args) -> int:
                 write_atomic(Path(dest), buf.getvalue())
         if not args.report and not args.detail:
             print(report.to_text())
-        summary["episodes"] = len(episodes)
 
     if args.correlate:
         try:
@@ -319,16 +321,9 @@ def cmd_eval(args) -> int:
             corr = simreal_correlation(entries)
         except MetricError as e:
             raise CliError(EXIT_NUMERIC, str(e)) from e
-        summary["correlation"] = {
-            "r_task_averaged": corr.r_task_averaged,
-            "r_raw": corr.r_raw,
-            "n_averaged": corr.n_averaged,
-            "n_raw": corr.n_raw,
-        }
-        print(json.dumps(summary["correlation"], indent=2, sort_keys=True))
-
-    if not args.episodes and not args.correlate:
-        raise CliError(EXIT_INPUT, "eval needs --episodes and/or --correlate")
+        print(json.dumps({"r_task_averaged": corr.r_task_averaged, "r_raw": corr.r_raw,
+                          "n_averaged": corr.n_averaged, "n_raw": corr.n_raw},
+                         indent=2, sort_keys=True))
     return EXIT_OK
 
 

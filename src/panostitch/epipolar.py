@@ -9,10 +9,10 @@ pose (R, t_hat) maps frame-a coordinates into frame b:
 
 which makes E = [t_hat]x @ R satisfy b_b^T E b_a = 0 for true matches.
 
-RANSAC scores hypotheses with one matrix product per block of them,
-into a buffer of SUPPORT_BLOCK residuals. The few residuals that fall
-within a certified rounding band of the threshold are recomputed term
-by term, so every inlier mask has the bits of numpy's einsum.
+Match m is an inlier of E when |_nine_term_residuals(E, b_b[m], b_a[m])|
+<= threshold. RANSAC counts inliers with _plane_search.support_counts,
+whose matrix products only screen that fixed-order formula; the masks
+of the winner and of its refit come from the formula directly.
 """
 
 from __future__ import annotations
@@ -21,12 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._plane_search import sample_distinct
-from .geometry import check_rotation, check_unit, screened_le
+from ._plane_search import sample_distinct, support_counts
+from .geometry import check_rotation, check_unit, screen_band
 from .panorama import BearingMatchSet
 
 PARALLEL_RAY_TOL = 1e-8
-SUPPORT_BLOCK = 65_536   # entries of _support's gemm buffer (hypotheses x matches)
+SUPPORT_BLOCK = 65_536   # residuals (hypotheses x matches) per scored block of hypotheses
 
 
 class EstimationError(RuntimeError):
@@ -113,9 +113,10 @@ _RANSAC_BATCH = 512
 
 
 def _nine_term_residuals(e: np.ndarray, bb: np.ndarray, ba: np.ndarray) -> np.ndarray:
-    """b_b^T E b_a for rows of E (k, 3, 3) and bearings (k, 3), adding the
-    terms (bb_i * E_ij) * ba_j in (i, j) order from the (0, 0) term: the
-    order and rounding of numpy's einsum("ni,cij,nj->cn")."""
+    """b_b^T E b_a for rows of E (k, 3, 3) and bearings (k, 3), rows
+    broadcast, adding the terms (bb_i * E_ij) * ba_j in (i, j) order from
+    the (0, 0) term (the order and rounding of numpy's
+    einsum("ni,cij,nj->cn"))."""
     r = (bb[:, 0] * e[:, 0, 0]) * ba[:, 0]
     for i in range(3):
         for j in range(3):
@@ -124,55 +125,36 @@ def _nine_term_residuals(e: np.ndarray, bb: np.ndarray, ba: np.ndarray) -> np.nd
     return r
 
 
-_GAMMA_11 = 11 * 2.0 ** -53 / (1 - 11 * 2.0 ** -53)
+def _support(bb: np.ndarray, ba: np.ndarray, threshold: float):
+    """The essential scorer over matches (bb, ba): counts(E, best) gives,
+    for each E_c of E (C, 3, 3), the exact count of matches m with
+    |_nine_term_residuals(E_c, bb_m, ba_m)| <= threshold, or -1 once E_c
+    cannot reach best[0] (_plane_search.support_counts).
 
-
-def _support(E: np.ndarray, bb: np.ndarray, ba: np.ndarray,
-             threshold: float) -> np.ndarray:
-    """Inlier masks |b_b^T E_c b_a| <= threshold, shape (C, n), for E of
-    shape (C, 3, 3), with the bits of numpy's einsum("ni,cij,nj->cn").
-
-    Residuals come from one matrix product per block of
-    max(1, SUPPORT_BLOCK // n) hypotheses, R = E.reshape(-1, 9) @ M^T with
-    M[m, 3i + j] = bb[m, i] * ba[m, j], into one reused buffer, and |R|
-    screens the einsum (geometry.screened_le): entries within B of the
-    threshold, or NaN, get their bit from _nine_term_residuals. At most ten
-    roundings touch any term (two products and eight additions in the
-    nine-term sum; M's entry, the product and eight additions in the gemm,
-    in any order, with or without FMA), and by Cauchy-Schwarz the terms'
-    magnitudes sum to at most ||E_c||_F ||bb_m|| ||ba_m||. Hence
-
-        B = 4 gamma_11 max_c ||E_c||_F max_m(||bb_m|| ||ba_m||)
-            + 64 * 2^-1074 * max(1, max_c ||E_c||_F, max_m ||ba_m||),
-
-    the last term covering a product below 2^-1022, off by 2^-1075 at most,
-    times the factor applied after it (an entry of E or of b_a).
+    The screen is R = E.reshape(-1, 9) @ M^T with M[m, 3i + j] =
+    bb[m, i] * ba[m, j]. At most ten roundings touch any term (two
+    products and eight additions in the nine-term sum; M's entry, the
+    product and eight additions in the gemm, in any order, with or without
+    FMA), and by Cauchy-Schwarz the terms' magnitudes sum to at most
+    ||E_c||_F ||bb_m|| ||ba_m||. So the band is geometry.screen_band with
+    k = 11 (at least the ten roundings), S <= max_c ||E_c||_F
+    max_m(||bb_m|| ||ba_m||), and the underflow term scaled by the factors
+    applied after a product, an entry of E or of b_a.
     """
     n = len(bb)
     # C order: from C-ordered bearings the product comes out F-ordered, and
     # matmul on that operand took ~16 ms per block instead of ~25 us (2-CPU
     # x86-64, OpenBLAS 0.3.31).
     MT = np.multiply(bb.T[:, None, :], ba.T[None, :, :], order="C").reshape(9, n)
-    e_norm = np.hypot.reduce(E.reshape(len(E), 9), axis=1).max(initial=0.0)
     nb, na = np.hypot.reduce(bb, axis=1), np.hypot.reduce(ba, axis=1)
-    if np.max([e_norm, nb.max(), na.max()]) < 2.0 ** 300:
-        band = (4 * _GAMMA_11 * e_norm * (nb * na).max()
-                + 64 * 2.0 ** -1074 * max(1.0, e_norm, na.max()))
-    else:
-        band = np.inf
-    rows = max(1, SUPPORT_BLOCK // n)
-    mask = np.empty((len(E), n), dtype=bool)
-    res = np.empty((min(rows, len(E)), n))
-    far = np.empty(res.shape, dtype=bool)
-    for lo in range(0, len(E), rows):
-        e = E[lo:lo + rows]
-        r = res[:len(e)]
-        np.matmul(e.reshape(-1, 9), MT, out=r)
-        np.abs(r, out=r)
-        screened_le(r, threshold, band,
-                    lambda c, k: _nine_term_residuals(e[c], bb[k], ba[k]),
-                    mask[lo:lo + len(e)], far[:len(e)])
-    return mask
+
+    def counts(E: np.ndarray, best: list[int]) -> np.ndarray:
+        e_norm = np.hypot.reduce(E.reshape(len(E), 9), axis=1).max(initial=0.0)
+        band = screen_band(11, (e_norm, nb.max(), na.max()),
+                           lambda: e_norm * (nb * na).max(), (e_norm, na.max()))
+        return support_counts(E.reshape(-1, 9), MT, threshold, band,
+                              lambda c, k: _nine_term_residuals(E[c], bb[k], ba[k]), best)
+    return counts
 
 
 def estimate_essential(matches: BearingMatchSet, cfg: RansacConfig = RansacConfig(),
@@ -184,12 +166,14 @@ def estimate_essential(matches: BearingMatchSet, cfg: RansacConfig = RansacConfi
     is re-evaluated against the refit model so every reported inlier
     respects cfg.threshold. Identical (matches, cfg, seed) inputs always
     reproduce the same result. A low_confidence flag marks best models
-    supported by under 30% of the matches. Candidates are drawn, solved
-    and scored in batches of _RANSAC_BATCH: each batch draws its samples
-    of 8 distinct match indices with _plane_search.sample_distinct (one
-    integer draw per batch, rows holding a repeat drawn again), solves
-    them by QR in _eight_point and scores them with _support, whose masks
-    have the einsum's bits. The result is a pure function of the seed.
+    supported by under 30% of the matches. Candidates are drawn and solved
+    in batches of _RANSAC_BATCH: each batch draws its samples of 8
+    distinct match indices with _plane_search.sample_distinct (one integer
+    draw per batch, rows holding a repeat drawn again) and solves them by
+    QR in _eight_point. Valid samples are counted by _support in blocks of
+    max(1, SUPPORT_BLOCK // n), against the best count so far; the first
+    sample with the most inliers wins, so the result is a pure function of
+    the seed and does not depend on the block size.
     """
     ba, bb = matches.bearings_a, matches.bearings_b
     n = len(matches)
@@ -197,26 +181,28 @@ def estimate_essential(matches: BearingMatchSet, cfg: RansacConfig = RansacConfi
         raise EstimationError(f"need at least 8 matches, got {n}")
 
     rng = np.random.default_rng(seed)
-    best_count = 0
-    best_mask: np.ndarray | None = None
+    score = _support(bb, ba, cfg.threshold)
+    rows = max(1, SUPPORT_BLOCK // n)
+    best = [0]    # the largest count so far; only a larger one replaces best_E
+    best_E: np.ndarray | None = None
     done = 0
     while done < cfg.iterations:
         count = min(_RANSAC_BATCH, cfg.iterations - done)
         done += count
         idx = sample_distinct(rng, n, count, 8)
         E, valid = _eight_point(ba[idx], bb[idx])
-        support = _support(E, bb, ba, cfg.threshold)
-        counts = np.count_nonzero(support, axis=1)
-        counts[~valid] = 0
-        j = int(np.argmax(counts))
-        if counts[j] > best_count:
-            best_count = int(counts[j])
-            best_mask = support[j].copy()
+        E = E[valid]
+        for lo in range(0, len(E), rows):
+            counts = score(E[lo:lo + rows], best)
+            j = int(np.argmax(counts))
+            if counts[j] > best[0]:
+                best[0], best_E = int(counts[j]), E[lo + j]
 
-    if best_mask is None or best_count < cfg.min_inliers:
+    if best_E is None or best[0] < cfg.min_inliers:
         raise EstimationError(
             f"no model with >= {cfg.min_inliers} inliers after {cfg.iterations} iterations")
 
+    best_mask = np.abs(_nine_term_residuals(best_E[None], bb, ba)) <= cfg.threshold
     try:
         E, valid = _eight_point(ba[best_mask][None], bb[best_mask][None])
     except np.linalg.LinAlgError as e:
@@ -224,7 +210,7 @@ def estimate_essential(matches: BearingMatchSet, cfg: RansacConfig = RansacConfi
     if not valid[0]:
         raise EstimationError("inlier refit is degenerate")
     E = E[0]
-    mask = _support(E[None], bb, ba, cfg.threshold)[0]
+    mask = np.abs(_nine_term_residuals(E[None], bb, ba)) <= cfg.threshold
     if int(mask.sum()) < cfg.min_inliers:
         raise EstimationError("refit model lost its inlier support")
     inliers = np.flatnonzero(mask)

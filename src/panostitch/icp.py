@@ -230,11 +230,17 @@ def _linearize(moved: np.ndarray, q: np.ndarray, n: np.ndarray
     return _residuals(moved, q, n), np.hstack([np.cross(moved, n), n])
 
 
+def _error_sum(moved: np.ndarray, q: np.ndarray, n: np.ndarray) -> float:
+    """Sum of squared point-to-plane residuals of moved points against
+    their correspondences (q, n); every ICP error is summed here."""
+    r = _residuals(moved, q, n)
+    return float(r @ r)
+
+
 def correspondence_error(src_pts: np.ndarray, dst_pts: np.ndarray,
                          dst_normals: np.ndarray, T: RigidTransform) -> float:
     """Sum of squared point-to-plane residuals for fixed correspondences."""
-    r = _residuals(T.apply(src_pts), dst_pts, dst_normals)
-    return float(r @ r)
+    return _error_sum(T.apply(src_pts), dst_pts, dst_normals)
 
 
 def correspondence_gradient(src_pts: np.ndarray, dst_pts: np.ndarray,
@@ -328,8 +334,7 @@ def point_to_plane_icp(source: PointCloud, target: PointCloud,
         n = target.normals[tgt_idx]
 
         if prev_err is None:
-            r0 = _residuals(p, q, n)
-            initial_err = prev_err = float(r0 @ r0)
+            initial_err = prev_err = _error_sum(p, q, n)
 
         xi = _solve_step(p, q, n)
         T = compose(RigidTransform(rotation_exp(xi[:3]), xi[3:]), T)
@@ -346,7 +351,7 @@ def point_to_plane_icp(source: PointCloud, target: PointCloud,
     T = poses[chosen]
     final_err = _pose_error(source, target, index, T, max_dist, cfg)
     return IcpResult(transform=T, final_error=final_err,
-                     initial_error=float(initial_err), iterations=len(trace),
+                     initial_error=initial_err, iterations=len(trace),
                      correspondence_count=counts[chosen],
                      converged=stop_reason == "rel_tol",
                      error_trace=tuple(trace), max_corr_dist=max_dist,
@@ -358,8 +363,7 @@ def _pose_error(source: PointCloud, target: PointCloud, index: PointIndex,
     """Point-to-plane error of T over the overlap crop at T."""
     crop = _overlap_crop(source.points, target, T, cfg.overlap_margin)
     moved, rows, tgt_idx, _ = _correspond(source.points[crop], T, index, max_dist)
-    r = _residuals(moved[rows], target.points[tgt_idx], target.normals[tgt_idx])
-    return float(r @ r)
+    return _error_sum(moved[rows], target.points[tgt_idx], target.normals[tgt_idx])
 
 
 def eval_icp_error(source: PointCloud, target: PointCloud, T: RigidTransform,

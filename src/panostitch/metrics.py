@@ -338,23 +338,23 @@ EPISODE_HEADER = ["task", "tier", "success", "shortest_len", "actual_len",
                   "traj_file"]
 
 
-def _parse_success(text: str, line: int) -> bool:
+def _parse_success(text: str) -> bool:
     key = text.strip().lower()
     if key in ("1", "true", "yes"):
         return True
     if key in ("0", "false", "no"):
         return False
-    raise MetricError(f"line {line}: bad success value {text!r}")
+    raise MetricError(f"bad success value {text!r}")
 
 
-def _parse_len(text: str, line: int) -> float | None:
+def _parse_len(text: str) -> float | None:
     text = text.strip()
     if not text:
         return None
     try:
         return float(text)
     except ValueError as e:
-        raise MetricError(f"line {line}: bad length {text!r}") from e
+        raise MetricError(f"bad length {text!r}") from e
 
 
 def read_trajectory(path) -> np.ndarray:
@@ -401,22 +401,19 @@ def read_episode_csv(path, load_trajectories: bool = False) -> list[EpisodeRecor
     path = Path(path)
     episodes = []
     for line, row in _csv_records(path, EPISODE_HEADER):
+        traj_file = row[5].strip()
         try:
-            tier = parse_tier(row[1])
+            episodes.append(EpisodeRecord(
+                task=row[0].strip(),
+                tier=parse_tier(row[1]),
+                success=_parse_success(row[2]),
+                shortest_path_len=_parse_len(row[3]),
+                actual_path_len=_parse_len(row[4]),
+                trajectory=(read_trajectory(path.parent / traj_file)
+                            if traj_file and load_trajectories else None),
+            ))
         except MetricError as e:
             raise MetricError(f"line {line}: {e}") from None
-        trajectory = None
-        traj_file = row[5].strip()
-        if traj_file and load_trajectories:
-            trajectory = read_trajectory(path.parent / traj_file)
-        episodes.append(EpisodeRecord(
-            task=row[0].strip(),
-            tier=tier,
-            success=_parse_success(row[2], line),
-            shortest_path_len=_parse_len(row[3], line),
-            actual_path_len=_parse_len(row[4], line),
-            trajectory=trajectory,
-        ))
     if not episodes:
         raise MetricError("episode CSV holds no records")
     return episodes

@@ -906,6 +906,14 @@ class TestEvalCommand:
     def test_no_inputs_exits_2(self):
         assert run("eval") == 2
 
+    @pytest.mark.parametrize("flag", ["--report", "--detail"])
+    def test_output_flag_without_episodes_exits_2(self, tmp_path, capsys, flag):
+        # Checked before the rates table is read: a missing one is not named.
+        out = tmp_path / "out.csv"
+        assert run("eval", "--correlate", tmp_path / "missing.csv", flag, out) == 2
+        assert "need --episodes" in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("case", ["stitch", "plane", "place", "synth-flag",
                                   "synth-episodes", "synth-scene"])

@@ -1,8 +1,10 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from panostitch import epipolar as epipolar_mod
-from panostitch._plane_search import sample_distinct
+from panostitch._plane_search import _POINT_BLOCK, sample_distinct, support_counts
 from panostitch.epipolar import (CheiralityError, EssentialEstimate, EstimationError,
                                  RansacConfig, RelativePose, decompose_essential,
                                  estimate_essential, triangulate_set)
@@ -44,9 +46,9 @@ def pure_translation_matches(n=40, seed=0):
 
 
 def reference_essential(matches, cfg=RansacConfig(), seed=0):
-    """The RANSAC loop scored with one einsum per batch, as it was before
-    the blocked _support kernel. estimate_essential must match it bit for
-    bit, raises included."""
+    """The RANSAC loop scored with one einsum per batch, every hypothesis
+    against every match, as it was before the blocked support kernel.
+    estimate_essential must match it bit for bit, raises included."""
     ba, bb = matches.bearings_a, matches.bearings_b
     n = len(matches)
     if n < 8:
@@ -107,8 +109,8 @@ def rigid_motion_matches(n, seed, unit=True):
 
 
 def product_residuals(E, bb, ba):
-    """|b_b^T E b_a| from one matrix product, as _support computes it
-    before its recheck."""
+    """|b_b^T E b_a| from one matrix product, the screen the essential
+    scorer rechecks near its threshold."""
     M = (bb[:, :, None] * ba[:, None, :]).reshape(len(bb), 9)
     return np.abs(E.reshape(-1, 9) @ M.T)
 
@@ -173,12 +175,17 @@ class TestEightPoint:
         assert E.tobytes() == E_full.tobytes() and valid[0] == valid_full[0]
 
 
+def essential_counts(E, bb, ba, threshold):
+    """Per-hypothesis inlier counts from the essential scorer, with no
+    best count to stop at."""
+    return epipolar_mod._support(bb, ba, threshold)(E, [0])
+
+
 class TestSupportKernel:
     @pytest.mark.parametrize("n, hypotheses", [(8, 1), (9, 511), (300, 512),
                                                 (300, 513), (2000, 512), (2001, 513)])
     @pytest.mark.parametrize("unit", [True, False])
     def test_matches_einsum_at_the_boundary(self, n, hypotheses, unit):
-        # n = 300 scores 218-row blocks, which do not divide 512.
         matches = rigid_motion_matches(n, seed=n + hypotheses, unit=unit)
         rng = np.random.default_rng(n)
         idx = sample_distinct(rng, n, hypotheses, 8)
@@ -186,18 +193,24 @@ class TestSupportKernel:
         E, _ = epipolar_mod._eight_point(ba[idx], bb[idx])
         res = np.abs(np.einsum("ni,cij,nj->cn", bb, E, ba))
         c, k = np.unravel_index(np.argsort(res, axis=None)[res.size // 3], res.shape)
-        for thr, on_boundary in ((res[c, k], True), (np.nextafter(res[c, k], 0.0), False)):
-            mask = epipolar_mod._support(E, bb, ba, thr)
-            np.testing.assert_array_equal(mask, res <= thr)
-            assert mask[c, k] == on_boundary
+        on, below = (essential_counts(E, bb, ba, thr)
+                     for thr in (res[c, k], np.nextafter(res[c, k], 0.0)))
+        np.testing.assert_array_equal(on, (res <= res[c, k]).sum(axis=1))
+        np.testing.assert_array_equal(below, (res < res[c, k]).sum(axis=1))
+        assert on[c] > below[c]
 
     def test_one_row_per_block_above_the_budget(self):
-        matches = rigid_motion_matches(epipolar_mod.SUPPORT_BLOCK + 7, seed=3, unit=False)
+        # estimate_essential scores one hypothesis per call here, over 17
+        # point blocks of the kernel.
+        n = epipolar_mod.SUPPORT_BLOCK + 7
+        assert max(1, epipolar_mod.SUPPORT_BLOCK // n) == 1
+        matches = rigid_motion_matches(n, seed=3, unit=False)
         ba, bb = matches.bearings_a, matches.bearings_b
         E = np.random.default_rng(3).normal(size=(3, 3, 3))
         res = np.abs(np.einsum("ni,cij,nj->cn", bb, E, ba))
         thr = res[1, 100]
-        np.testing.assert_array_equal(epipolar_mod._support(E, bb, ba, thr), res <= thr)
+        counts = [essential_counts(E[c:c + 1], bb, ba, thr)[0] for c in range(3)]
+        np.testing.assert_array_equal(counts, (res <= thr).sum(axis=1))
 
     def test_refit_residuals_match_the_single_matrix_einsum(self):
         matches = rigid_motion_matches(2001, seed=5, unit=False)
@@ -205,13 +218,14 @@ class TestSupportKernel:
         E = np.random.default_rng(5).normal(size=(3, 3))
         res = np.abs(np.einsum("ni,ij,nj->n", bb, E, ba))
         thr = res[17]
-        np.testing.assert_array_equal(epipolar_mod._support(E[None], bb, ba, thr)[0],
-                                      res <= thr)
+        mask = np.abs(epipolar_mod._nine_term_residuals(E[None], bb, ba)) <= thr
+        np.testing.assert_array_equal(mask, res <= thr)
+        assert essential_counts(E[None], bb, ba, thr)[0] == (res <= thr).sum()
 
     # The cases below put the threshold where the matrix product and the
-    # einsum round to different mask bits, so only the rounding band and its
-    # exact recheck give the einsum mask. Each first asserts that a plain
-    # product's mask would be wrong on its data.
+    # einsum round to different inlier counts, so only the rounding band and
+    # its exact recheck give the einsum counts. Each first asserts that a
+    # plain product's counts would be wrong on its data.
 
     @pytest.mark.parametrize("scale, unit", [(1.0, True), (1.0, False),
                                              (1e6, False), (1e-6, False)])
@@ -228,9 +242,11 @@ class TestSupportKernel:
         c, k = np.unravel_index(differ[np.argmin(np.abs(res.flat[differ] - 1e-3 * scale))],
                                 res.shape)
         thresholds = [np.nextafter(res[c, k], 0.0), res[c, k], np.nextafter(res[c, k], 1.0)]
-        assert any(((gemm <= thr) != (res <= thr)).any() for thr in thresholds)
+        assert any(((gemm <= thr).sum(axis=1) != (res <= thr).sum(axis=1)).any()
+                   for thr in thresholds)
         for thr in thresholds:
-            np.testing.assert_array_equal(epipolar_mod._support(E, bb, ba, thr), res <= thr)
+            np.testing.assert_array_equal(essential_counts(E, bb, ba, thr),
+                                          (res <= thr).sum(axis=1))
 
     @pytest.mark.parametrize("threshold", [1e-16, 5e-324])
     def test_thresholds_at_the_rounding_floor(self, threshold):
@@ -240,18 +256,35 @@ class TestSupportKernel:
         b = rng.normal(size=(2000, 3)) * rng.uniform(0.5, 2.0, size=(2000, 1))
         E = np.stack([skew(t) for t in rng.normal(size=(64, 3))])
         res = np.abs(np.einsum("ni,cij,nj->cn", b, E, b))
-        assert ((product_residuals(E, b, b) <= threshold) != (res <= threshold)).any()
-        np.testing.assert_array_equal(epipolar_mod._support(E, b, b, threshold),
-                                      res <= threshold)
+        expected = (res <= threshold).sum(axis=1)
+        assert ((product_residuals(E, b, b) <= threshold).sum(axis=1) != expected).any()
+        np.testing.assert_array_equal(essential_counts(E, b, b, threshold), expected)
 
 
 class TestEstimateEssentialOracle:
-    @pytest.mark.parametrize("n", [8, 9, 300, 2000, 2001])
+    # 2 * _POINT_BLOCK + 77 matches take three point blocks, so a hypothesis
+    # that falls behind the best count stops before the last 77.
+    @pytest.mark.parametrize("n", [8, 9, 300, 2000, 2001, 2 * _POINT_BLOCK + 77])
     @pytest.mark.parametrize("iterations", [1, 511, 512, 513])
     @pytest.mark.parametrize("threshold", [1e-4, 1e-3, 1e-2])
     def test_same_result_as_reference(self, n, iterations, threshold):
         matches = rigid_motion_matches(n, seed=n)
-        assert_same_as_reference(matches, RansacConfig(threshold, iterations), seed=iterations)
+        scored = []
+
+        def spy(*args):
+            scored.append(support_counts(*args))
+            return scored[-1]
+
+        with mock.patch.object(epipolar_mod, "support_counts", spy):
+            assert_same_as_reference(matches, RansacConfig(threshold, iterations),
+                                     seed=iterations)
+        stopped = sum(int((c < 0).sum()) for c in scored)
+        assert stopped > 0 if n > 2 * _POINT_BLOCK and iterations > 1 else stopped == 0
+
+    def test_same_result_with_one_hypothesis_per_block(self):
+        matches = rigid_motion_matches(2000, seed=4)
+        with mock.patch.object(epipolar_mod, "SUPPORT_BLOCK", 1):
+            assert_same_as_reference(matches, RansacConfig(1e-3, 600), seed=4)
 
     @pytest.mark.parametrize("n", [9, 300, 2001])
     @pytest.mark.parametrize("threshold", [1e-4, 1e-3, 1e-2])

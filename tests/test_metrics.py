@@ -340,6 +340,15 @@ class TestCsvIo:
                         "nav,train,maybe,2.0,3.0,\n")
         with pytest.raises(MetricError, match="line 3"):
             read_episode_csv(path)
+        # Lengths the record refuses name their line too.
+        for shortest, actual in (("-1", "3.0"), ("nan", "3.0"), ("2.0", "inf")):
+            path.write_text("task,tier,success,shortest_len,actual_len,traj_file\n"
+                            "nav,train,1,2.0,3.0,\n"
+                            "\n"
+                            f"nav,train,1,{shortest},{actual},\n")
+            with pytest.raises(MetricError,
+                               match=r"^line 4: \w+_path_len must be a finite non-negative"):
+                read_episode_csv(path)
 
     def test_bad_header_is_line_one(self, tmp_path):
         path = tmp_path / "bad.csv"

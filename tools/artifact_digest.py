@@ -27,9 +27,12 @@ Last, a two-room scene built with the library the way the benchmark
 builds its match-heavy scenes (room B sampled again with 3 mm noise,
 binary PLYs, 2,000 matches at 40 % outliers) is stitched; its ICP
 correspondences cycle, so it covers the cycle stop, and the script exits
-non-zero unless its diagnostics report stop reason "cycle". The same scene is
-stitched again with RANSAC at threshold 0.003 and 700 iterations, a
-second inlier boundary and a last hypothesis batch of 188.
+non-zero unless its diagnostics report stop reason "cycle". It is
+stitched again with the essential RANSAC's SUPPORT_BLOCK patched to 1
+(one hypothesis per matrix product), and the script exits non-zero
+unless that run writes the same bytes. The same scene is stitched again
+with RANSAC at threshold 0.003 and 700 iterations, a second inlier
+boundary and a last hypothesis batch of 188.
 Every step is seeded, so two source trees that produce the same
 artifacts print the same digests.
 
@@ -57,7 +60,7 @@ from unittest import mock
 
 import numpy as np
 
-from panostitch import _plane_search, cli
+from panostitch import _plane_search, cli, epipolar
 from panostitch.geometry import PointCloud, RigidTransform, rot_z
 from panostitch.metrics import dtw
 from panostitch.ply import read_ply, write_ply
@@ -261,6 +264,12 @@ def flow(out: Path) -> list[Path]:
     reason = diagnostics["pairs"][0]["icp"]["stop_reason"]
     if reason != "cycle":
         raise SystemExit(f"stitch_cycling ICP stopped on {reason!r}, not 'cycle'")
+    with mock.patch.object(epipolar, "SUPPORT_BLOCK", 1):   # restored after
+        run("stitch", cycling, "--out", out / "stitch_cycling_block1", "--seed", CYCLING_SEED)
+    for name in STITCH_ARTIFACTS:
+        if (out / "stitch_cycling_block1" / name).read_bytes() != \
+                (out / "stitch_cycling" / name).read_bytes():
+            raise SystemExit(f"stitch_cycling/{name} differs at SUPPORT_BLOCK = 1")
     variant = json.loads(cycling.read_text())
     variant["pairs"][0]["ransac"] = RANSAC_VARIANT
     variant_path = cycling.with_name("stitch_manifest_ransac.json")
