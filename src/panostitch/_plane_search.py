@@ -1,23 +1,39 @@
-"""Shared vectorized RANSAC machinery: the sampler and the support
-kernel of both RANSACs, and the plane search.
+"""Shared vectorized RANSAC machinery: the sampler, the inlier formula
+and the support kernel of both RANSACs, and the plane search.
 
-Candidates are drawn and scored in batches so the search cost is a
-handful of matrix products instead of one numpy call per iteration.
-sample_distinct draws plane triples and the essential-matrix RANSAC's
-8-match samples; support_counts counts the support of both. Results are
-a pure function of (points, config, rng state).
+Candidates are drawn (sample_distinct) and scored in batches, so a search
+costs a handful of matrix products, and results are a pure function of
+(points, config, rng state). Both RANSACs count column m (a point, a
+match) as an inlier of hypothesis h when |residuals(h, a_m, b_m)| <=
+threshold, the fixed-order sum of (a_mk h_k) b_mk over k; only the
+factors differ. A plane (n, d) has a = (p, -1) and b = 1, which gives
+((p0 n0 + p1 n1) + p2 n2) - d bit for bit, as multiplying by 1 and by -1
+is exact; the essential matrix's factors are in the epipolar docstring.
 
-Plane candidate (n, d) holds point p when |plane_residuals(p, n, d)| <=
-threshold; its screen is (n, d) . (p, -1). Each term passes through at
-most four roundings in both (a product and three additions in any
-order, with or without FMA; or a product, two additions and the
-subtraction of d), and |p . n|_1 + |d| <= ||p|| ||n|| + |d|, so the band
-is geometry.screen_band with k = 4 and S <= max ||p|| max ||n|| + max |d|.
-Candidates are scored in chunks of _SCORE_BUDGET // n, one kernel call
-per chunk on geometry.thread_count() threads. `best` is the largest
-count of a finished chunk, read without a lock (a stale read only prunes
-less) and raised under one, so no raise is lost, and the plane does not
-depend on the thread count or on which chunk finishes first.
+support(a, b) counts with one matrix product per block, hyps @ (a o b)^T,
+which only screens each entry (geometry.screened_le): the product rounds
+by its shape and BLAS kernel, the formula does not. Band: for K terms,
+each term passes through at most k = K + 1 roundings on either side (in
+the formula two products and K - 1 additions; in the product the entry
+of a o b, its product with h_k and K - 1 additions, in any order, with or
+without FMA), so each side is within gamma_k S of the exact sum (Higham,
+Accuracy and Stability of Numerical Algorithms, sec. 3.1; gamma_k =
+k u / (1 - k u), u = 2^-53), S = sum_k |a_mk h_k b_mk| <= K max|a| max|h|
+max|b|. The band is 4 gamma_k K max|a| max|h| max|b| (both sides, 2x
+slack for the bound's own rounding) plus 4 K 2^-1074 max(1, max|b|,
+max|h|): a product below 2^-1022 is off by 2^-1075 at most, scaled by
+the factor applied after it. Max-|x| bounds, not norms: np.hypot.reduce
+over 100k points costs ~10 ms per plane search, and a looser band only
+sends more entries to the formula. Once max|a|, max|b| or max|h| is
+2^300 or more or not finite, a product could overflow, so the band is
+inf and every entry comes from the formula.
+
+Plane candidates are scored in chunks of _SCORE_BUDGET // n, one
+support call per chunk on geometry.thread_count() threads. `best` is the
+largest count of a finished chunk, read without a lock (a stale read
+only prunes less) and raised under one, so no raise is lost, and the
+plane does not depend on the thread count or on which chunk finishes
+first.
 """
 
 from __future__ import annotations
@@ -27,11 +43,11 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .geometry import screen_band, screened_le, thread_count
+from .geometry import screened_le, thread_count
 
 # Cap on the candidate-by-point score buffer, in elements (memory only).
 _SCORE_BUDGET = 4_000_000
-# Columns (points, matches) scored per step of support_counts, at most 65,535
+# Columns (points, matches) scored per step of support, at most 65,535
 # (counts are summed in uint16); a 40-candidate plane chunk's buffers (1.6 MB)
 # stay in a core's L2 cache.
 _POINT_BLOCK = 4096
@@ -61,46 +77,64 @@ def _has_repeat(idx: np.ndarray) -> np.ndarray:
     return (s[:, 1:] == s[:, :-1]).any(axis=1)
 
 
-def support_counts(hyps: np.ndarray, cols: np.ndarray, threshold: float, band: float,
-                   exact, best: list[int]) -> np.ndarray:
-    """For each row i of hyps (C, k), the exact count of columns j of cols
-    (k, n) with |exact(i, j)| <= threshold (exact takes arrays of row and
-    column indices), or -1 for a row that stopped.
+def residuals(h: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The inlier formula of both RANSACs: sum_k (a_k h_k) b_k over the last
+    axis, added in k order from k = 0; rows broadcast."""
+    r = (a[..., 0] * h[..., 0]) * b[..., 0]
+    for k in range(1, h.shape[-1]):
+        r = r + (a[..., k] * h[..., k]) * b[..., k]
+    return r
 
-    |hyps @ cols|, within `band` of |exact| but rounded by its shape and
-    BLAS kernel, only screens each entry (geometry.screened_le), so no
-    count depends on how the work is split. Columns go in blocks of
-    _POINT_BLOCK; before each block, a row whose count plus the columns
-    left is strictly below best[0] stops: it cannot be the maximum, and
-    one that ties is scored to the end, so the first maximum still wins.
+
+def support(a: np.ndarray, b: np.ndarray):
+    """The support counter over n columns with factors a, b (n, K):
+    counts(hyps, threshold, best) gives, for each row h of hyps (C, K), the
+    exact count of columns m with |residuals(h, a_m, b_m)| <= threshold,
+    or -1 for a row that stopped.
+
+    The screen |hyps @ (a o b)^T| is within the module docstring's band of
+    |residuals|, so no count depends on how the work is split. Columns go
+    in blocks of _POINT_BLOCK; before each block, a row whose count plus
+    the columns left is strictly below best[0] stops: it cannot be the
+    maximum, and one that ties is scored to the end, so the first maximum
+    still wins.
     """
-    n = cols.shape[1]
-    width = min(n, _POINT_BLOCK)
-    res = np.empty((len(hyps), width))
-    near, far = np.empty((2, len(hyps), width), dtype=bool)
-    counts = np.zeros(len(hyps), dtype=np.int64)
-    rows = np.arange(len(hyps))            # rows still scored
-    result = np.full(len(hyps), -1, dtype=np.int64)
-    for lo in range(0, n, _POINT_BLOCK):
-        alive = counts + (n - lo) >= best[0]
-        if not alive.all():
-            hyps, counts, rows = hyps[alive], counts[alive], rows[alive]
-            if not len(hyps):
-                return result
-        hi = min(lo + _POINT_BLOCK, n)
-        r, hit, miss = (buf[:len(hyps), :hi - lo] for buf in (res, near, far))
-        np.matmul(hyps, cols[:, lo:hi], out=r)
-        np.abs(r, out=r)
-        screened_le(r, threshold, band, lambda i, j: exact(rows[i], lo + j), hit, miss)
-        counts += hit.view(np.uint8).sum(axis=1, dtype=np.uint16)
-    result[rows] = counts
-    return result
+    n, K = a.shape
+    # C order: from C-ordered factors the product comes out F-ordered, and
+    # matmul on that operand took ~16 ms per block instead of ~25 us (2-CPU
+    # x86-64, OpenBLAS 0.3.31).
+    cols = np.multiply(a.T, b.T, order="C")
+    a_max, b_max = (max(x.max(), -x.min()) for x in (a, b))
+    gamma = (K + 1) * 2.0 ** -53 / (1 - (K + 1) * 2.0 ** -53)
 
-
-def plane_residuals(p: np.ndarray, n: np.ndarray, d) -> np.ndarray:
-    """Signed distances ((p0 n0 + p1 n1) + p2 n2) - d of points p from
-    planes (n, d), added in that order; rows broadcast."""
-    return (p[..., 0] * n[..., 0] + p[..., 1] * n[..., 1]) + p[..., 2] * n[..., 2] - d
+    def counts(hyps: np.ndarray, threshold: float, best: list[int]) -> np.ndarray:
+        h_max = max(hyps.max(), -hyps.min())
+        band = np.inf
+        if np.max((a_max, b_max, h_max)) < 2.0 ** 300:
+            band = 4 * gamma * K * a_max * h_max * b_max \
+                + 4 * K * 2.0 ** -1074 * max(1.0, b_max, h_max)
+        width = min(n, _POINT_BLOCK)
+        res = np.empty((len(hyps), width))
+        near, far = np.empty((2, len(hyps), width), dtype=bool)
+        tally = np.zeros(len(hyps), dtype=np.int64)
+        rows = np.arange(len(hyps))            # rows still scored
+        result = np.full(len(hyps), -1, dtype=np.int64)
+        for lo in range(0, n, _POINT_BLOCK):
+            alive = tally + (n - lo) >= best[0]
+            if not alive.all():
+                hyps, tally, rows = hyps[alive], tally[alive], rows[alive]
+                if not len(hyps):
+                    return result
+            hi = min(lo + _POINT_BLOCK, n)
+            r, hit, miss = (buf[:len(hyps), :hi - lo] for buf in (res, near, far))
+            np.matmul(hyps, cols[:, lo:hi], out=r)
+            np.abs(r, out=r)
+            screened_le(r, threshold, band,
+                        lambda i, j: residuals(hyps[i], a[lo + j], b[lo + j]), hit, miss)
+            tally += hit.view(np.uint8).sum(axis=1, dtype=np.uint16)
+        result[rows] = tally
+        return result
+    return counts
 
 
 def best_plane_support(pts: np.ndarray, iterations: int, threshold: float,
@@ -112,8 +146,9 @@ def best_plane_support(pts: np.ndarray, iterations: int, threshold: float,
     |normal . axis| < min_cos are skipped (used to keep floor fits
     gravity-consistent). Returns (mask, count) for the best candidate,
     the first one with the most inliers, or None when no valid candidate
-    exists. The result has the bits of scoring every candidate against
-    every point with plane_residuals (see the module docstring).
+    exists. Each candidate (n, d) is counted by support over the points,
+    so the result has the bits of scoring every candidate against every
+    point with residuals: the distance ((p0 n0 + p1 n1) + p2 n2) - d.
     """
     n = pts.shape[0]
     idx = sample_distinct(rng, n, iterations, 3)
@@ -131,20 +166,16 @@ def best_plane_support(pts: np.ndarray, iterations: int, threshold: float,
     normals = normals[keep] / norms[keep, None]
     offsets = np.einsum("ij,ij->i", pts[idx[keep, 0]], normals)
 
-    p_norm = np.hypot.reduce(pts, axis=1).max()
-    n_norm = np.hypot.reduce(normals, axis=1).max()
-    band = screen_band(4, (p_norm, n_norm), lambda: p_norm * n_norm + np.abs(offsets).max(),
-                       (n_norm,))
     chunk = min(keep.size, max(1, _SCORE_BUDGET // max(n, 1)))
-    pts_t = np.ascontiguousarray(np.vstack([pts.T, -np.ones(n)]))   # rows p, -1
-    planes = np.column_stack([normals, offsets])
+    planes = np.column_stack([normals, offsets])       # h = (n, d)
+    a = np.column_stack([pts, -np.ones(n)])             # a = (p, -1), b = 1
+    b = np.broadcast_to(1.0, a.shape)
+    count = support(a, b)
     best = [-1]   # largest count of a finished chunk; raised under best_lock
     best_lock = threading.Lock()
 
     def score(start: int) -> np.ndarray:
-        nc = planes[start:start + chunk]
-        counts = support_counts(nc, pts_t, threshold, band,
-                                lambda i, j: plane_residuals(pts[j], nc[i, :3], nc[i, 3]), best)
+        counts = count(planes[start:start + chunk], threshold, best)
         with best_lock:
             best[0] = max(best[0], int(counts.max()))
         return counts
@@ -152,5 +183,5 @@ def best_plane_support(pts: np.ndarray, iterations: int, threshold: float,
     with ThreadPoolExecutor(thread_count()) as pool:
         counts = np.concatenate(list(pool.map(score, range(0, keep.size, chunk))))
     top = int(np.argmax(counts))     # first maximum: the earliest candidate wins ties
-    mask = np.abs(plane_residuals(pts, normals[top], offsets[top])) <= threshold
+    mask = np.abs(residuals(planes[top], a, b)) <= threshold
     return mask, int(counts[top])

@@ -9,7 +9,8 @@ stderr; result artifacts never contain timings so repeated runs are
 byte-identical.
 
 Exit codes: 0 success, 2 input error (any bad stitch pair key or value, found
-before any cloud is read), 3 graph, 4 placement, 5 numerical failure.
+before any cloud is read; any file that cannot be read or written), 3 graph,
+4 placement, 5 numerical failure.
 PANOSTITCH_THREADS caps internal thread use; a value that is not a
 positive integer exits 2 before the command runs.
 """
@@ -133,7 +134,7 @@ def cmd_stitch(args) -> int:
         rooms.setdefault(p.room_a, base / p.cloud_a)
         rooms.setdefault(p.room_b, base / p.cloud_b)
         for f in (p.match_file, p.cloud_a, p.cloud_b):
-            if not (base / f).exists():
+            if not (base / f).is_file():
                 raise CliError(EXIT_INPUT, f"file not found: {base / f}")
 
     root = data.get("root_room", pairs[0].room_a)
@@ -498,6 +499,9 @@ def main(argv=None) -> int:
             return args.func(args)
         except FileNotFoundError as e:
             raise CliError(EXIT_INPUT, f"file not found: {e.filename}") from e
+        except OSError as e:   # e.g. a directory named as a file
+            path = e.filename2 or e.filename   # a rename names the user's path second
+            raise CliError(EXIT_INPUT, f"{path}: {e.strerror}" if path else str(e)) from e
     except CliError as e:
         _log(args.command, "error", code=e.code, message=str(e))
         print(f"error: {e}", file=sys.stderr)

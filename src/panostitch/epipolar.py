@@ -9,10 +9,13 @@ pose (R, t_hat) maps frame-a coordinates into frame b:
 
 which makes E = [t_hat]x @ R satisfy b_b^T E b_a = 0 for true matches.
 
-Match m is an inlier of E when |_nine_term_residuals(E, b_b[m], b_a[m])|
-<= threshold. RANSAC counts inliers with _plane_search.support_counts,
-whose matrix products only screen that fixed-order formula; the masks
-of the winner and of its refit come from the formula directly.
+Match m is an inlier of E when |b_b^T E b_a| <= threshold, summed as
+_plane_search.residuals(E.ravel(), a, b) with a = b_b repeated and b =
+b_a tiled: the terms (b_b,i E_ij) b_a,j in (i, j) order from (0, 0), the
+bits of numpy's einsum("ni,cij,nj->cn"). RANSAC counts inliers with
+_plane_search.support, whose matrix products only screen that formula
+(its docstring derives the band); the masks of the winner and of its
+refit come from the formula directly.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._plane_search import sample_distinct, support_counts
-from .geometry import check_rotation, check_unit, screen_band
+from ._plane_search import residuals, sample_distinct, support
+from .geometry import check_rotation, check_unit
 from .panorama import BearingMatchSet
 
 PARALLEL_RAY_TOL = 1e-8
@@ -112,51 +115,6 @@ def _eight_point(sa: np.ndarray, sb: np.ndarray) -> tuple[np.ndarray, np.ndarray
 _RANSAC_BATCH = 512
 
 
-def _nine_term_residuals(e: np.ndarray, bb: np.ndarray, ba: np.ndarray) -> np.ndarray:
-    """b_b^T E b_a for rows of E (k, 3, 3) and bearings (k, 3), rows
-    broadcast, adding the terms (bb_i * E_ij) * ba_j in (i, j) order from
-    the (0, 0) term (the order and rounding of numpy's
-    einsum("ni,cij,nj->cn"))."""
-    r = (bb[:, 0] * e[:, 0, 0]) * ba[:, 0]
-    for i in range(3):
-        for j in range(3):
-            if i or j:
-                r = r + (bb[:, i] * e[:, i, j]) * ba[:, j]
-    return r
-
-
-def _support(bb: np.ndarray, ba: np.ndarray, threshold: float):
-    """The essential scorer over matches (bb, ba): counts(E, best) gives,
-    for each E_c of E (C, 3, 3), the exact count of matches m with
-    |_nine_term_residuals(E_c, bb_m, ba_m)| <= threshold, or -1 once E_c
-    cannot reach best[0] (_plane_search.support_counts).
-
-    The screen is R = E.reshape(-1, 9) @ M^T with M[m, 3i + j] =
-    bb[m, i] * ba[m, j]. At most ten roundings touch any term (two
-    products and eight additions in the nine-term sum; M's entry, the
-    product and eight additions in the gemm, in any order, with or without
-    FMA), and by Cauchy-Schwarz the terms' magnitudes sum to at most
-    ||E_c||_F ||bb_m|| ||ba_m||. So the band is geometry.screen_band with
-    k = 11 (at least the ten roundings), S <= max_c ||E_c||_F
-    max_m(||bb_m|| ||ba_m||), and the underflow term scaled by the factors
-    applied after a product, an entry of E or of b_a.
-    """
-    n = len(bb)
-    # C order: from C-ordered bearings the product comes out F-ordered, and
-    # matmul on that operand took ~16 ms per block instead of ~25 us (2-CPU
-    # x86-64, OpenBLAS 0.3.31).
-    MT = np.multiply(bb.T[:, None, :], ba.T[None, :, :], order="C").reshape(9, n)
-    nb, na = np.hypot.reduce(bb, axis=1), np.hypot.reduce(ba, axis=1)
-
-    def counts(E: np.ndarray, best: list[int]) -> np.ndarray:
-        e_norm = np.hypot.reduce(E.reshape(len(E), 9), axis=1).max(initial=0.0)
-        band = screen_band(11, (e_norm, nb.max(), na.max()),
-                           lambda: e_norm * (nb * na).max(), (e_norm, na.max()))
-        return support_counts(E.reshape(-1, 9), MT, threshold, band,
-                              lambda c, k: _nine_term_residuals(E[c], bb[k], ba[k]), best)
-    return counts
-
-
 def estimate_essential(matches: BearingMatchSet, cfg: RansacConfig = RansacConfig(),
                        seed: int = 0) -> EssentialEstimate:
     """RANSAC essential-matrix fit over minimal 8-point bearing samples.
@@ -170,10 +128,10 @@ def estimate_essential(matches: BearingMatchSet, cfg: RansacConfig = RansacConfi
     in batches of _RANSAC_BATCH: each batch draws its samples of 8
     distinct match indices with _plane_search.sample_distinct (one integer
     draw per batch, rows holding a repeat drawn again) and solves them by
-    QR in _eight_point. Valid samples are counted by _support in blocks of
-    max(1, SUPPORT_BLOCK // n), against the best count so far; the first
-    sample with the most inliers wins, so the result is a pure function of
-    the seed and does not depend on the block size.
+    QR in _eight_point. Valid samples are counted by _plane_search.support
+    in blocks of max(1, SUPPORT_BLOCK // n), against the best count so far;
+    the first sample with the most inliers wins, so the result is a pure
+    function of the seed and does not depend on the block size.
     """
     ba, bb = matches.bearings_a, matches.bearings_b
     n = len(matches)
@@ -181,28 +139,29 @@ def estimate_essential(matches: BearingMatchSet, cfg: RansacConfig = RansacConfi
         raise EstimationError(f"need at least 8 matches, got {n}")
 
     rng = np.random.default_rng(seed)
-    score = _support(bb, ba, cfg.threshold)
+    a, b = np.repeat(bb, 3, axis=1), np.tile(ba, 3)   # b_b^T E b_a = residuals(E.ravel(), a, b)
+    count = support(a, b)
     rows = max(1, SUPPORT_BLOCK // n)
-    best = [0]    # the largest count so far; only a larger one replaces best_E
-    best_E: np.ndarray | None = None
+    best = [0]    # the largest count so far; only a larger one replaces best_h
+    best_h: np.ndarray | None = None
     done = 0
     while done < cfg.iterations:
-        count = min(_RANSAC_BATCH, cfg.iterations - done)
-        done += count
-        idx = sample_distinct(rng, n, count, 8)
+        batch = min(_RANSAC_BATCH, cfg.iterations - done)
+        done += batch
+        idx = sample_distinct(rng, n, batch, 8)
         E, valid = _eight_point(ba[idx], bb[idx])
-        E = E[valid]
-        for lo in range(0, len(E), rows):
-            counts = score(E[lo:lo + rows], best)
+        H = E[valid].reshape(-1, 9)
+        for lo in range(0, len(H), rows):
+            counts = count(H[lo:lo + rows], cfg.threshold, best)
             j = int(np.argmax(counts))
             if counts[j] > best[0]:
-                best[0], best_E = int(counts[j]), E[lo + j]
+                best[0], best_h = int(counts[j]), H[lo + j]
 
-    if best_E is None or best[0] < cfg.min_inliers:
+    if best_h is None or best[0] < cfg.min_inliers:
         raise EstimationError(
             f"no model with >= {cfg.min_inliers} inliers after {cfg.iterations} iterations")
 
-    best_mask = np.abs(_nine_term_residuals(best_E[None], bb, ba)) <= cfg.threshold
+    best_mask = np.abs(residuals(best_h, a, b)) <= cfg.threshold
     try:
         E, valid = _eight_point(ba[best_mask][None], bb[best_mask][None])
     except np.linalg.LinAlgError as e:
@@ -210,7 +169,7 @@ def estimate_essential(matches: BearingMatchSet, cfg: RansacConfig = RansacConfi
     if not valid[0]:
         raise EstimationError("inlier refit is degenerate")
     E = E[0]
-    mask = np.abs(_nine_term_residuals(E[None], bb, ba)) <= cfg.threshold
+    mask = np.abs(residuals(E.ravel(), a, b)) <= cfg.threshold
     if int(mask.sum()) < cfg.min_inliers:
         raise EstimationError("refit model lost its inlier support")
     inliers = np.flatnonzero(mask)

@@ -451,32 +451,14 @@ def screened_le(r: np.ndarray, threshold: float, band: float, exact,
     fixed-order formula, exact(rows, cols), given a screen r within `band`
     of |x|: out = r <= threshold - band and scratch = r > threshold + band
     come from the screen, and only the entries the two leave over (in the
-    band, or NaN) from exact, so no bit depends on how r was rounded. If
-    each term of r and x passes through at most k roundings, each lies
-    within gamma_k S of the exact value, S the sum of the terms' magnitudes
-    (Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1;
-    gamma_k = k u / (1 - k u), u = 2^-53); screen_band turns that into
-    the band.
+    band, or NaN) from exact, so no bit depends on how r was rounded
+    (_plane_search.support derives its band).
     """
     np.less_equal(r, threshold - band, out=out)
     np.greater(r, threshold + band, out=scratch)
     if not np.logical_or(out, scratch, out=scratch).all():
         rows, cols = np.nonzero(~scratch)
         out[rows, cols] = np.abs(exact(rows, cols)) <= threshold
-
-
-def screen_band(k: int, norms, sum_bound, scales) -> float:
-    """screened_le's band when each term of screen and formula passes
-    through at most k roundings: 4 gamma_k sum_bound() (both sides, 2x
-    slack for hypot norms), sum_bound() bounding S, plus 64 * 2^-1074 *
-    max(1, *scales) for a product below 2^-1022 (off by 2^-1075 at most)
-    times a factor of `scales` applied after it. inf, every entry to the
-    formula, once one of `norms` (every norm entering a product) is 2^300
-    or more or not finite, as a product could then overflow."""
-    if not np.max(norms) < 2.0 ** 300:
-        return np.inf
-    gamma = k * 2.0 ** -53 / (1 - k * 2.0 ** -53)
-    return 4 * gamma * sum_bound() + 64 * 2.0 ** -1074 * max(1.0, *scales)
 
 
 # ---------------------------------------------------------------------------

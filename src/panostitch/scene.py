@@ -408,10 +408,6 @@ def _aabb_to_dict(a: Aabb) -> dict:
             "max_xyz": [float(v) for v in a.max]}
 
 
-def _aabb_from_dict(d: dict) -> Aabb:
-    return Aabb(as_vec3(d["min_xyz"]), as_vec3(d["max_xyz"]))
-
-
 def manifest_to_dict(m: SceneManifest) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
@@ -459,33 +455,54 @@ def manifest_from_dict(d: dict) -> SceneManifest:
         raise ManifestError(f"malformed manifest entry: {e!r}") from e
 
 
+_VEC3 = tuple[float, float, float]
+
+
+def _value(d: dict, key: str, tp, *default):
+    """d[key] (or the default, if one is given and key is absent), refused
+    with ManifestError naming the key unless geometry.is_json(value, tp)."""
+    value = d.get(key, *default) if default else d[key]
+    if not is_json(value, tp):
+        raise ManifestError(f"bad manifest value for {key!r}: {value!r}")
+    return value
+
+
+def _pose(d: dict) -> RigidTransform:
+    _value(d, "quat_wxyz", tuple[float, float, float, float])
+    _value(d, "translation_xyz", _VEC3)
+    return RigidTransform.from_quat_xyz(d)
+
+
 def _manifest_from_dict(d: dict) -> SceneManifest:
-    rooms = [RoomNode(id=r["id"], cloud=None, cloud_path=r.get("cloud"),
-                      local_to_world=RigidTransform.from_quat_xyz(r["local_to_world"]))
+    # Ids, labels, paths, numbers and vectors are type-checked; diagnostics
+    # are free-form.
+    rooms = [RoomNode(id=_value(r, "id", str), cloud=None,
+                      cloud_path=_value(r, "cloud", str | None, None),
+                      local_to_world=_pose(r["local_to_world"]))
              for r in d.get("rooms", [])]
     pairs = [PairRegistration(
-        room_a=p["room_a"], room_b=p["room_b"],
-        T_coarse=RigidTransform.from_quat_xyz(p["T_coarse"]),
-        T_fine=RigidTransform.from_quat_xyz(p["T_fine"]),
+        room_a=_value(p, "room_a", str), room_b=_value(p, "room_b", str),
+        T_coarse=_pose(p["T_coarse"]), T_fine=_pose(p["T_fine"]),
         diagnostics=p.get("diagnostics", {}),
     ) for p in d.get("pair_registrations", [])]
     planes = [SupportPlane(
-        id=sp["id"],
-        plane=Plane(as_vec3(sp["normal_xyz"]), float(sp["d"])),
-        center=as_vec3(sp["center_xyz"]),
-        u_axis=as_vec3(sp["u_axis_xyz"]),
-        v_axis=as_vec3(sp["v_axis_xyz"]),
-        half_extent=(float(sp["half_extent_uv"][0]), float(sp["half_extent_uv"][1])),
+        id=_value(sp, "id", str),
+        plane=Plane(as_vec3(_value(sp, "normal_xyz", _VEC3)), float(_value(sp, "d", float))),
+        center=as_vec3(_value(sp, "center_xyz", _VEC3)),
+        u_axis=as_vec3(_value(sp, "u_axis_xyz", _VEC3)),
+        v_axis=as_vec3(_value(sp, "v_axis_xyz", _VEC3)),
+        half_extent=tuple(map(float, _value(sp, "half_extent_uv", tuple[float, float]))),
     ) for sp in d.get("planes", [])]
     assets = [AssetInstance(
-        asset_id=a["asset_id"],
-        aabb_local=_aabb_from_dict(a["aabb_local"]),
-        pose=RigidTransform.from_quat_xyz(a["pose"]),
-        support_plane_id=a["support_plane_id"],
-        semantic_label=a.get("semantic_label", ""),
+        asset_id=_value(a, "asset_id", str),
+        aabb_local=Aabb(*(as_vec3(_value(a["aabb_local"], k, _VEC3))
+                          for k in ("min_xyz", "max_xyz"))),
+        pose=_pose(a["pose"]),
+        support_plane_id=_value(a, "support_plane_id", str),
+        semantic_label=_value(a, "semantic_label", str, ""),
     ) for a in d.get("assets", [])]
     return SceneManifest(rooms=rooms, pair_registrations=pairs, planes=planes,
-                         assets=assets, root_room=d.get("root_room"))
+                         assets=assets, root_room=_value(d, "root_room", str | None, None))
 
 
 def save_manifest(path, m: SceneManifest) -> None:

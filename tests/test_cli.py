@@ -806,6 +806,19 @@ BAD_SCENE_MANIFESTS = {
                         "malformed manifest entry: TypeError"),
     "version-true": ('{"schema_version": true}',
                      "unsupported manifest schema version: True"),
+    "room-id-number": ('{"schema_version": 1, "rooms": [{"id": 5, "local_to_world": '
+                       '{"quat_wxyz": [1, 0, 0, 0], "translation_xyz": [0, 0, 0]}}]}',
+                       "bad manifest value for 'id': 5"),
+    "root-room-number": ('{"schema_version": 1, "root_room": 7}',
+                         "bad manifest value for 'root_room': 7"),
+    "plane-d-string": ('{"schema_version": 1, "planes": [{"id": "table", '
+                       '"normal_xyz": [0, 0, 1], "d": "-0.8"}]}',
+                       "bad manifest value for 'd': '-0.8'"),
+    "half-extent-bool-and-string": (
+        '{"schema_version": 1, "planes": [{"id": "table", "normal_xyz": [0, 0, 1], '
+        '"d": -0.8, "center_xyz": [0, 0, 0.8], "u_axis_xyz": [1, 0, 0], '
+        '"v_axis_xyz": [0, 1, 0], "half_extent_uv": [true, "0.3"]}]}',
+        "bad manifest value for 'half_extent_uv': [True, '0.3']"),
 }
 
 
@@ -968,6 +981,35 @@ def test_missing_input_exits_2(tmp_path, capsys, case):
     assert json.loads(err[0]) == {"stage": argv[0], "event": "error", "code": 2,
                                   "message": f"file not found: {missing}"}
     assert err[1] == f"error: file not found: {missing}"
+
+
+@pytest.mark.parametrize("case", ["stitch-out-file", "stitch-cloud-dir", "eval-report-dir",
+                                  "eval-episodes-dir", "synth-out-under-file"])
+def test_os_error_exits_2(synth_dir, tmp_path, capsys, case):
+    # Directories and files in the wrong place, not permissions: a test run
+    # as root is never denied.
+    a_file, a_dir = tmp_path / "a_file", tmp_path / "a_dir"
+    a_file.write_text("")
+    a_dir.mkdir()
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"episodes": [EPISODE]}))
+    episodes = DATA / "microwave_episodes.csv"
+    argv, path = {
+        "stitch-out-file": (["stitch", synth_dir / "stitch_manifest.json", "--out", a_file],
+                            a_file),
+        "stitch-cloud-dir": (["stitch", _pair_manifest(synth_dir, tmp_path, cloud_b="a_dir"),
+                              "--out", tmp_path / "o"], a_dir),
+        "eval-report-dir": (["eval", "--episodes", episodes, "--report", a_dir], a_dir),
+        "eval-episodes-dir": (["eval", "--episodes", a_dir], a_dir),
+        "synth-out-under-file": (["synth", config, "--out", a_file / "x"], a_file / "x"),
+    }[case]
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    events = [json.loads(line) for line in err.splitlines() if line.startswith("{")]
+    errors = [e for e in events if e["event"] == "error"]
+    assert len(errors) == 1 and errors[0]["code"] == 2
+    assert str(path) in errors[0]["message"]
 
 
 class TestThreadsVariable:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from panostitch import epipolar as epipolar_mod
-from panostitch._plane_search import _POINT_BLOCK, sample_distinct, support_counts
+from panostitch._plane_search import _POINT_BLOCK, residuals, sample_distinct, support
 from panostitch.epipolar import (CheiralityError, EssentialEstimate, EstimationError,
                                  RansacConfig, RelativePose, decompose_essential,
                                  estimate_essential, triangulate_set)
@@ -175,10 +175,15 @@ class TestEightPoint:
         assert E.tobytes() == E_full.tobytes() and valid[0] == valid_full[0]
 
 
+def essential_factors(bb, ba):
+    """The factors a, b of b_b^T E b_a = residuals(E.ravel(), a, b)."""
+    return np.repeat(bb, 3, axis=1), np.tile(ba, 3)
+
+
 def essential_counts(E, bb, ba, threshold):
     """Per-hypothesis inlier counts from the essential scorer, with no
     best count to stop at."""
-    return epipolar_mod._support(bb, ba, threshold)(E, [0])
+    return support(*essential_factors(bb, ba))(E.reshape(-1, 9), threshold, [0])
 
 
 class TestSupportKernel:
@@ -218,7 +223,7 @@ class TestSupportKernel:
         E = np.random.default_rng(5).normal(size=(3, 3))
         res = np.abs(np.einsum("ni,ij,nj->n", bb, E, ba))
         thr = res[17]
-        mask = np.abs(epipolar_mod._nine_term_residuals(E[None], bb, ba)) <= thr
+        mask = np.abs(residuals(E.ravel(), *essential_factors(bb, ba))) <= thr
         np.testing.assert_array_equal(mask, res <= thr)
         assert essential_counts(E[None], bb, ba, thr)[0] == (res <= thr).sum()
 
@@ -271,11 +276,15 @@ class TestEstimateEssentialOracle:
         matches = rigid_motion_matches(n, seed=n)
         scored = []
 
-        def spy(*args):
-            scored.append(support_counts(*args))
-            return scored[-1]
+        def spy(a, b):
+            count = support(a, b)
 
-        with mock.patch.object(epipolar_mod, "support_counts", spy):
+            def counts(*args):
+                scored.append(count(*args))
+                return scored[-1]
+            return counts
+
+        with mock.patch.object(epipolar_mod, "support", spy):
             assert_same_as_reference(matches, RansacConfig(threshold, iterations),
                                      seed=iterations)
         stopped = sum(int((c < 0).sum()) for c in scored)

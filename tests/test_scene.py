@@ -228,6 +228,12 @@ def plane_candidates(pts, iterations, rng, axis=None, min_cos=0.0):
     return normals, np.einsum("ij,ij->i", pts[idx[keep, 0]], normals)
 
 
+def plane_residuals(p, n, d):
+    """The oracle plane distance ((p0 n0 + p1 n1) + p2 n2) - d, added in
+    that order; rows broadcast."""
+    return (p[..., 0] * n[..., 0] + p[..., 1] * n[..., 1]) + p[..., 2] * n[..., 2] - d
+
+
 def product_plane_support(pts, normals, offsets, threshold):
     """The scorer before the rounding band: each chunk of candidates scores
     the (points x candidates) product and sums its inlier bools down axis 0,
@@ -257,17 +263,17 @@ def reference_plane_support(pts, iterations, threshold, rng, axis=None,
                             min_cos=0.0):
     """Every candidate against every point by plane_residuals; the first
     maximum wins. best_plane_support must return the same mask and count.
-    At a threshold above 0 (where no test puts a distance within the
-    rounding band) the product scorer must agree too, so masks away from
-    the band are those of the product."""
+    At a threshold above 0 (where no test that calls this puts a distance
+    within the rounding band) the product scorer must agree too, so masks
+    away from the band are those of the product."""
     candidates = plane_candidates(pts, iterations, rng, axis, min_cos)
     if candidates is None:
         return None
     normals, offsets = candidates
-    counts = [np.count_nonzero(np.abs(_plane_search.plane_residuals(pts, nrm, off))
+    counts = [np.count_nonzero(np.abs(plane_residuals(pts, nrm, off))
                                <= threshold) for nrm, off in zip(normals, offsets)]
     top = int(np.argmax(counts))
-    mask = np.abs(_plane_search.plane_residuals(pts, normals[top], offsets[top])) <= threshold
+    mask = np.abs(plane_residuals(pts, normals[top], offsets[top])) <= threshold
     if threshold > 0:
         product_mask, product_count = product_plane_support(pts, normals, offsets, threshold)
         assert np.array_equal(product_mask, mask) and product_count == counts[top]
@@ -542,7 +548,7 @@ class TestBestPlaneSupport:
         normal = np.cross(grid[1] - a, grid[2] - a)
         normal /= np.linalg.norm(normal)
         offset = np.einsum("ij,ij->i", a[None], normal[None])[0]
-        exact = 3 + np.flatnonzero(_plane_search.plane_residuals(grid[3:], normal, offset) == 0)
+        exact = 3 + np.flatnonzero(plane_residuals(grid[3:], normal, offset) == 0)
         table = np.column_stack([rng.uniform(-1, 1, (200, 2)), np.full(200, 20.0)])
         junk = rng.uniform(-3, 3, size=(b - 3 - 200 - 190, 3)) + [0.0, 0.0, 40.0]
         pts = np.vstack([grid[:3], table, grid[exact[:190]], junk, grid[exact[190:210]]])
@@ -571,6 +577,34 @@ class TestBestPlaneSupport:
                                                np.random.default_rng(4))
         ref = reference_plane_support(pts, 1000, 0.01, np.random.default_rng(4))
         assert np.array_equal(got[0], ref[0]) and got[1] == ref[1]
+
+    def test_threshold_on_a_distance_the_product_rounds_differently(self):
+        # On a table scan the product [n, d] . [p, -1] and plane_residuals
+        # differ in the last bits of about a quarter of the entries. A
+        # threshold on such an entry of the winner gives the product a wrong
+        # count there; only the rounding band and its recheck give the
+        # formula's.
+        rng = np.random.default_rng(7)
+        n = 20_000
+        pts = np.column_stack([rng.uniform(-0.6, 0.6, n), rng.uniform(-0.4, 0.4, n),
+                               0.75 + rng.normal(0.0, 0.005, n)])
+        clutter = rng.random(n) < 0.25
+        pts[clutter] = rng.uniform((-0.6, -0.4, 0.75), (0.6, 0.4, 1.05),
+                                   size=(int(clutter.sum()), 3))
+        normals, offsets = plane_candidates(pts, 100, np.random.default_rng(4))
+        res = np.abs(plane_residuals(pts, normals[:, None], offsets[:, None]))
+        product = np.abs(np.column_stack([normals, offsets]) @ np.vstack([pts.T, -np.ones(n)]))
+        top = int(np.argmax((res <= 0.01).sum(axis=1)))
+        differ = np.flatnonzero(product[top] != res[top])
+        k = differ[np.argmin(np.abs(res[top, differ] - 0.01))]
+        thresholds = [np.nextafter(res[top, k], 0.0), res[top, k], np.nextafter(res[top, k], 1.0)]
+        assert any((product[top] <= t).sum() != (res[top] <= t).sum() for t in thresholds)
+        for t in thresholds:
+            counts = (res <= t).sum(axis=1)
+            mask, count = _plane_search.best_plane_support(pts, 100, t,
+                                                           np.random.default_rng(4))
+            assert count == counts.max()
+            assert np.array_equal(mask, res[int(np.argmax(counts))] <= t)
 
     # 300 seeded 200-point normal clouds, 20 candidates each, at threshold 0:
     # each candidate's count is how many of its own three points land

@@ -15,9 +15,13 @@ plane search scores its candidates in chunks of 37, and a candidate
 stops early once it cannot reach the count of a chunk that has
 finished, so which candidates stop depends on the thread count. Both
 `plane` steps run again with PANOSTITCH_THREADS=1, with
-PANOSTITCH_THREADS=8 and with the plane search's _SCORE_BUDGET patched
-to one candidate per chunk (the manifest restored before each), and the
-script exits non-zero unless those runs write the same bytes. A
+PANOSTITCH_THREADS=8, with the plane search's _SCORE_BUDGET patched
+to one candidate per chunk, and in a child process with
+OPENBLAS_NUM_THREADS=1, which OpenBLAS reads only when numpy loads (the
+manifest restored before each), and the script exits non-zero unless
+those runs write the same bytes. The stitch flows get no BLAS rerun yet:
+ICP's error sum still depends on the BLAS thread count (ROADMAP item
+14 gives it a fixed order). A
 labeled cloud (normals and room ids) is also written as ASCII PLY, read
 back and written as binary, so both directions of the ASCII codec are
 covered. `dtw.json` holds the `repr`
@@ -51,9 +55,12 @@ run overwrites the artifacts it lists, so OUT_DIR can be reused.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import hashlib
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 from unittest import mock
@@ -190,26 +197,39 @@ def run(*argv) -> None:
         raise SystemExit(f"panostitch {argv[0]} exited {code}")
 
 
+def run_in_child(env: dict, *argv) -> None:
+    """`run` in a new interpreter with `env` added to the environment."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = subprocess.run([sys.executable, "-m", "panostitch.cli", *map(str, argv)],
+                          env={**os.environ, "PYTHONPATH": path, **env}).returncode
+    if code != 0:
+        raise SystemExit(f"panostitch {argv[0]} exited {code} with {env}")
+
+
 def run_plane_variants(cloud: Path, *argv, manifest: Path | None = None) -> None:
-    """`plane` on cloud, then again with PANOSTITCH_THREADS=1 and =8 and
-    with _SCORE_BUDGET patched to one candidate per chunk, into the same
-    paths (the manifest it adds to restored before each); exits non-zero
-    unless every run writes the same bytes."""
+    """`plane` on cloud, then again with PANOSTITCH_THREADS=1 and =8, with
+    _SCORE_BUDGET patched to one candidate per chunk and in a child with
+    OPENBLAS_NUM_THREADS=1, into the same paths (the manifest it adds to
+    restored before each); exits non-zero unless every run writes the
+    same bytes."""
     before = manifest.read_bytes() if manifest else None
     run("plane", cloud, *argv)
     outputs = [a for a in argv if isinstance(a, Path)]   # the files it writes
     first = [path.read_bytes() for path in outputs]
     # Each patch is undone when its run ends.
     variants = [(f"PANOSTITCH_THREADS={threads}",
-                 mock.patch.dict(os.environ, {"PANOSTITCH_THREADS": threads}))
+                 mock.patch.dict(os.environ, {"PANOSTITCH_THREADS": threads}), run)
                 for threads in ("1", "8")]
     variants.append(("one candidate per chunk",
-                     mock.patch.object(_plane_search, "_SCORE_BUDGET", 1)))
-    for label, patch in variants:
+                     mock.patch.object(_plane_search, "_SCORE_BUDGET", 1), run))
+    variants.append(("OPENBLAS_NUM_THREADS=1", contextlib.nullcontext(),
+                     functools.partial(run_in_child, {"OPENBLAS_NUM_THREADS": "1"})))
+    for label, patch, runner in variants:
         if manifest:
             manifest.write_bytes(before)
         with patch:
-            run("plane", cloud, *argv)
+            runner("plane", cloud, *argv)
         for path, data in zip(outputs, first):
             if path.read_bytes() != data:
                 raise SystemExit(f"plane output {path.name} differs at {label}")
