@@ -1,5 +1,5 @@
 """Shared vectorized RANSAC machinery: the sampler, the inlier formula
-and the support kernel of both RANSACs, and the plane search.
+and the support kernel of both RANSACs, the plane search and the plane fit.
 
 Candidates are drawn (sample_distinct) and scored in batches, so a search
 costs a handful of matrix products, and results are a pure function of
@@ -40,10 +40,11 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import screened_le, thread_count
+from .geometry import GeometryError, Plane, fit_plane_lsq, screened_le, thread_count
 
 # Cap on the candidate-by-point score buffer, in elements (memory only).
 _SCORE_BUDGET = 4_000_000
@@ -51,6 +52,13 @@ _SCORE_BUDGET = 4_000_000
 # (counts are summed in uint16); a 40-candidate plane chunk's buffers (1.6 MB)
 # stay in a core's L2 cache.
 _POINT_BLOCK = 4096
+
+
+@dataclass(frozen=True)
+class PlaneFitConfig:
+    distance_threshold: float = 0.01   # meters
+    iterations: int = 1000
+    min_inliers: int = 50
 
 
 def sample_distinct(rng: np.random.Generator, n: int, count: int, k: int) -> np.ndarray:
@@ -185,3 +193,19 @@ def best_plane_support(pts: np.ndarray, iterations: int, threshold: float,
     top = int(np.argmax(counts))     # first maximum: the earliest candidate wins ties
     mask = np.abs(residuals(planes[top], a, b)) <= threshold
     return mask, int(counts[top])
+
+
+def fit_plane(pts: np.ndarray, cfg: PlaneFitConfig, rng: np.random.Generator,
+              axis: np.ndarray | None = None,
+              min_cos: float = 0.0) -> tuple[Plane, np.ndarray]:
+    """best_plane_support's winner, refit by least squares on its inliers
+    (Chum, Matas & Kittler 2003), and the winner's mask. GeometryError for
+    under 3 points, no winner or one below cfg.min_inliers, a degenerate refit."""
+    if pts.shape[0] < 3:
+        raise GeometryError(f"plane fit needs >= 3 points, got {pts.shape[0]}")
+    found = best_plane_support(pts, cfg.iterations, cfg.distance_threshold, rng,
+                               axis, min_cos)
+    if found is None or found[1] < cfg.min_inliers:
+        raise GeometryError(f"no plane with >= {cfg.min_inliers} inliers "
+                            f"(best support: {0 if found is None else found[1]})")
+    return fit_plane_lsq(pts[found[0]]), found[0]

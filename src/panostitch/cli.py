@@ -8,11 +8,13 @@ Structured JSON-lines progress logs, including stage timings, go to
 stderr; result artifacts never contain timings so repeated runs are
 byte-identical.
 
-Exit codes: 0 success, 2 input error (any bad stitch pair key or value, found
-before any cloud is read; any file that cannot be read or written), 3 graph,
-4 placement, 5 numerical failure.
-PANOSTITCH_THREADS caps internal thread use; a value that is not a
-positive integer exits 2 before the command runs.
+Exit codes: 0 success, 2 input error (any bad stitch pair key or value, or
+an --out under a file, found before any cloud is read; any file that cannot
+be read or written), 3 graph, 4 placement, 5 numerical failure, 141 a closed
+stdout (128 + SIGPIPE).
+PANOSTITCH_THREADS caps the KD-tree, normal-estimation and plane-search
+threads, not the BLAS library's own pool; a value that is not a positive
+integer exits 2 before the command runs.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import csv
 import functools
 import io
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -136,6 +139,9 @@ def cmd_stitch(args) -> int:
         for f in (p.match_file, p.cloud_a, p.cloud_b):
             if not (base / f).is_file():
                 raise CliError(EXIT_INPUT, f"file not found: {base / f}")
+    existing = next(d for d in (out_dir, *out_dir.parents) if d.exists())
+    if not existing.is_dir():
+        raise CliError(EXIT_INPUT, f"{existing}: Not a directory")
 
     root = data.get("root_room", pairs[0].room_a)
     if not isinstance(root, str) or root not in rooms:
@@ -496,7 +502,16 @@ def main(argv=None) -> int:
         except ValueError as e:
             raise CliError(EXIT_INPUT, str(e)) from e
         try:
-            return args.func(args)
+            code = args.func(args)
+            sys.stdout.flush()   # a closed pipe fails here, not at exit
+            return code
+        except BrokenPipeError:
+            # As Python's signal docs advise: stdout to devnull, so the flush
+            # at exit cannot fail again. 141 = 128 + SIGPIPE, as a shell reports.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return 141
         except FileNotFoundError as e:
             raise CliError(EXIT_INPUT, f"file not found: {e.filename}") from e
         except OSError as e:   # e.g. a directory named as a file

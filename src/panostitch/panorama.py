@@ -51,7 +51,6 @@ class BearingMatchSet:
     bearings_b: np.ndarray
     spec_a: PanoramaSpec
     spec_b: PanoramaSpec
-    scores: np.ndarray
 
     def __post_init__(self):
         a = np.asarray(self.bearings_a, dtype=np.float64)
@@ -60,8 +59,6 @@ class BearingMatchSet:
             raise ValueError("bearing arrays must both have shape (N, 3)")
         object.__setattr__(self, "bearings_a", a)
         object.__setattr__(self, "bearings_b", b)
-        object.__setattr__(self, "scores",
-                           np.asarray(self.scores, dtype=np.float64).reshape(a.shape[0]))
 
     def __len__(self) -> int:
         return self.bearings_a.shape[0]
@@ -129,17 +126,15 @@ def parse_match_dict(data: dict) -> BearingMatchSet:
 
     matches = data["matches"]
     _require(isinstance(matches, list), "'matches' must be a list")
-    ua, va, ub, vb, sc = [], [], [], [], []
+    ua, va, ub, vb = [], [], [], []
     for i, m in enumerate(matches):
         try:
-            s = _number(m, "score")
-            if s < MIN_SCORE:
+            if _number(m, "score") < MIN_SCORE:
                 continue
             ua.append(_number(m, "ua"))
             va.append(_number(m, "va"))
             ub.append(_number(m, "ub"))
             vb.append(_number(m, "vb"))
-            sc.append(s)
         except (KeyError, TypeError, ValueError) as e:
             raise MatchFileError(f"malformed match entry {i}: {e}") from e
 
@@ -150,7 +145,7 @@ def parse_match_dict(data: dict) -> BearingMatchSet:
         bb = pixel_to_bearing(np.array(ub), np.array(vb), spec_b)
     except ValueError as e:
         raise MatchFileError(f"keypoint outside declared panorama: {e}") from e
-    return BearingMatchSet(ba, bb, spec_a, spec_b, np.array(sc))
+    return BearingMatchSet(ba, bb, spec_a, spec_b)
 
 
 def load_matches(path) -> BearingMatchSet:

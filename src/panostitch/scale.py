@@ -8,8 +8,9 @@ gives the scale factor that makes the relative translation metric:
     alpha = h / median(n . p_i  for p_i in ground points)
 
 with n the floor-plane normal oriented from the camera toward the floor.
-The floor fit's settings are the constants GROUND_ITERATIONS,
-GROUND_PLANE_TOL, GROUND_MAX_TILT_DEG and GROUND_MIN_INLIERS.
+The floor fit is _plane_search.fit_plane with the settings GROUND_FIT
+(inlier distance, iterations, minimum support) and the tilt gate
+GROUND_MAX_TILT_DEG.
 """
 
 from __future__ import annotations
@@ -18,15 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._plane_search import best_plane_support
-from .geometry import GeometryError, Plane, RigidTransform, fit_plane_lsq, unit
+from ._plane_search import PlaneFitConfig, fit_plane
+from .geometry import GeometryError, Plane, RigidTransform, unit
 from .epipolar import RelativePose, TriangulatedSet
 
 DEFAULT_CAMERA_HEIGHT = 1.5
 GROUND_MAX_TILT_DEG = 10.0   # floor normal vs gravity tolerance
-GROUND_PLANE_TOL = 0.02      # inlier distance, unit-scale units
-GROUND_ITERATIONS = 500
-GROUND_MIN_INLIERS = 10
+GROUND_FIT = PlaneFitConfig(0.02, 500, 10)   # inlier distance in unit-scale units
 
 
 class GroundPlaneError(RuntimeError):
@@ -54,11 +53,10 @@ class GroundModel:
         if self.camera_height <= 0:
             raise ValueError("camera height must be positive")
         pts = np.asarray(self.ground_points, dtype=np.float64)
-        if pts.shape[0] < 10:
-            raise ValueError(f"ground model needs >= 10 points, got {pts.shape[0]}")
+        if pts.shape[0] < GROUND_FIT.min_inliers:
+            raise ValueError(f"ground model needs >= {GROUND_FIT.min_inliers} "
+                             f"points, got {pts.shape[0]}")
         object.__setattr__(self, "ground_points", pts)
-        if float(np.median(pts @ self.plane.normal)) <= 1e-6:
-            raise ValueError("floor normal is not oriented toward the floor")
 
     def projections(self) -> np.ndarray:
         return self.ground_points @ self.plane.normal
@@ -75,25 +73,13 @@ def select_ground_points(points: TriangulatedSet, gravity,
     and oriented from the camera toward the floor.
     """
     pts = np.asarray(points.points, dtype=np.float64)
-    n_pts = pts.shape[0]
-    if n_pts < GROUND_MIN_INLIERS:
-        raise GroundPlaneError(
-            f"need >= {GROUND_MIN_INLIERS} triangulated points, got {n_pts}")
     g = unit(gravity)
-
-    rng = np.random.default_rng(seed)
-    found = best_plane_support(pts, GROUND_ITERATIONS, GROUND_PLANE_TOL, rng, axis=g,
-                               min_cos=np.cos(np.deg2rad(GROUND_MAX_TILT_DEG)))
-    if found is None or found[1] < GROUND_MIN_INLIERS:
-        raise GroundPlaneError(
-            f"no gravity-consistent plane with >= {GROUND_MIN_INLIERS} inliers")
-    best_mask = found[0]
-
     try:
-        plane = fit_plane_lsq(pts[best_mask])
+        plane, mask = fit_plane(pts, GROUND_FIT, np.random.default_rng(seed), axis=g,
+                                min_cos=np.cos(np.deg2rad(GROUND_MAX_TILT_DEG)))
     except GeometryError as e:
-        raise GroundPlaneError(f"floor refit is degenerate: {e}") from e
-    ground = pts[best_mask]
+        raise GroundPlaneError(f"no gravity-consistent floor: {e}") from e
+    ground = pts[mask]
     if float(np.median(ground @ plane.normal)) < 0:
         plane = plane.flipped()
     return GroundModel(plane=plane, camera_height=cfg.camera_height,

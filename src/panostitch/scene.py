@@ -18,10 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._atomic import write_json
-from ._plane_search import best_plane_support
+from ._plane_search import PlaneFitConfig, fit_plane
 from .geometry import (Aabb, GeometryError, Plane, PointCloud, PointIndex,
-                       RigidTransform, as_vec3, compose, fit_plane_lsq, is_json,
-                       rot_z, unit)
+                       RigidTransform, as_vec3, compose, is_json, rot_z, unit)
 
 SCHEMA_VERSION = 1
 FLATTEN_STDDEV_LIMIT = 0.01  # meters; pre-flatten inlier spread contract
@@ -236,13 +235,6 @@ def overlap_rms(cloud_a: PointCloud, cloud_b: PointCloud,
 # Plane extraction and flattening
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PlaneFitConfig:
-    distance_threshold: float = 0.01   # meters
-    iterations: int = 1000
-    min_inliers: int = 50
-
-
 def fit_plane_ransac(cloud: PointCloud, cfg: PlaneFitConfig = PlaneFitConfig(),
                      seed: int = 0) -> tuple[Plane, np.ndarray]:
     """Largest-support plane in the cloud.
@@ -252,23 +244,11 @@ def fit_plane_ransac(cloud: PointCloud, cfg: PlaneFitConfig = PlaneFitConfig(),
     inliers and the inlier set re-evaluated once against the refit.
     Support below cfg.min_inliers raises PlaneFitError at any cloud size.
     """
-    pts = cloud.points
-    n = pts.shape[0]
-    if n < 3:
-        raise PlaneFitError(f"plane fit needs >= 3 points, got {n}")
-
-    rng = np.random.default_rng(seed)
-    found = best_plane_support(pts, cfg.iterations, cfg.distance_threshold, rng)
-    if found is None or found[1] < cfg.min_inliers:
-        raise PlaneFitError(
-            f"no plane with >= {cfg.min_inliers} inliers "
-            f"(best support: {0 if found is None else found[1]})")
-    best_mask = found[0]
     try:
-        plane = fit_plane_lsq(pts[best_mask])
+        plane, _ = fit_plane(cloud.points, cfg, np.random.default_rng(seed))
     except GeometryError as e:
         raise PlaneFitError(str(e)) from e
-    dist = np.abs(plane.signed_distance(pts))
+    dist = np.abs(plane.signed_distance(cloud.points))
     inliers = np.flatnonzero(dist <= cfg.distance_threshold)
     if inliers.size < cfg.min_inliers:
         raise PlaneFitError("refit plane lost its inlier support")

@@ -1012,6 +1012,38 @@ def test_os_error_exits_2(synth_dir, tmp_path, capsys, case):
     assert str(path) in errors[0]["message"]
 
 
+@pytest.mark.parametrize("under", ["file", "below-file"])
+def test_stitch_out_under_a_file_is_refused_before_any_pair(synth_dir, tmp_path,
+                                                             capsys, under):
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    out = a_file if under == "file" else a_file / "sub" / "dir"
+    assert run("stitch", synth_dir / "stitch_manifest.json", "--out", out) == 2
+    events = [json.loads(line) for line in capsys.readouterr().err.splitlines()
+              if line.startswith("{")]
+    assert [e["event"] for e in events] == ["error"]
+    assert events[0]["message"] == f"{a_file}: Not a directory"
+
+
+def test_closed_stdout_exits_141_quietly():
+    # The pipe's read end is closed before the child starts, so its first
+    # write to stdout fails with EPIPE.
+    src = Path(panostitch.__file__).parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "panostitch.cli", "eval", "--correlate",
+             str(DATA / "simreal_rates.csv")],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert child.returncode == 141
+    assert child.stderr == b""
+
+
 class TestThreadsVariable:
     @pytest.mark.parametrize("value", ["abc", "0", "-3"])
     def test_bad_value_exits_2_before_the_command(self, tmp_path, capsys,

@@ -28,7 +28,7 @@ def direction_angle(u, v):
 
 def make_match_set(ba, bb):
     spec = PanoramaSpec(2048, 1024)
-    return BearingMatchSet(ba, bb, spec, spec, np.ones(len(ba)))
+    return BearingMatchSet(ba, bb, spec, spec)
 
 
 def pure_translation_matches(n=40, seed=0):

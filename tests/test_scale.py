@@ -65,6 +65,16 @@ class TestSelectGroundPoints:
         with pytest.raises(GroundPlaneError, match=">= 10"):
             select_ground_points(tri, GRAVITY, GroundConfig(), seed=0)
 
+    def test_floor_through_the_camera_is_refused_by_recover_scale(self, rng):
+        # The floor fit succeeds; its points' median height is 0, which only
+        # recover_scale refuses.
+        pts = np.column_stack([rng.uniform(-2, 2, 200), rng.uniform(-2, 2, 200),
+                               np.zeros(200)])
+        tri = TriangulatedSet(points=pts, inlier_indices=np.arange(200))
+        g = select_ground_points(tri, GRAVITY, GroundConfig(), seed=0)
+        with pytest.raises(GroundPlaneError, match="not positive"):
+            recover_scale(g)
+
 
 class TestRecoverScale:
     def test_identity_when_projections_equal_height(self):

@@ -40,11 +40,13 @@ boundary and a last hypothesis batch of 188.
 Every step is seeded, so two source trees that produce the same
 artifacts print the same digests.
 
-After the digests, one more line gives the exit code of a `stitch` of
-the first synth scene with room B's cloud moved 9 m along x, so far
-that the two clouds' boxes no longer meet at the coarse pose. Its
-outputs are not hashed: a tree that refuses the pair prints 5, one
-that stitches it anyway prints 0.
+After the digests, two more lines give exit codes whose outputs are not
+hashed. The first is a `stitch` of the first synth scene with room B's
+cloud moved 9 m along x, so far that the two clouds' boxes no longer
+meet at the coarse pose: a tree that refuses the pair prints 5, one
+that stitches it anyway prints 0. The second is a `stitch` of a synth
+scene with 5 floor matches, fewer than the floor fit's 10 inliers, which
+covers the floor fit's refusal: a tree that refuses the floor prints 5.
 
 To compare two source trees, run this script once against each (set
 PYTHONPATH to that tree's `src`) with the SAME OUT_DIR, and diff the
@@ -89,6 +91,9 @@ DENSE_SYNTH_CONFIG = {
     "scene": {"pixel_noise_sigma": 0.5, "outlier_fraction": 0.1,
               "cloud_point_count": 20000},
 }
+# A scene with too few floor matches for the floor fit.
+FLOORLESS_SYNTH_CONFIG = {"seed": 5, "scene": {**SYNTH_CONFIG["scene"],
+                                               "floor_point_count": 5}}
 BIG_TABLE_POINTS = 106_000
 # (label, length a, length b, integer grid?)
 DTW_PAIRS = [("float-150x150", 150, 150, False), ("float-60x90", 60, 90, False),
@@ -189,6 +194,15 @@ def shifted_stitch_code(out: Path) -> int:
     write_ply(shifted / "room_b.ply", PointCloud(cloud.points + [9.0, 0.0, 0.0]))
     return cli.main(["stitch", str(shifted / "stitch_manifest.json"),
                      "--out", str(out / "stitch_shifted")])
+
+
+def floorless_stitch_code(out: Path) -> int:
+    """Exit code of stitching a synth scene with 5 floor matches."""
+    config = out / "synth_floorless_config.json"
+    config.write_text(json.dumps(FLOORLESS_SYNTH_CONFIG))
+    run("synth", config, "--out", out / "synth_floorless")
+    return cli.main(["stitch", str(out / "synth_floorless" / "stitch_manifest.json"),
+                     "--out", str(out / "stitch_floorless")])
 
 
 def run(*argv) -> None:
@@ -322,6 +336,7 @@ def main(argv: list[str]) -> int:
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
         print(f"{digest}  {path.relative_to(out)}")
     print(f"exit {shifted_stitch_code(out)}  stitch of synth with room B moved 9 m")
+    print(f"exit {floorless_stitch_code(out)}  stitch of synth with 5 floor matches")
     return 0
 
 
