@@ -8,10 +8,10 @@ Structured JSON-lines progress logs, including stage timings, go to
 stderr; result artifacts never contain timings so repeated runs are
 byte-identical.
 
-Exit codes: 0 success, 2 input error (any bad stitch pair key or value, or
-an --out under a file, found before any cloud is read; any file that cannot
-be read or written), 3 graph, 4 placement, 5 numerical failure, 141 a closed
-stdout (128 + SIGPIPE).
+Exit codes: 0 success, 2 input error (any file that cannot be read or
+written; a bad stitch pair, or an output under a file or a directory named
+as an output file, exits 2 before any cloud, manifest or CSV is read), 3
+graph, 4 placement, 5 numerical failure, 141 a closed stdout (128 + SIGPIPE).
 PANOSTITCH_THREADS caps the KD-tree, normal-estimation and plane-search
 threads, not the BLAS library's own pool; a value that is not a positive
 integer exits 2 before the command runs.
@@ -94,6 +94,15 @@ def _read_cloud(path: Path) -> PointCloud:
     return cloud
 
 
+def _check_outputs(*paths, directory: bool = False) -> None:
+    """Exit 2 if an output path lies under a file, or is a directory (a file,
+    if `directory`); called before any input is read."""
+    for path in map(Path, filter(None, paths)):
+        near = next(d for d in (path, *path.parents) if d.exists())
+        if (is_dir := near.is_dir()) == (near == path and not directory):
+            raise CliError(EXIT_INPUT, f"{near}: {'Is' if is_dir else 'Not'} a directory")
+
+
 # ---------------------------------------------------------------------------
 # stitch
 # ---------------------------------------------------------------------------
@@ -139,9 +148,7 @@ def cmd_stitch(args) -> int:
         for f in (p.match_file, p.cloud_a, p.cloud_b):
             if not (base / f).is_file():
                 raise CliError(EXIT_INPUT, f"file not found: {base / f}")
-    existing = next(d for d in (out_dir, *out_dir.parents) if d.exists())
-    if not existing.is_dir():
-        raise CliError(EXIT_INPUT, f"{existing}: Not a directory")
+    _check_outputs(out_dir, directory=True)
 
     root = data.get("root_room", pairs[0].room_a)
     if not isinstance(root, str) or root not in rooms:
@@ -225,11 +232,11 @@ def _load_scene_manifest(path: Path) -> scene_mod.SceneManifest:
 
 
 def cmd_plane(args) -> int:
-    # The manifest is checked before any work, so a refused one leaves no
-    # flattened PLY or report behind.
+    # Every check comes before any work, so a refused run writes nothing.
     manifest = plane_id = None
     if args.plane_id is not None and not args.add_to_manifest:
         raise CliError(EXIT_INPUT, "--plane-id needs --add-to-manifest")
+    _check_outputs(args.flatten, args.report)
     if args.add_to_manifest:
         manifest = _load_scene_manifest(Path(args.add_to_manifest))
         plane_id = args.plane_id or f"plane{len(manifest.planes)}"
@@ -304,6 +311,7 @@ def cmd_eval(args) -> int:
         raise CliError(EXIT_INPUT, "eval needs --episodes and/or --correlate")
     if (args.report or args.detail) and not args.episodes:
         raise CliError(EXIT_INPUT, "--report and --detail need --episodes")
+    _check_outputs(args.report, args.detail)
     if args.episodes:
         try:
             episodes = read_episode_csv(Path(args.episodes))

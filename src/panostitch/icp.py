@@ -232,9 +232,9 @@ def _linearize(moved: np.ndarray, q: np.ndarray, n: np.ndarray
 
 def _error_sum(moved: np.ndarray, q: np.ndarray, n: np.ndarray) -> float:
     """Sum of squared point-to-plane residuals of moved points against
-    their correspondences (q, n); every ICP error is summed here."""
+    their correspondences (q, n): every ICP error, in einsum's fixed order."""
     r = _residuals(moved, q, n)
-    return float(r @ r)
+    return float(np.einsum("i,i->", r, r))
 
 
 def correspondence_error(src_pts: np.ndarray, dst_pts: np.ndarray,

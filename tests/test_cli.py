@@ -984,16 +984,24 @@ def test_missing_input_exits_2(tmp_path, capsys, case):
 
 
 @pytest.mark.parametrize("case", ["stitch-out-file", "stitch-cloud-dir", "eval-report-dir",
-                                  "eval-episodes-dir", "synth-out-under-file"])
-def test_os_error_exits_2(synth_dir, tmp_path, capsys, case):
+                                  "eval-episodes-dir", "synth-out-under-file",
+                                  "plane-report-under-file", "eval-detail-under-file"])
+def test_os_error_exits_2(synth_dir, tmp_path, capsys, rng, case):
     # Directories and files in the wrong place, not permissions: a test run
     # as root is never denied.
+    from conftest import build_table_manifest
+
+    from panostitch.scene import save_manifest
     a_file, a_dir = tmp_path / "a_file", tmp_path / "a_dir"
     a_file.write_text("")
     a_dir.mkdir()
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"episodes": [EPISODE]}))
     episodes = DATA / "microwave_episodes.csv"
+    table, scene = tmp_path / "table.ply", tmp_path / "scene.json"
+    write_ply(table, PointCloud(np.column_stack(
+        [rng.uniform(-0.5, 0.5, (200, 2)), np.full(200, 0.8)])))
+    save_manifest(scene, build_table_manifest(rng))
     argv, path = {
         "stitch-out-file": (["stitch", synth_dir / "stitch_manifest.json", "--out", a_file],
                             a_file),
@@ -1002,8 +1010,19 @@ def test_os_error_exits_2(synth_dir, tmp_path, capsys, case):
         "eval-report-dir": (["eval", "--episodes", episodes, "--report", a_dir], a_dir),
         "eval-episodes-dir": (["eval", "--episodes", a_dir], a_dir),
         "synth-out-under-file": (["synth", config, "--out", a_file / "x"], a_file / "x"),
+        # Every output is checked before the first is written.
+        "plane-report-under-file": (["plane", table, "--flatten", tmp_path / "flat.ply",
+                                     "--add-to-manifest", scene, "--plane-id", "top",
+                                     "--report", a_file / "r.json"], a_file),
+        "eval-detail-under-file": (["eval", "--episodes", episodes, "--report",
+                                    tmp_path / "ok.csv", "--detail", a_file / "d.csv"],
+                                   a_file),
     }[case]
+    files = {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")}
     assert run(*argv) == 2
+    # No output written, no input (the scene manifest among them) changed.
+    assert {p: p.read_bytes() if p.is_file() else None
+            for p in tmp_path.rglob("*")} == files
     err = capsys.readouterr().err
     assert "Traceback" not in err
     events = [json.loads(line) for line in err.splitlines() if line.startswith("{")]

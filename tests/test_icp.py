@@ -1,5 +1,8 @@
 import dataclasses
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -79,7 +82,7 @@ def reference_icp(source, target, T_init=RigidTransform.identity(),
         p, q, n = moved[rows], target.points[tgt_idx], target.normals[tgt_idx]
         if prev_err is None:
             r0 = icp_mod._residuals(p, q, n)
-            initial_err = prev_err = float(r0 @ r0)
+            initial_err = prev_err = float(np.einsum("i,i->", r0, r0))
         xi = icp_mod._solve_step(p, q, n)
         T = compose(RigidTransform(rotation_exp(xi[:3]), xi[3:]), T)
         poses.append(T)
@@ -433,6 +436,25 @@ class TestEvalIcpError:
             r = np.einsum("ni,ni->n", moved[keep] - dst_pts[nn[keep]],
                           normals[nn[keep]])
             assert got == pytest.approx(float(r @ r), rel=1e-12)
+
+
+def test_error_sum_does_not_depend_on_blas_threads():
+    # OpenBLAS reads its thread count only when numpy loads, so each count
+    # gets its own interpreter. A BLAS dot product splits a sum this long
+    # across its threads, and the split changes the last bits.
+    code = ("import numpy as np\n"
+            "from panostitch.geometry import RigidTransform\n"
+            "from panostitch.icp import correspondence_error\n"
+            "p, q, n = np.random.default_rng(7).normal(size=(3, 200_000, 3))\n"
+            "print(repr(correspondence_error(p, q, n, RigidTransform.identity())))\n")
+    src = str(Path(icp_mod.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    sums = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           check=True, timeout=60,
+                           env={**os.environ, "PYTHONPATH": path,
+                                "OPENBLAS_NUM_THREADS": threads}).stdout
+            for threads in ("1", "2")]
+    assert sums[0] == sums[1]
 
 
 class TestGradient:

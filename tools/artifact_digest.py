@@ -1,44 +1,40 @@
-"""Run a fixed end-to-end CLI flow and print a sha256 per artifact.
+"""Run a fixed end-to-end CLI flow, replay it under every variant that
+must not change a byte, and print a sha256 per artifact.
 
     PYTHONPATH=src python tools/artifact_digest.py OUT_DIR
 
 The flow: `synth` (a two-room scene plus episode logs), `stitch` at
 seeds 0 and 7, `synth` and `stitch` of a denser two-room scene (20,000
-points per room, so normal estimation runs over several query blocks;
-it is stitched a second time with PANOSTITCH_THREADS=1, and the script
-exits non-zero unless that run writes the same bytes),
-`plane` on an ASCII PLY table with `--flatten` and
-`--add-to-manifest` (into the seed-0 scene manifest), three `place`
-calls on that plane, and `eval` of the synthesized episodes. A second
-`plane --flatten` runs on a cluttered 106,000-point table, where the
-plane search scores its candidates in chunks of 37, and a candidate
-stops early once it cannot reach the count of a chunk that has
-finished, so which candidates stop depends on the thread count. Both
-`plane` steps run again with PANOSTITCH_THREADS=1, with
-PANOSTITCH_THREADS=8, with the plane search's _SCORE_BUDGET patched
-to one candidate per chunk, and in a child process with
-OPENBLAS_NUM_THREADS=1, which OpenBLAS reads only when numpy loads (the
-manifest restored before each), and the script exits non-zero unless
-those runs write the same bytes. The stitch flows get no BLAS rerun yet:
-ICP's error sum still depends on the BLAS thread count (ROADMAP item
-14 gives it a fixed order). A
-labeled cloud (normals and room ids) is also written as ASCII PLY, read
-back and written as binary, so both directions of the ASCII codec are
-covered. `dtw.json` holds the `repr`
+points per room, so normal estimation runs over several query blocks),
+`plane` on an ASCII PLY table with `--flatten` and `--add-to-manifest`
+(into the seed-0 scene manifest), three `place` calls on that plane, and
+`eval` of the synthesized episodes. A second `plane --flatten` runs on a
+cluttered 106,000-point table, where the plane search scores its
+candidates in chunks of 37, and a candidate stops early once it cannot
+reach the count of a chunk that has finished, so which candidates stop
+depends on the thread count. A labeled cloud (normals and room ids) is
+also written as ASCII PLY, read back and written as binary, so both
+directions of the ASCII codec are covered. `dtw.json` holds the `repr`
 of `dtw` and of `dtw(normalize=True)` over seeded float and
 integer-grid trajectory pairs, the grid ones full of equal-cost ties.
 Last, a two-room scene built with the library the way the benchmark
 builds its match-heavy scenes (room B sampled again with 3 mm noise,
 binary PLYs, 2,000 matches at 40 % outliers) is stitched; its ICP
 correspondences cycle, so it covers the cycle stop, and the script exits
-non-zero unless its diagnostics report stop reason "cycle". It is
-stitched again with the essential RANSAC's SUPPORT_BLOCK patched to 1
-(one hypothesis per matrix product), and the script exits non-zero
-unless that run writes the same bytes. The same scene is stitched again
-with RANSAC at threshold 0.003 and 700 iterations, a second inlier
-boundary and a last hypothesis batch of 188.
+non-zero unless its diagnostics report stop reason "cycle". The same
+scene is stitched again with RANSAC at threshold 0.003 and 700
+iterations, a second inlier boundary and a last hypothesis batch of 188.
 Every step is seeded, so two source trees that produce the same
 artifacts print the same digests.
+
+The whole flow then runs again into the same OUT_DIR under each entry
+of VARIANTS: PANOSTITCH_THREADS=1 and =8, the plane search's
+_SCORE_BUDGET patched to one candidate per chunk, the essential RANSAC's
+SUPPORT_BLOCK patched to one hypothesis per matrix product, and
+OPENBLAS_NUM_THREADS=1, which OpenBLAS reads only when numpy loads, so
+that run is a child interpreter that imports this script. The script
+exits non-zero, naming the first artifact and variant, unless every
+run writes every artifact with the same bytes.
 
 After the digests, two more lines give exit codes whose outputs are not
 hashed. The first is a `stitch` of the first synth scene with room B's
@@ -57,8 +53,6 @@ run overwrites the artifacts it lists, so OUT_DIR can be reused.
 
 from __future__ import annotations
 
-import contextlib
-import functools
 import hashlib
 import json
 import os
@@ -111,6 +105,16 @@ STITCH_ARTIFACTS = ("merged.ply", "diagnostics.json", "scene_manifest.json")
 CYCLING_SEED = 2
 # RANSAC settings of the second stitch of that scene: 700 = 512 + 188.
 RANSAC_VARIANT = {"threshold": 0.003, "iterations": 700}
+# (label, patch, run in a child interpreter?): each replays the whole flow.
+VARIANTS = (
+    ("PANOSTITCH_THREADS=1", mock.patch.dict(os.environ, PANOSTITCH_THREADS="1"), False),
+    ("PANOSTITCH_THREADS=8", mock.patch.dict(os.environ, PANOSTITCH_THREADS="8"), False),
+    ("one candidate per chunk",
+     mock.patch.object(_plane_search, "_SCORE_BUDGET", 1), False),
+    ("one hypothesis per block", mock.patch.object(epipolar, "SUPPORT_BLOCK", 1), False),
+    ("OPENBLAS_NUM_THREADS=1",
+     mock.patch.dict(os.environ, OPENBLAS_NUM_THREADS="1"), True),
+)
 
 
 def table_cloud(n: int = 2000, seed: int = 0) -> PointCloud:
@@ -211,44 +215,6 @@ def run(*argv) -> None:
         raise SystemExit(f"panostitch {argv[0]} exited {code}")
 
 
-def run_in_child(env: dict, *argv) -> None:
-    """`run` in a new interpreter with `env` added to the environment."""
-    src = str(Path(cli.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = subprocess.run([sys.executable, "-m", "panostitch.cli", *map(str, argv)],
-                          env={**os.environ, "PYTHONPATH": path, **env}).returncode
-    if code != 0:
-        raise SystemExit(f"panostitch {argv[0]} exited {code} with {env}")
-
-
-def run_plane_variants(cloud: Path, *argv, manifest: Path | None = None) -> None:
-    """`plane` on cloud, then again with PANOSTITCH_THREADS=1 and =8, with
-    _SCORE_BUDGET patched to one candidate per chunk and in a child with
-    OPENBLAS_NUM_THREADS=1, into the same paths (the manifest it adds to
-    restored before each); exits non-zero unless every run writes the
-    same bytes."""
-    before = manifest.read_bytes() if manifest else None
-    run("plane", cloud, *argv)
-    outputs = [a for a in argv if isinstance(a, Path)]   # the files it writes
-    first = [path.read_bytes() for path in outputs]
-    # Each patch is undone when its run ends.
-    variants = [(f"PANOSTITCH_THREADS={threads}",
-                 mock.patch.dict(os.environ, {"PANOSTITCH_THREADS": threads}), run)
-                for threads in ("1", "8")]
-    variants.append(("one candidate per chunk",
-                     mock.patch.object(_plane_search, "_SCORE_BUDGET", 1), run))
-    variants.append(("OPENBLAS_NUM_THREADS=1", contextlib.nullcontext(),
-                     functools.partial(run_in_child, {"OPENBLAS_NUM_THREADS": "1"})))
-    for label, patch, runner in variants:
-        if manifest:
-            manifest.write_bytes(before)
-        with patch:
-            runner("plane", cloud, *argv)
-        for path, data in zip(outputs, first):
-            if path.read_bytes() != data:
-                raise SystemExit(f"plane output {path.name} differs at {label}")
-
-
 def flow(out: Path) -> list[Path]:
     """Run every step into `out` and return the artifact paths."""
     # Subdirectories are made here: older trees do not create them.
@@ -266,21 +232,14 @@ def flow(out: Path) -> list[Path]:
     run("synth", dense_config, "--out", out / "synth_dense")
     run("stitch", out / "synth_dense" / "stitch_manifest.json",
         "--out", out / "stitch_dense", "--seed", 0)
-    with mock.patch.dict(os.environ, {"PANOSTITCH_THREADS": "1"}):   # restored after
-        run("stitch", out / "synth_dense" / "stitch_manifest.json",
-            "--out", out / "stitch_dense_1thread", "--seed", 0)
-    for name in STITCH_ARTIFACTS:
-        if (out / "stitch_dense_1thread" / name).read_bytes() != \
-                (out / "stitch_dense" / name).read_bytes():
-            raise SystemExit(f"stitch_dense/{name} differs at PANOSTITCH_THREADS=1")
     scene = out / "stitch0" / "scene_manifest.json"
     write_ply(out / "table.ply", table_cloud(), binary=False)
-    run_plane_variants(out / "table.ply", "--flatten", out / "plane" / "flat.ply",
-                       "--report", out / "plane" / "report.json", "--add-to-manifest", scene,
-                       "--plane-id", "table", "--seed", 2, manifest=scene)
+    run("plane", out / "table.ply", "--flatten", out / "plane" / "flat.ply",
+        "--report", out / "plane" / "report.json", "--add-to-manifest", scene,
+        "--plane-id", "table", "--seed", 2)
     write_ply(out / "big_table.ply", cluttered_table(BIG_TABLE_POINTS, seed=3))
-    run_plane_variants(out / "big_table.ply", "--flatten", out / "plane" / "big_flat.ply",
-                       "--report", out / "plane" / "big_report.json", "--seed", 4)
+    run("plane", out / "big_table.ply", "--flatten", out / "plane" / "big_flat.ply",
+        "--report", out / "plane" / "big_report.json", "--seed", 4)
     for k, (asset, size) in enumerate(PLACES):
         dest = [] if k < 2 else ["--out", out / "place" / "placed.json"]
         run("place", scene, "--plane", "table", "--asset-id", asset,
@@ -298,12 +257,6 @@ def flow(out: Path) -> list[Path]:
     reason = diagnostics["pairs"][0]["icp"]["stop_reason"]
     if reason != "cycle":
         raise SystemExit(f"stitch_cycling ICP stopped on {reason!r}, not 'cycle'")
-    with mock.patch.object(epipolar, "SUPPORT_BLOCK", 1):   # restored after
-        run("stitch", cycling, "--out", out / "stitch_cycling_block1", "--seed", CYCLING_SEED)
-    for name in STITCH_ARTIFACTS:
-        if (out / "stitch_cycling_block1" / name).read_bytes() != \
-                (out / "stitch_cycling" / name).read_bytes():
-            raise SystemExit(f"stitch_cycling/{name} differs at SUPPORT_BLOCK = 1")
     variant = json.loads(cycling.read_text())
     variant["pairs"][0]["ransac"] = RANSAC_VARIANT
     variant_path = cycling.with_name("stitch_manifest_ransac.json")
@@ -327,14 +280,46 @@ def flow(out: Path) -> list[Path]:
     return artifacts
 
 
+def digests(out: Path, flow=flow) -> dict[str, str]:
+    """sha256 of each artifact `flow` writes into `out`, by path under `out`."""
+    return {str(path.relative_to(out)): hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in flow(out)}
+
+
+def child_digests(out: Path) -> dict[str, str]:
+    """`digests(out)` in a new interpreter that inherits this environment."""
+    paths = [Path(__file__).resolve().parent, Path(cli.__file__).resolve().parent.parent]
+    path = os.pathsep.join(filter(None, [*map(str, paths), os.environ.get("PYTHONPATH")]))
+    code = ("import json, sys, pathlib, artifact_digest\n"
+            "print(json.dumps(artifact_digest.digests(pathlib.Path(sys.argv[1]))))")
+    child = subprocess.run([sys.executable, "-c", code, str(out)], text=True,
+                           stdout=subprocess.PIPE, env={**os.environ, "PYTHONPATH": path})
+    if child.returncode != 0:
+        raise SystemExit(f"the child interpreter exited {child.returncode}")
+    return json.loads(child.stdout.splitlines()[-1])
+
+
+def replay(out: Path, flow=flow, variants=VARIANTS) -> dict[str, str]:
+    """`digests(out, flow)`, after the flow is replayed under each variant
+    (a child one runs this script's own flow); exits non-zero naming the
+    first artifact and variant whose bytes differ."""
+    first = digests(out, flow)
+    for label, patch, in_child in variants:
+        with patch:   # undone when the run ends
+            again = child_digests(out) if in_child else digests(out, flow)
+        for name, digest in first.items():
+            if again.get(name) != digest:
+                raise SystemExit(f"{name} differs at {label}")
+    return first
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
         return 2
     out = Path(argv[0]).resolve()
-    for path in flow(out):
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        print(f"{digest}  {path.relative_to(out)}")
+    for name, digest in replay(out).items():
+        print(f"{digest}  {name}")
     print(f"exit {shifted_stitch_code(out)}  stitch of synth with room B moved 9 m")
     print(f"exit {floorless_stitch_code(out)}  stitch of synth with 5 floor matches")
     return 0
