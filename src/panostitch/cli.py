@@ -95,9 +95,14 @@ def _read_cloud(path: Path) -> PointCloud:
 
 
 def _check_outputs(*paths, directory: bool = False) -> None:
-    """Exit 2 if an output path lies under a file, or is a directory (a file,
-    if `directory`); called before any input is read."""
+    """Exit 2 if two output paths resolve to one file, or one lies under a
+    file, or is a directory (a file, if `directory`); called before any
+    input is read."""
+    seen = set()
     for path in map(Path, filter(None, paths)):
+        if path.resolve() in seen:
+            raise CliError(EXIT_INPUT, f"{path}: named by two outputs")
+        seen.add(path.resolve())
         near = next(d for d in (path, *path.parents) if d.exists())
         if (is_dir := near.is_dir()) == (near == path and not directory):
             raise CliError(EXIT_INPUT, f"{near}: {'Is' if is_dir else 'Not'} a directory")
@@ -236,7 +241,7 @@ def cmd_plane(args) -> int:
     manifest = plane_id = None
     if args.plane_id is not None and not args.add_to_manifest:
         raise CliError(EXIT_INPUT, "--plane-id needs --add-to-manifest")
-    _check_outputs(args.flatten, args.report)
+    _check_outputs(args.flatten, args.add_to_manifest, args.report)
     if args.add_to_manifest:
         manifest = _load_scene_manifest(Path(args.add_to_manifest))
         plane_id = args.plane_id or f"plane{len(manifest.planes)}"

@@ -25,12 +25,13 @@ IcpResult.stop_reason:
 An empty overlap crop (Rusinkiewicz & Levoy 2001) or correspondence set
 raises IcpError("zero correspondences ..."); no pose or error is made up.
 
-A step moves most points by far less than the gap to their second
-nearest target point, so their nearest neighbor cannot change. The loop
-keeps each point's neighbor and a lower bound on its distance to every
-other target point, and sends only the points whose neighbor may have
-changed back to the KD-tree (Greenspan & Godin 2001). The result equals
-a full query at every iteration, index and distance bit for bit.
+Point selection is the first stage of ICP (Rusinkiewicz & Levoy 2001):
+a source of more than SOURCE_SAMPLE points is registered by a fixed
+sample of that many, drawn once before the overlap crop with a
+fixed-seed generator, so the result is a pure function of the inputs
+and the config. A target without normals gets them only where the
+correspondences touch it, each one bit-equal to what estimate_normals
+gives that point, with the viewpoint at the target's origin.
 """
 
 from __future__ import annotations
@@ -45,12 +46,9 @@ from .geometry import (Aabb, PointCloud, PointIndex, RigidTransform, compose,
                        rotation_exp, thread_count)
 
 SINGULAR_COND = 1e12
-NORMAL_BLOCK = 2048     # query points per neighbor gather in estimate_normals
-# Relative shrink of every second-neighbor bound _NearestCache stores. It
-# must exceed the relative rounding of the distances its test reads plus
-# that of the distances cKDTree compares, about 21 units in the last
-# place (2.3e-15) together.
-_BOUND_SLACK = 1e-12
+NORMAL_BLOCK = 2048     # query points per neighbor gather of the normal kernel
+SOURCE_SAMPLE = 5000    # source points ICP registers; None: every point
+SAMPLE_SEED = 0         # generator seed of the source sample
 
 
 class IcpError(RuntimeError):
@@ -92,26 +90,35 @@ def estimate_normals(cloud: PointCloud, k: int = 20,
     The normal is the smallest-eigenvalue eigenvector of the local
     covariance (neighborhood includes the point itself), flipped so it
     faces the viewpoint: normal . (viewpoint - p) >= 0.
+    """
+    if k < 3:
+        raise ValueError("normal estimation needs k >= 3")
+    _check_normal_k(len(cloud), k)
+    return PointCloud(cloud.points, _normals(PointIndex(cloud.points), cloud.points,
+                                             k, viewpoint))
+
+
+def _check_normal_k(n: int, k: int) -> None:
+    if n < k:
+        raise IcpError(f"cloud has {n} points, needs >= k = {k}")
+
+
+def _normals(index: PointIndex, qs: np.ndarray, k: int, viewpoint) -> np.ndarray:
+    """Normals at the query points qs, each from its k nearest points of
+    index, oriented toward viewpoint: the kernel of estimate_normals.
 
     Query points are processed in blocks of NORMAL_BLOCK on
     thread_count() threads, one neighbor query per block on its own
     thread, so the neighbor gathers take O(threads * NORMAL_BLOCK * k)
     memory rather than O(n * k). Each point's arithmetic depends on
-    neither the block nor the thread count.
+    neither the block, the thread count nor the other query points.
     """
-    n = len(cloud)
-    if k < 3:
-        raise ValueError("normal estimation needs k >= 3")
-    if n < k:
-        raise IcpError(f"cloud has {n} points, needs >= k = {k}")
     vp = np.asarray(viewpoint, dtype=np.float64).reshape(3)
-
-    index = PointIndex(cloud.points)
-    normals = np.empty((n, 3))
+    normals = np.empty((len(qs), 3))
 
     def block(lo: int) -> None:
-        nbr, _ = index.knn(cloud.points[lo:lo + NORMAL_BLOCK], k=k, serial=True)
-        centered = cloud.points[nbr]                  # (b, k, 3)
+        nbr, _ = index.knn(qs[lo:lo + NORMAL_BLOCK], k=k, serial=True)
+        centered = index.points[nbr]                  # (b, k, 3)
         centered -= centered.mean(axis=1, keepdims=True)
         cov = np.empty((len(nbr), 3, 3))
         for i in range(3):
@@ -123,21 +130,55 @@ def estimate_normals(cloud: PointCloud, k: int = 20,
         normals[lo:lo + NORMAL_BLOCK] = vecs[:, :, 0]
 
     with ThreadPoolExecutor(thread_count()) as pool:
-        list(pool.map(block, range(0, n, NORMAL_BLOCK)))   # re-raises failures
-    flip = np.einsum("ni,ni->n", normals, vp[None, :] - cloud.points) < 0
+        list(pool.map(block, range(0, len(qs), NORMAL_BLOCK)))   # re-raises failures
+    flip = np.einsum("ni,ni->n", normals, vp[None, :] - qs) < 0
     normals[flip] = -normals[flip]
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    return PointCloud(cloud.points, normals)
+    return normals
 
 
-def _overlap_crop(src: np.ndarray, dst: PointCloud, T: RigidTransform,
+class _Target:
+    """The target's points, KD-tree and normals: its own normals if it has
+    them, otherwise each estimated from its normal_k nearest target points
+    (viewpoint at the origin) the first time a correspondence reads it."""
+
+    def __init__(self, cloud: PointCloud, normal_k: int):
+        self.points, self._k = cloud.points, normal_k
+        self._normals, self._missing = cloud.normals, None
+        if not cloud.has_normals():
+            _check_normal_k(len(cloud), normal_k)
+            self._normals = np.empty((len(cloud), 3))
+            self._missing = np.ones(len(cloud), dtype=bool)
+        self.index = PointIndex(cloud.points)
+
+    def normals(self, idx: np.ndarray) -> np.ndarray:
+        if self._missing is not None:
+            new = np.unique(idx[self._missing[idx]])
+            if new.size:
+                self._normals[new] = _normals(self.index, self.points[new], self._k,
+                                              (0.0, 0.0, 0.0))
+                self._missing[new] = False
+        return self._normals[idx]
+
+
+def _sample(points: np.ndarray) -> np.ndarray:
+    """The rows ICP registers: a sorted, fixed-seed draw of SOURCE_SAMPLE
+    rows without replacement when there are more, otherwise every row."""
+    if SOURCE_SAMPLE is None or len(points) <= SOURCE_SAMPLE:
+        return points
+    rows = np.random.default_rng(SAMPLE_SEED).choice(len(points), SOURCE_SAMPLE,
+                                                     replace=False)
+    return points[np.sort(rows)]
+
+
+def _overlap_crop(src: np.ndarray, dst: np.ndarray, T: RigidTransform,
                   margin: float) -> np.ndarray:
     """Indices of source points whose T-image lies in the intersection of
     both clouds' AABBs grown by margin (bit-equal to growing the raw
     intersection); raises IcpError when none does: no overlap at T."""
     moved = T.apply(src)
     box = Aabb.from_points(moved).expanded(margin).intersection(
-        Aabb.from_points(dst.points).expanded(margin))
+        Aabb.from_points(dst).expanded(margin))
     keep = np.flatnonzero(box.contains(moved)) if box is not None else []
     if len(keep) == 0:
         raise IcpError("zero correspondences: no source point lies in the "
@@ -145,66 +186,15 @@ def _overlap_crop(src: np.ndarray, dst: PointCloud, T: RigidTransform,
     return keep
 
 
-class _NearestCache:
-    """Nearest target point of each query point, carried across calls.
-
-    knn(qs, 1) returns what PointIndex.knn(qs, 1) returns, indices and
-    distances bit for bit, for query sets of one fixed size whose row i
-    is always the same source point. For each row it keeps the neighbor
-    j, the distance d to it, and a lower bound L on the distance to
-    every other target point. A row that moved by delta since the last
-    call keeps j when d + 2 delta < L (triangle inequality): d is then
-    recomputed the way cKDTree computes it and L lowered by delta. Every
-    other row gets a fresh k = 2 query, whose second distance is the new
-    L. Where its two distances tie, j and d come from a k = 1 query, so
-    ties resolve as PointIndex.knn's do. Every stored L is shrunk by the
-    relative _BOUND_SLACK, which covers the rounding of the distances.
-    """
-
-    def __init__(self, index: PointIndex):
-        self._index = index
-        self._qs: np.ndarray | None = None
-
-    def _search(self, qs: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        idx, dist = self._index.knn(qs, 2)
-        j, d, bound = idx[:, 0], dist[:, 0], dist[:, 1]
-        tie = np.flatnonzero(d == bound)
-        if tie.size:
-            j[tie], d[tie] = self._index.knn(qs[tie], 1)
-        return j, d, bound * (1.0 - _BOUND_SLACK)
-
-    def knn(self, qs: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        if k != 1:
-            raise ValueError("_NearestCache answers k = 1 only")
-        if self._qs is None:
-            self._idx, self._dist, self._bound = self._search(qs)
-        else:
-            step = np.sqrt(((qs - self._qs) ** 2).sum(1))
-            keep = self._dist + 2.0 * step < self._bound
-            idx, dist, bound = self._idx.copy(), self._dist.copy(), self._bound.copy()
-            rows = np.flatnonzero(keep)
-            dist[rows] = np.sqrt(((qs[rows] - self._index.points[idx[rows]]) ** 2).sum(1))
-            bound[rows] = (bound[rows] - step[rows]) * (1.0 - _BOUND_SLACK)
-            rows = np.flatnonzero(~keep)
-            if rows.size:
-                idx[rows], dist[rows], bound[rows] = self._search(qs[rows])
-            self._idx, self._dist, self._bound = idx, dist, bound
-        self._qs = qs.copy()
-        return self._idx, self._dist
-
-
 def _correspond(src: np.ndarray, T: RigidTransform,
-                index: PointIndex | _NearestCache, max_dist: float | None
+                index: PointIndex, max_dist: float | None
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Nearest-neighbor pairs of T(src) within max_dist of each other.
 
-    Nearest neighbors come from index.knn(T(src), 1): a query of the
-    target's KD-tree, or the ICP loop's _NearestCache, which answers
-    the same and sends only some points to the tree. A max_dist of None
-    resolves to 3x the median of these distances. Returns (T(src),
-    surviving source rows, their target indices, max_dist); raises
-    IcpError when no pair survives.
+    Nearest neighbors come from index.knn(T(src), 1), a query of the
+    target's KD-tree. A max_dist of None resolves to 3x the median of
+    these distances. Returns (T(src), surviving source rows, their
+    target indices, max_dist); raises IcpError when no pair survives.
     """
     moved = T.apply(src)
     idx, dist = index.knn(moved, 1)
@@ -267,8 +257,6 @@ def _solve_step(moved: np.ndarray, q: np.ndarray, n: np.ndarray) -> np.ndarray:
 def _check_inputs(source: PointCloud, target: PointCloud) -> None:
     if len(source) == 0 or len(target) == 0:
         raise IcpError("registration inputs must be nonempty")
-    if not target.has_normals():
-        raise IcpError("target cloud needs normals (see estimate_normals)")
 
 
 def point_to_plane_icp(source: PointCloud, target: PointCloud,
@@ -278,8 +266,11 @@ def point_to_plane_icp(source: PointCloud, target: PointCloud,
 
     Iterates correspondence search (nearest neighbors within the
     distance bound inside the overlap region) with the 6-dof
-    normal-equation solve. Only the target's normals are read; source
-    normals, if any, are ignored. Stops at the first of:
+    normal-equation solve. A source of more than SOURCE_SAMPLE points
+    is registered by its fixed sample (_sample). Only the
+    target's normals are read, and a target without normals gets them
+    where the correspondences touch it (_Target); source normals, if
+    any, are ignored. Stops at the first of:
 
     - rel_tol: a step changed the error by less than cfg.rel_tol
       relative to the step before; the last iterate is returned and
@@ -295,15 +286,15 @@ def point_to_plane_icp(source: PointCloud, target: PointCloud,
       returned.
 
     iterations and error_trace cover the steps taken, and final_error
-    is the point-to-plane error at the returned pose. Assignments are
+    is the point-to-plane error of the sample at the returned pose, as
+    eval_icp_error(source, target, transform, cfg) gives it. Assignments are
     remembered by SHA-256 digest only, so memory does not grow with
     the iteration count. Deterministic for identical inputs and config.
     """
     _check_inputs(source, target)
-    index = PointIndex(target.points)
-    nearest = _NearestCache(index)
-    crop = _overlap_crop(source.points, target, T_init, cfg.overlap_margin)
-    src = source.points[crop]
+    sample = _sample(source.points)
+    tgt = _Target(target, cfg.normal_k)
+    src = sample[_overlap_crop(sample, target.points, T_init, cfg.overlap_margin)]
     max_dist = cfg.max_corr_dist
 
     T = T_init
@@ -318,7 +309,7 @@ def point_to_plane_icp(source: PointCloud, target: PointCloud,
     chosen = -1                         # index into poses: the last step
 
     for step in range(cfg.max_iterations):
-        moved, rows, tgt_idx, max_dist = _correspond(src, T, nearest, max_dist)
+        moved, rows, tgt_idx, max_dist = _correspond(src, T, tgt.index, max_dist)
         assignment.fill(-1)
         assignment[rows] = tgt_idx
         digest = hashlib.sha256(assignment).digest()
@@ -331,7 +322,7 @@ def point_to_plane_icp(source: PointCloud, target: PointCloud,
 
         p = moved[rows]
         q = target.points[tgt_idx]
-        n = target.normals[tgt_idx]
+        n = tgt.normals(tgt_idx)
 
         if prev_err is None:
             initial_err = prev_err = _error_sum(p, q, n)
@@ -349,7 +340,7 @@ def point_to_plane_icp(source: PointCloud, target: PointCloud,
         prev_err = err
 
     T = poses[chosen]
-    final_err = _pose_error(source, target, index, T, max_dist, cfg)
+    final_err = _pose_error(sample, tgt, T, max_dist, cfg.overlap_margin)
     return IcpResult(transform=T, final_error=final_err,
                      initial_error=initial_err, iterations=len(trace),
                      correspondence_count=counts[chosen],
@@ -358,22 +349,22 @@ def point_to_plane_icp(source: PointCloud, target: PointCloud,
                      stop_reason=stop_reason)
 
 
-def _pose_error(source: PointCloud, target: PointCloud, index: PointIndex,
-                T: RigidTransform, max_dist: float | None, cfg: IcpConfig) -> float:
-    """Point-to-plane error of T over the overlap crop at T."""
-    crop = _overlap_crop(source.points, target, T, cfg.overlap_margin)
-    moved, rows, tgt_idx, _ = _correspond(source.points[crop], T, index, max_dist)
-    return _error_sum(moved[rows], target.points[tgt_idx], target.normals[tgt_idx])
+def _pose_error(src: np.ndarray, tgt: _Target, T: RigidTransform,
+                max_dist: float | None, margin: float) -> float:
+    """Point-to-plane error of T over src's overlap crop at T."""
+    crop = _overlap_crop(src, tgt.points, T, margin)
+    moved, rows, tgt_idx, _ = _correspond(src[crop], T, tgt.index, max_dist)
+    return _error_sum(moved[rows], tgt.points[tgt_idx], tgt.normals(tgt_idx))
 
 
 def eval_icp_error(source: PointCloud, target: PointCloud, T: RigidTransform,
                    cfg: IcpConfig = IcpConfig()) -> float:
     """Point-to-plane error of a pose; evaluation only, no optimization.
 
-    Uses the same overlap crop and correspondence search as
-    point_to_plane_icp, and raises IcpError where they find no
-    correspondence, as point_to_plane_icp does.
+    Uses the same source sample, target normals, overlap crop and
+    correspondence search as point_to_plane_icp, and raises IcpError
+    where they find no correspondence, as point_to_plane_icp does.
     """
     _check_inputs(source, target)
-    return _pose_error(source, target, PointIndex(target.points), T,
-                       cfg.max_corr_dist, cfg)
+    return _pose_error(_sample(source.points), _Target(target, cfg.normal_k), T,
+                       cfg.max_corr_dist, cfg.overlap_margin)

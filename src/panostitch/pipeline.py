@@ -16,7 +16,7 @@ import numpy as np
 from .epipolar import (RansacConfig, decompose_essential, estimate_essential,
                        triangulate_set)
 from .geometry import PointCloud, RigidTransform, unit, voxel_downsample
-from .icp import IcpConfig, IcpResult, estimate_normals, point_to_plane_icp
+from .icp import IcpConfig, IcpResult, point_to_plane_icp
 from .panorama import BearingMatchSet
 from .scale import GroundConfig, apply_scale, recover_scale, select_ground_points
 
@@ -75,22 +75,15 @@ class PairResult:
         }
 
 
-def _prepared(cloud: PointCloud, voxel: float | None, k: int) -> PointCloud:
-    if voxel:
-        cloud = voxel_downsample(cloud, voxel)
-    if not cloud.has_normals():
-        cloud = estimate_normals(cloud, k=k, viewpoint=(0.0, 0.0, 0.0))
-    return cloud
-
-
 def register_room_pair(matches: BearingMatchSet, cloud_a: PointCloud,
                        cloud_b: PointCloud, cfg: PairConfig = PairConfig(),
                        seed: int = 0) -> PairResult:
     """Estimate the metric transform taking cloud_a's frame into cloud_b's.
 
     ICP reads normals of cloud_b only: its own if it has them, otherwise
-    estimated with the viewpoint at its origin, the camera center for
-    panorama-derived reconstructions. cloud_a's normals are never read.
+    estimated where its correspondences touch it, with the viewpoint at
+    its origin, the camera center for panorama-derived reconstructions.
+    cloud_a's normals are never read.
     """
     est = estimate_essential(matches, cfg.ransac, seed=fork_seed(seed, "ransac"))
     pose = decompose_essential(est.matrix, matches, est.inlier_indices)
@@ -100,8 +93,8 @@ def register_room_pair(matches: BearingMatchSet, cloud_a: PointCloud,
     alpha = recover_scale(ground)
     T_coarse = apply_scale(pose, alpha)
 
-    src = voxel_downsample(cloud_a, cfg.voxel_size) if cfg.voxel_size else cloud_a
-    dst = _prepared(cloud_b, cfg.voxel_size, cfg.icp.normal_k)
+    src, dst = (voxel_downsample(c, cfg.voxel_size) if cfg.voxel_size else c
+                for c in (cloud_a, cloud_b))
     icp_result = point_to_plane_icp(src, dst, T_coarse, cfg.icp)
 
     return PairResult(T_coarse=T_coarse, T_fine=icp_result.transform,

@@ -985,7 +985,9 @@ def test_missing_input_exits_2(tmp_path, capsys, case):
 
 @pytest.mark.parametrize("case", ["stitch-out-file", "stitch-cloud-dir", "eval-report-dir",
                                   "eval-episodes-dir", "synth-out-under-file",
-                                  "plane-report-under-file", "eval-detail-under-file"])
+                                  "plane-report-under-file", "eval-detail-under-file",
+                                  "plane-flatten-is-report", "plane-report-is-manifest",
+                                  "eval-report-is-detail"])
 def test_os_error_exits_2(synth_dir, tmp_path, capsys, rng, case):
     # Directories and files in the wrong place, not permissions: a test run
     # as root is never denied.
@@ -1017,6 +1019,15 @@ def test_os_error_exits_2(synth_dir, tmp_path, capsys, rng, case):
         "eval-detail-under-file": (["eval", "--episodes", episodes, "--report",
                                     tmp_path / "ok.csv", "--detail", a_file / "d.csv"],
                                    a_file),
+        # Two outputs that resolve to one file: one would replace the other.
+        "plane-flatten-is-report": (["plane", table, "--flatten", tmp_path / "same.out",
+                                     "--report", a_dir / ".." / "same.out"],
+                                    a_dir / ".." / "same.out"),
+        "plane-report-is-manifest": (["plane", table, "--report", scene,
+                                      "--add-to-manifest", scene], scene),
+        "eval-report-is-detail": (["eval", "--episodes", episodes, "--report",
+                                   tmp_path / "s.csv", "--detail", tmp_path / "s.csv"],
+                                  tmp_path / "s.csv"),
     }[case]
     files = {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")}
     assert run(*argv) == 2

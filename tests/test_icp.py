@@ -9,15 +9,15 @@ import pytest
 
 from panostitch.geometry import (PointCloud, PointIndex, RigidTransform,
                                  compose, pose_difference, rotation_exp,
-                                 rotation_from_axis_angle, thread_count)
+                                 rotation_from_axis_angle, thread_count,
+                                 voxel_downsample)
 from panostitch.icp import (IcpConfig, IcpError, IcpResult,
                             correspondence_error, correspondence_gradient,
                             estimate_normals, eval_icp_error,
                             point_to_plane_icp)
 from panostitch import icp as icp_mod
 from panostitch.panorama import parse_match_dict
-from panostitch.pipeline import (PairConfig, _prepared, fork_seed,
-                                 register_room_pair)
+from panostitch.pipeline import PairConfig, fork_seed, register_room_pair
 from panostitch.scale import GroundConfig
 from panostitch.testkit import sample_room_cloud
 
@@ -58,16 +58,25 @@ def reference_normals(cloud, k, viewpoint):
     return normals
 
 
+@pytest.fixture
+def unsampled(monkeypatch):
+    """ICP registers every source point, as reference_icp does."""
+    monkeypatch.setattr(icp_mod, "SOURCE_SAMPLE", None)
+
+
 def reference_icp(source, target, T_init=RigidTransform.identity(),
                   cfg=IcpConfig()):
     """The loop without the cycle stop: it ends on rel_tol or the
-    iteration cap only. point_to_plane_icp must match it field for field
-    wherever it does not stop on a cycle. Also returns, per iteration,
-    the correspondence assignment at its start and the pose its step
+    iteration cap only, and registers every source point. point_to_plane_icp
+    must match it field for field wherever it does not stop on a cycle and
+    does not sample the source. Also returns, per iteration, the
+    correspondence assignment at its start and the pose its step
     produced."""
+    assert icp_mod.SOURCE_SAMPLE is None or len(source) <= icp_mod.SOURCE_SAMPLE
     icp_mod._check_inputs(source, target)
     index = PointIndex(target.points)
-    crop = icp_mod._overlap_crop(source.points, target, T_init, cfg.overlap_margin)
+    crop = icp_mod._overlap_crop(source.points, target.points, T_init,
+                                 cfg.overlap_margin)
     src = source.points[crop]
     max_dist = cfg.max_corr_dist
     T, prev_err, trace, converged = T_init, None, [], False
@@ -93,8 +102,9 @@ def reference_icp(source, target, T_init=RigidTransform.identity(),
             break
         prev_err = err
     result = IcpResult(
-        transform=T, final_error=icp_mod._pose_error(source, target, index, T,
-                                                     max_dist, cfg),
+        transform=T, final_error=icp_mod._pose_error(
+            source.points, icp_mod._Target(target, cfg.normal_k), T, max_dist,
+            cfg.overlap_margin),
         initial_error=initial_err, iterations=iterations,
         correspondence_count=corr_count, converged=converged,
         error_trace=tuple(trace), max_corr_dist=max_dist,
@@ -118,16 +128,18 @@ CYCLING_SCENE_SEED = 2
 
 
 def resampled_room_scene(resampled_pair, seed):
-    """The prepared ICP inputs (source, target, coarse pose) of a
-    conftest resampled_pair scene, its registration and its true pose."""
+    """The ICP inputs (source, target, coarse pose) of a conftest
+    resampled_pair scene, both clouds voxelled and given estimated
+    normals, its registration and its true pose."""
     pair, cloud_b = resampled_pair(seed)
     cloud_a = PointCloud(pair.cloud_a.points)
     pair_cfg = PairConfig(ground=GroundConfig(camera_height=pair.camera_height))
     reg = register_room_pair(parse_match_dict(pair.match_data), cloud_a, cloud_b,
                              pair_cfg, seed=fork_seed(seed, "pair:room_a->room_b"))
-    k = pair_cfg.icp.normal_k
-    return (_prepared(cloud_a, pair_cfg.voxel_size, k),
-            _prepared(cloud_b, pair_cfg.voxel_size, k), reg.T_coarse), reg, pair.gt
+    source, target = (estimate_normals(voxel_downsample(c, pair_cfg.voxel_size),
+                                       k=pair_cfg.icp.normal_k, viewpoint=(0, 0, 0))
+                      for c in (cloud_a, cloud_b))
+    return (source, target, reg.T_coarse), reg, pair.gt
 
 
 class TestEstimateNormals:
@@ -219,6 +231,20 @@ class TestRegisterRoomPair:
             assert np.degrees(rot) < 0.5 and trans < 0.01, (seed, rot, trans)
 
 
+def shared_band_pair(rng, cut):
+    """(source, target with normals, true pose) of two views of a 30,000
+    point room sharing only the diagonal band |x + y| < cut, so the
+    overlap still sees pieces of every wall (an axis-aligned band would
+    leave the cut axis unconstrained)."""
+    pts, _ = sample_room_cloud(EXTENT, 30000, 0.1, rng)
+    pts = pts - np.array([0.0, 0.0, 1.5])
+    diag = pts[:, 0] + pts[:, 1]
+    T_star = small_perturbation(rng, angle_deg=3.0, shift=0.08)
+    target = estimate_normals(PointCloud(T_star.apply(pts[diag > -cut])), k=20,
+                              viewpoint=T_star.apply(np.zeros(3)))
+    return PointCloud(pts[diag < cut]), target, T_star
+
+
 class TestPointToPlaneIcp:
     def test_identity_case(self, room_cloud):
         cloud, _ = room_cloud
@@ -242,18 +268,7 @@ class TestPointToPlaneIcp:
         assert res.converged
 
     def test_partial_overlap_converges_on_shared_band(self, rng):
-        # Two views sharing only a diagonal band of the room, so the
-        # overlap still sees pieces of every wall (an axis-aligned band
-        # would leave the cut axis unconstrained).
-        pts, _ = sample_room_cloud(EXTENT, 30000, 0.1, rng)
-        pts = pts - np.array([0.0, 0.0, 1.5])
-        diag = pts[:, 0] + pts[:, 1]
-        part_a = pts[diag < 1.5]
-        part_b = pts[diag > -1.5]
-        T_star = small_perturbation(rng, angle_deg=3.0, shift=0.08)
-        source = PointCloud(part_a)
-        target = estimate_normals(PointCloud(T_star.apply(part_b)), k=20,
-                                  viewpoint=T_star.apply(np.zeros(3)))
+        source, target, T_star = shared_band_pair(rng, 1.5)
         # A tight distance gate keeps source points past the shared band
         # from latching onto the band boundary and biasing the solve.
         res = point_to_plane_icp(source, target, RigidTransform.identity(),
@@ -261,8 +276,8 @@ class TestPointToPlaneIcp:
         rot, trans = pose_difference(res.transform, T_star)
         assert np.degrees(rot) < 0.1
         assert trans < 5e-3
-        # The overlap crop keeps the far half of the source out of the solve.
-        assert res.correspondence_count < len(source)
+        # The overlap crop keeps the far half of the sample out of the solve.
+        assert res.correspondence_count < min(len(source), icp_mod.SOURCE_SAMPLE)
 
     @pytest.mark.parametrize("normals", ["estimated", "perpendicular"])
     def test_source_normals_are_ignored(self, room_cloud, rng, normals):
@@ -374,8 +389,6 @@ class TestPointToPlaneIcp:
         target = estimate_normals(cloud, k=10, viewpoint=(0, 0, 0))
         with pytest.raises(IcpError):
             point_to_plane_icp(PointCloud(np.empty((0, 3))), target)
-        with pytest.raises(IcpError, match="normals"):
-            point_to_plane_icp(cloud, PointCloud(cloud.points))
 
 
 class TestEvalIcpError:
@@ -536,7 +549,7 @@ def scripted_correspondences(monkeypatch, script, modulus=8):
 class TestStopRule:
     @pytest.mark.parametrize("case", ["identity", "perturbation", "partial-overlap",
                                       "resampled-1", "resampled-3", "resampled-5"])
-    def test_converging_runs_match_reference(self, room_cloud, rng,
+    def test_converging_runs_match_reference(self, room_cloud, rng, unsampled,
                                              resampled_pair, case):
         source, target, T_init, cfg = converging_case(case, room_cloud, rng,
                                                       resampled_pair)
@@ -574,7 +587,7 @@ class TestStopRule:
         best = start + int(np.argmin(ref.error_trace[start:n]))
         assert np.array_equal(res.transform.matrix(), poses[best].matrix())
 
-        crop = icp_mod._overlap_crop(source.points, target, T_init,
+        crop = icp_mod._overlap_crop(source.points, target.points, T_init,
                                      IcpConfig().overlap_margin)
         rows = np.flatnonzero(assignments[best] >= 0)
         tgt = assignments[best][rows]
@@ -616,7 +629,7 @@ class TestStopRule:
         assert res.final_error == upto.final_error
 
     def test_repeat_of_previous_iteration_is_not_a_cycle(self, room_cloud, rng,
-                                                         monkeypatch):
+                                                         unsampled, monkeypatch):
         # The same set at every iteration after the first: a fixed point
         # that rel_tol would end at once, so it is switched off here.
         source, target, T_init, _ = converging_case("perturbation", room_cloud, rng)
@@ -629,126 +642,111 @@ class TestStopRule:
         assert_same_result(res, ref)
 
 
-def converging_poses(rng, steps=8, angle_deg=3.0, shift=0.05, center=(0, 0, 0)):
-    """Poses about `center` that close in on the identity along one axis
-    and direction, halving the angle and shift each step, as ICP iterates
-    do; the first moves points by centimeters."""
-    c = RigidTransform(np.eye(3), np.asarray(center, dtype=float))
-    axis, direction = rng.normal(size=3), rng.normal(size=3)
-    direction *= shift / np.linalg.norm(direction)
-    poses = []
-    for step in range(steps):
-        f = 0.5 ** step
-        T = RigidTransform(rotation_from_axis_angle(axis, np.deg2rad(angle_deg) * f),
-                           f * direction)
-        poses.append(compose(c, compose(T, c.inverse())))
-    return poses
+def bare_room_pair(n_source, n_target, seed=0):
+    """A source room sample and a target sample of the same room moved by
+    a small perturbation, both without normals."""
+    rng = np.random.default_rng(seed)
+    src, _ = sample_room_cloud(EXTENT, n_source, 0.2, rng)
+    dst, _ = sample_room_cloud(EXTENT, n_target, 0.2, rng)
+    T_star = small_perturbation(rng, angle_deg=2.0, shift=0.05)
+    return PointCloud(src), PointCloud(T_star.apply(dst))
 
 
-def cache_against_index(target_pts, src, poses):
-    """Run _NearestCache.knn(., 1) and PointIndex.knn(., 1) over T(src)
-    for each pose; assert equal indices and distances at every pose and
-    return the number of rows the cache sent to the tree per pose."""
-    index = PointIndex(target_pts)
-    cache = icp_mod._NearestCache(index)
-    queried = []
-    real_knn = index.knn
-
-    def counting_knn(qs, k, **kw):
-        if k == 2:
-            queried[-1] += len(qs)
-        return real_knn(qs, k, **kw)
-
-    index.knn = counting_knn
-    for T in poses:
-        queried.append(0)
-        qs = T.apply(src)
-        got_idx, got_dist = cache.knn(qs, 1)
-        want_idx, want_dist = real_knn(qs, 1)
-        assert np.array_equal(got_idx, want_idx), len(queried)
-        assert np.array_equal(got_dist, want_dist), len(queried)
-    return queried
+def assert_same_run(got: IcpResult, want: IcpResult) -> None:
+    assert_same_result(got, want)
+    assert got.stop_reason == want.stop_reason
 
 
-class TestNearestCache:
-    """_NearestCache answers exactly what a full KD-tree query answers."""
+class TestNormalsOnDemand:
+    """A target without normals registers as if estimate_normals (viewpoint
+    at its origin) had filled them all."""
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_noisy_room_clouds(self, room_cloud, seed):
-        cloud, _ = room_cloud
-        rng = np.random.default_rng(seed)
-        src = cloud.points[::2] + rng.normal(0.0, 0.01, cloud.points[::2].shape)
-        queried = cache_against_index(cloud.points, src, converging_poses(rng))
-        assert queried[0] == len(src)
-        # A sub-millimeter step leaves most neighbors in place.
-        assert queried[-1] < 0.2 * len(src)
+    # Targets that end just before and after the first block boundary, and
+    # one of 4 full blocks plus 3 points.
+    @pytest.mark.parametrize("n", [icp_mod.NORMAL_BLOCK - 1, icp_mod.NORMAL_BLOCK + 1,
+                                   4 * icp_mod.NORMAL_BLOCK + 3])
+    def test_bit_equal_to_estimated_target(self, monkeypatch, n):
+        source, bare = bare_room_pair(6000, n, seed=n)
+        cfg = IcpConfig()
+        full = estimate_normals(bare, k=cfg.normal_k, viewpoint=(0, 0, 0))
+        want = point_to_plane_icp(source, full, cfg=cfg)
+        # 8 threads: more than most of these batches have blocks.
+        for threads in ("1", "2", "8"):
+            monkeypatch.setenv("PANOSTITCH_THREADS", threads)
+            assert_same_run(point_to_plane_icp(source, bare, cfg=cfg), want)
+            assert eval_icp_error(source, bare, want.transform, cfg) == \
+                eval_icp_error(source, full, want.transform, cfg)
 
-    def test_integer_grid_ties(self):
-        # Every source point sits at an exact tie of 2, 4 or 8 grid points
-        # at some pose; ties must resolve as PointIndex.knn resolves them.
-        grid = np.stack(np.meshgrid(*[np.arange(8.0)] * 3, indexing="ij"),
-                        axis=-1).reshape(-1, 3)
-        src = grid[::3] + 0.25
-        poses = [RigidTransform(np.eye(3), t) for t in (
-            (0, 0, 0), (0, 0, 0), (0.25, 0, 0), (0.25, 0.25, 0), (0.25, 0.25, 0.25),
-            (0.125, 0.25, 0.25), (-0.25, -0.25, -0.25), (0.5, 0.5, 0.5))]
-        poses.append(RigidTransform(rotation_from_axis_angle((0, 0, 1), np.pi / 2),
-                                    (7.25, 0.25, 0.25)))
-        cache_against_index(grid, src, poses)
+    def test_each_filled_normal_is_the_estimated_one(self, monkeypatch):
+        # Batches that overlap, repeat indices and straddle block boundaries.
+        _, bare = bare_room_pair(10, 3 * icp_mod.NORMAL_BLOCK + 5, seed=4)
+        want = estimate_normals(bare, k=20, viewpoint=(0, 0, 0)).normals
+        rng = np.random.default_rng(5)
+        for threads in ("1", "8"):
+            monkeypatch.setenv("PANOSTITCH_THREADS", threads)
+            target = icp_mod._Target(bare, 20)
+            for size in (1, 700, icp_mod.NORMAL_BLOCK + 1, 2 * icp_mod.NORMAL_BLOCK):
+                idx = rng.integers(0, len(bare), size)
+                assert np.array_equal(target.normals(idx), want[idx])
 
-    def test_one_point_target(self, rng):
-        src = rng.normal(size=(200, 3))
-        queried = cache_against_index(np.array([[0.5, -0.2, 0.1]]), src,
-                                      converging_poses(rng, angle_deg=20.0, shift=1.0))
-        # No second point to switch to: only the first call reaches the tree.
-        assert queried == [len(src)] + [0] * (len(queried) - 1)
+    def test_one_index_serves_normals_and_correspondences(self, monkeypatch):
+        source, bare = bare_room_pair(3000, 3000)
+        built = []
 
-    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
-    def test_scales_at_large_offsets(self, room_cloud, scale):
-        cloud, _ = room_cloud
-        offset = np.array([1e3, -1e3, 1e3])
-        rng = np.random.default_rng(7)
-        target = cloud.points * scale + offset
-        src = (cloud.points[1::2] + rng.normal(0.0, 0.01, cloud.points[1::2].shape)) \
-            * scale + offset
-        poses = converging_poses(rng, angle_deg=3.0, shift=0.05 * scale, center=offset)
-        queried = cache_against_index(target, src, poses)
-        assert queried[-1] < 0.2 * len(src)
+        class CountingIndex(icp_mod.PointIndex):
+            def __post_init__(self):
+                built.append(1)
+                super().__post_init__()
 
-    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
-    def test_bound_exactly_met_goes_to_the_tree(self, scale):
-        # Source point p with target points j and i on one line through
-        # it, |p - j| = d and |p - i| = d + 2 delta; the pose then moves p
-        # by delta toward i, where the two tie. The bound test d + 2 delta
-        # < L meets equality up to rounding, so the stored bound's slack
-        # must send every such point to the tree. (The points sit near the
-        # origin: at large offsets, rounding the constructed coordinates
-        # would move the geometry off equality by more than the slack.)
-        rng = np.random.default_rng(3)
-        n, delta = 600, 0.3 * scale
-        u = np.array([2.0, -1.0, 0.5]) / np.linalg.norm([2.0, -1.0, 0.5])
-        cells = np.stack(np.meshgrid(*[np.arange(9.0)] * 3, indexing="ij"),
-                         axis=-1).reshape(-1, 3)[:n]
-        p = (cells * 10.0 + rng.uniform(0, 1, (n, 3))) * scale
-        d = rng.uniform(0.5, 1.0, (n, 1)) * scale
-        target = np.vstack([p - d * u, p + (d + 2 * delta) * u])
-        poses = [RigidTransform.identity(), RigidTransform(np.eye(3), delta * u)]
-        queried = cache_against_index(target, p, poses)
-        assert queried == [n, n]
+        monkeypatch.setattr(icp_mod, "PointIndex", CountingIndex)
+        point_to_plane_icp(source, bare)
+        assert len(built) == 1
 
-    def test_pose_jump_sends_every_point_to_the_tree(self, room_cloud, rng):
-        cloud, _ = room_cloud
-        src = cloud.points[::4]
-        poses = converging_poses(rng, steps=3)
-        poses.insert(2, RigidTransform(rotation_from_axis_angle((0, 0, 1), 0.5),
-                                       (2.0, -1.0, 0.5)))
-        queried = cache_against_index(cloud.points, src, poses)
-        assert queried[2] == len(src) and queried[3] == len(src)
+    def test_target_below_normal_k_raises(self):
+        source, bare = bare_room_pair(500, 19)
+        with pytest.raises(IcpError, match="needs >= k = 20"):
+            point_to_plane_icp(source, bare)
+        with pytest.raises(IcpError, match="needs >= k = 20"):
+            eval_icp_error(source, bare, RigidTransform.identity())
+        # Normals of its own: no neighborhood is needed.
+        with_normals = PointCloud(bare.points, np.tile([0.0, 0.0, 1.0], (19, 1)))
+        eval_icp_error(source, with_normals, RigidTransform.identity())
 
-    def test_answers_k_1_only(self, room_cloud):
-        cache = icp_mod._NearestCache(PointIndex(room_cloud[0].points))
-        with pytest.raises(ValueError, match="k = 1"):
-            cache.knn(room_cloud[0].points, 2)
+
+class TestSourceSample:
+    def test_repeated_calls_agree(self):
+        source, bare = bare_room_pair(12000, 8000, seed=1)
+        first = point_to_plane_icp(source, bare)
+        assert_same_run(point_to_plane_icp(source, bare), first)
+        assert first.correspondence_count <= icp_mod.SOURCE_SAMPLE
+
+    def test_registers_the_sorted_fixed_seed_sample(self, monkeypatch):
+        # Drawn before the overlap crop, the crop then keeps sample rows.
+        source, bare = bare_room_pair(12000, 8000, seed=2)
+        rows = np.sort(np.random.default_rng(icp_mod.SAMPLE_SEED).choice(
+            len(source), 5000, replace=False))
+        sampled = point_to_plane_icp(source, bare)
+        monkeypatch.setattr(icp_mod, "SOURCE_SAMPLE", None)
+        assert_same_run(sampled, point_to_plane_icp(PointCloud(source.points[rows]), bare))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_third_overlap_registers_on_the_cropped_sample(self, seed):
+        # The band holds about a third of the source, so the crop leaves
+        # about a third of the sample, and the pose still lands well
+        # within the acceptance bounds.
+        source, target, T_star = shared_band_pair(np.random.default_rng(seed), 0.75)
+        res = point_to_plane_icp(source, target, RigidTransform.identity(),
+                                 IcpConfig(max_corr_dist=0.15))
+        assert res.correspondence_count < 0.4 * icp_mod.SOURCE_SAMPLE
+        rot, trans = pose_difference(res.transform, T_star)
+        assert np.degrees(rot) < 0.05 and trans < 1e-3
+
+    @pytest.mark.parametrize("n", [100, 5000])
+    def test_source_within_the_sample_is_not_sampled(self, monkeypatch, n):
+        source, bare = bare_room_pair(n, 4000, seed=3)
+        sampled = point_to_plane_icp(source, bare)
+        monkeypatch.setattr(icp_mod, "SOURCE_SAMPLE", None)
+        assert_same_run(sampled, point_to_plane_icp(source, bare))
 
 
 class TestWorkerCount:

@@ -5,7 +5,8 @@ must not change a byte, and print a sha256 per artifact.
 
 The flow: `synth` (a two-room scene plus episode logs), `stitch` at
 seeds 0 and 7, `synth` and `stitch` of a denser two-room scene (20,000
-points per room, so normal estimation runs over several query blocks),
+points per room, so ICP registers its 5,000-point source sample and
+estimates the target normals it reads in more than one query block),
 `plane` on an ASCII PLY table with `--flatten` and `--add-to-manifest`
 (into the seed-0 scene manifest), three `place` calls on that plane, and
 `eval` of the synthesized episodes. A second `plane --flatten` runs on a
@@ -30,7 +31,8 @@ artifacts print the same digests.
 The whole flow then runs again into the same OUT_DIR under each entry
 of VARIANTS: PANOSTITCH_THREADS=1 and =8, the plane search's
 _SCORE_BUDGET patched to one candidate per chunk, the essential RANSAC's
-SUPPORT_BLOCK patched to one hypothesis per matrix product, and
+SUPPORT_BLOCK patched to one hypothesis per matrix product, ICP's
+NORMAL_BLOCK patched to one target normal per neighbor query, and
 OPENBLAS_NUM_THREADS=1, which OpenBLAS reads only when numpy loads, so
 that run is a child interpreter that imports this script. The script
 exits non-zero, naming the first artifact and variant, unless every
@@ -63,7 +65,7 @@ from unittest import mock
 
 import numpy as np
 
-from panostitch import _plane_search, cli, epipolar
+from panostitch import _plane_search, cli, epipolar, icp
 from panostitch.geometry import PointCloud, RigidTransform, rot_z
 from panostitch.metrics import dtw
 from panostitch.ply import read_ply, write_ply
@@ -112,6 +114,7 @@ VARIANTS = (
     ("one candidate per chunk",
      mock.patch.object(_plane_search, "_SCORE_BUDGET", 1), False),
     ("one hypothesis per block", mock.patch.object(epipolar, "SUPPORT_BLOCK", 1), False),
+    ("one normal per block", mock.patch.object(icp, "NORMAL_BLOCK", 1), False),
     ("OPENBLAS_NUM_THREADS=1",
      mock.patch.dict(os.environ, OPENBLAS_NUM_THREADS="1"), True),
 )
