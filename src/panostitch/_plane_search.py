@@ -28,12 +28,25 @@ sends more entries to the formula. Once max|a|, max|b| or max|h| is
 2^300 or more or not finite, a product could overflow, so the band is
 inf and every entry comes from the formula.
 
-Plane candidates are scored in chunks of _SCORE_BUDGET // n, one
-support call per chunk on geometry.thread_count() threads. `best` is the
-largest count of a finished chunk, read without a lock (a stale read
-only prunes less) and raised under one, so no raise is lost, and the
-plane does not depend on the thread count or on which chunk finishes
-first.
+The plane search draws all its candidates up front, so the draws depend
+only on the seed, the input size and the iteration count, then scores
+the valid ones in draw order, in batches of _FIRST_BATCH, twice that,
+and so on (64, 128, 256, ...). After each batch it stops once
+k >= log(1 - _CONFIDENCE) / log(1 - w^3), with k the valid candidates
+scored so far and w = best / n the best inlier ratio among them: k
+candidates all miss a clean 3-point sample of that plane with
+probability (1 - w^3)^k <= 1 - _CONFIDENCE (Fischler & Bolles 1981;
+Hartley & Zisserman, Multiple View Geometry, 2nd ed., sec. 4.7.1). The
+iteration count is the cap. A batch is scored in chunks of
+_SCORE_BUDGET // n, one support call per chunk on
+geometry.thread_count() threads. `best` is the largest count of a
+finished chunk, read without a lock (a stale read only prunes less) and
+raised under one, so no raise is lost. The batch edges are fixed
+candidate counts, and the stop test runs once every chunk of the batch
+has finished, when `best` is the exact maximum over the scored prefix (a
+candidate stops only below a count that some scored candidate holds).
+So where the search stops, and the plane it returns, depend neither on
+_SCORE_BUDGET nor on the thread count nor on which chunk finishes first.
 """
 
 from __future__ import annotations
@@ -44,10 +57,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GeometryError, Plane, fit_plane_lsq, screened_le, thread_count
+from .geometry import (GeometryError, Plane, fit_plane_lsq, is_json, screened_le,
+                       thread_count)
 
 # Cap on the candidate-by-point score buffer, in elements (memory only).
 _SCORE_BUDGET = 4_000_000
+# The plane search stops once, with this confidence, some scored candidate
+# was a clean sample of the best plane so far; its first batch holds
+# _FIRST_BATCH candidates, each later batch twice the one before.
+_CONFIDENCE = 0.999
+_FIRST_BATCH = 64
 # Columns (points, matches) scored per step of support, at most 65,535
 # (counts are summed in uint16); a 40-candidate plane chunk's buffers (1.6 MB)
 # stay in a core's L2 cache.
@@ -57,8 +76,14 @@ _POINT_BLOCK = 4096
 @dataclass(frozen=True)
 class PlaneFitConfig:
     distance_threshold: float = 0.01   # meters
-    iterations: int = 1000
+    iterations: int = 1000             # candidates drawn: the cap on those scored
     min_inliers: int = 50
+
+    def __post_init__(self):
+        if not is_json(self.distance_threshold, float) or self.distance_threshold < 0 \
+                or not is_json(self.iterations, int) or self.iterations < 1 \
+                or not is_json(self.min_inliers, int) or self.min_inliers < 3:
+            raise ValueError(f"invalid plane fit config: {self}")
 
 
 def sample_distinct(rng: np.random.Generator, n: int, count: int, k: int) -> np.ndarray:
@@ -152,11 +177,14 @@ def best_plane_support(pts: np.ndarray, iterations: int, threshold: float,
 
     When `axis` is given, candidates whose unit normal satisfies
     |normal . axis| < min_cos are skipped (used to keep floor fits
-    gravity-consistent). Returns (mask, count) for the best candidate,
-    the first one with the most inliers, or None when no valid candidate
-    exists. Each candidate (n, d) is counted by support over the points,
-    so the result has the bits of scoring every candidate against every
-    point with residuals: the distance ((p0 n0 + p1 n1) + p2 n2) - d.
+    gravity-consistent). The valid candidates are scored in draw order, in
+    batches, until the module docstring's stop rule holds or all
+    `iterations` draws are scored. Returns (mask, count) for the best
+    scored candidate, the first one with the most inliers, or None when
+    no valid candidate exists. Each candidate (n, d) is counted by support
+    over the points, so the result has the bits of scoring each scored
+    candidate against every point with residuals: the distance
+    ((p0 n0 + p1 n1) + p2 n2) - d.
     """
     n = pts.shape[0]
     idx = sample_distinct(rng, n, iterations, 3)
@@ -174,7 +202,7 @@ def best_plane_support(pts: np.ndarray, iterations: int, threshold: float,
     normals = normals[keep] / norms[keep, None]
     offsets = np.einsum("ij,ij->i", pts[idx[keep, 0]], normals)
 
-    chunk = min(keep.size, max(1, _SCORE_BUDGET // max(n, 1)))
+    chunk = max(1, _SCORE_BUDGET // max(n, 1))
     planes = np.column_stack([normals, offsets])       # h = (n, d)
     a = np.column_stack([pts, -np.ones(n)])             # a = (p, -1), b = 1
     b = np.broadcast_to(1.0, a.shape)
@@ -182,14 +210,21 @@ def best_plane_support(pts: np.ndarray, iterations: int, threshold: float,
     best = [-1]   # largest count of a finished chunk; raised under best_lock
     best_lock = threading.Lock()
 
-    def score(start: int) -> np.ndarray:
-        counts = count(planes[start:start + chunk], threshold, best)
+    def score(span: tuple[int, int]) -> np.ndarray:
+        counts = count(planes[span[0]:span[1]], threshold, best)
         with best_lock:
             best[0] = max(best[0], int(counts.max()))
         return counts
 
+    scored, lo, size = [], 0, _FIRST_BATCH
     with ThreadPoolExecutor(thread_count()) as pool:
-        counts = np.concatenate(list(pool.map(score, range(0, keep.size, chunk))))
+        while lo < keep.size:
+            hi = min(lo + size, keep.size)
+            scored += pool.map(score, [(s, min(s + chunk, hi)) for s in range(lo, hi, chunk)])
+            lo, size = hi, 2 * size
+            if (1.0 - (best[0] / n) ** 3) ** lo <= 1.0 - _CONFIDENCE:
+                break
+    counts = np.concatenate(scored)
     top = int(np.argmax(counts))     # first maximum: the earliest candidate wins ties
     mask = np.abs(residuals(planes[top], a, b)) <= threshold
     return mask, int(counts[top])

@@ -173,6 +173,24 @@ class TestFitPlaneRansac:
         np.testing.assert_array_equal(i1, i2)
 
 
+class TestPlaneFitConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("distance_threshold", float("nan")), ("distance_threshold", -0.01),
+        ("distance_threshold", float("inf")), ("distance_threshold", True),
+        ("iterations", 0), ("iterations", -3), ("iterations", 2.5),
+        ("iterations", True), ("min_inliers", 0), ("min_inliers", -5),
+        ("min_inliers", 2), ("min_inliers", 50.0)])
+    def test_refused(self, field, value):
+        with pytest.raises(ValueError, match="invalid plane fit config"):
+            PlaneFitConfig(**{field: value})
+
+    def test_defaults_and_ground_fit_construct(self):
+        from panostitch.scale import GROUND_FIT
+        assert PlaneFitConfig() == PlaneFitConfig(0.01, 1000, 50)
+        assert GROUND_FIT == PlaneFitConfig(0.02, 500, 10)
+        assert PlaneFitConfig(0.0, 1, 3).iterations == 1
+
+
 def reference_triples(rng, n, count):
     """The plane search's triple sampler before sample_distinct took k:
     sample_distinct(rng, n, count, 3) must return its bytes."""
@@ -259,20 +277,43 @@ def product_plane_support(pts, normals, offsets, threshold):
     return mask, best_count
 
 
+# The plane search's stop rule, written out here apart from the module.
+STOP_CONFIDENCE = 0.999
+FIRST_BATCH = 64
+
+
+def reference_scored(counts, n, confidence=STOP_CONFIDENCE):
+    """How many of the candidates, with these counts in draw order over n
+    points, the plane search scores: batches of 64, 128, 256, ... until
+    k >= log(1 - confidence) / log(1 - w^3), k the candidates so far and
+    w their best count over n, or until the candidates run out."""
+    k, size = 0, FIRST_BATCH
+    while k < len(counts):
+        k, size = min(k + size, len(counts)), 2 * size
+        w = max(counts[:k]) / n
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if k >= np.log(1 - confidence) / np.log(1 - w ** 3):
+                break
+    return k
+
+
 def reference_plane_support(pts, iterations, threshold, rng, axis=None,
-                            min_cos=0.0):
-    """Every candidate against every point by plane_residuals; the first
-    maximum wins. best_plane_support must return the same mask and count.
-    At a threshold above 0 (where no test that calls this puts a distance
-    within the rounding band) the product scorer must agree too, so masks
-    away from the band are those of the product."""
+                            min_cos=0.0, confidence=STOP_CONFIDENCE):
+    """Every candidate against every point by plane_residuals; of the
+    prefix reference_scored keeps, the first maximum wins (confidence 1
+    keeps every candidate, the full scan). best_plane_support must return
+    the same mask and count. At a threshold above 0 (where no test that
+    calls this puts a distance within the rounding band) the product
+    scorer must agree on that prefix too, so masks away from the band are
+    those of the product."""
     candidates = plane_candidates(pts, iterations, rng, axis, min_cos)
     if candidates is None:
         return None
-    normals, offsets = candidates
     counts = [np.count_nonzero(np.abs(plane_residuals(pts, nrm, off))
-                               <= threshold) for nrm, off in zip(normals, offsets)]
-    top = int(np.argmax(counts))
+                               <= threshold) for nrm, off in zip(*candidates)]
+    k = reference_scored(counts, len(pts), confidence)
+    normals, offsets = (c[:k] for c in candidates)
+    top = int(np.argmax(counts[:k]))
     mask = np.abs(plane_residuals(pts, normals[top], offsets[top])) <= threshold
     if threshold > 0:
         product_mask, product_count = product_plane_support(pts, normals, offsets, threshold)
@@ -294,8 +335,8 @@ class _ScriptedTriples:
 
 class _OrderedPool:
     """Stands in for ThreadPoolExecutor in _plane_search: scores the chunks
-    one at a time, last chunk first when reverse, and keeps each chunk's
-    counts by its start."""
+    of each batch one at a time, last chunk first when reverse, and keeps
+    each chunk's counts by its start."""
 
     def __init__(self, reverse=False):
         self.reverse = reverse
@@ -310,11 +351,11 @@ class _OrderedPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, starts):
-        starts = list(starts)
-        for start in (starts[::-1] if self.reverse else starts):
-            self.results[start] = fn(start)
-        return [self.results[start] for start in starts]
+    def map(self, fn, spans):
+        spans = list(spans)
+        for span in (spans[::-1] if self.reverse else spans):
+            self.results[span[0]] = fn(span)
+        return [self.results[span[0]] for span in spans]
 
 
 class TestBestPlaneSupport:
@@ -331,7 +372,9 @@ class TestBestPlaneSupport:
         junk = rng.uniform(-2, 2, size=(n - n // 2 - n // 4, 3))
         return np.vstack([floor, wall, junk])
 
-    # 201 and 1000 iterations end on a one-candidate and a full chunk.
+    # 1 and 7 iterations score every candidate. At 201 and 1000 the floor's
+    # inlier ratio (about 0.49) stops the search after its first batch, 64
+    # candidates in 7 chunks, unless the 10-degree gate leaves fewer valid.
     @pytest.mark.parametrize("iterations", [1, 7, 201, 1000])
     @pytest.mark.parametrize("tilt", [None, 10.0, 89.0])
     def test_matches_reference_over_several_chunks(self, small_budget, iterations, tilt):
@@ -416,9 +459,10 @@ class TestBestPlaneSupport:
     @pytest.mark.parametrize("threads", ["1", "2", "8"])
     def test_point_blocks_and_threads_match_reference(self, monkeypatch, threads, n):
         monkeypatch.setenv("PANOSTITCH_THREADS", threads)
-        # 20 candidates per chunk: 101 draws make five full chunks and a
-        # last chunk of one candidate, scored by a one-row product.
-        monkeypatch.setattr(_plane_search, "_SCORE_BUDGET", 20 * n)
+        # 21 candidates per chunk: the floor stops the search after its
+        # first batch of 64 (of 101 draws), three full chunks and a last
+        # chunk of one candidate, scored by a one-row product.
+        monkeypatch.setattr(_plane_search, "_SCORE_BUDGET", 21 * n)
         pts = self.floor_and_wall(np.random.default_rng(n), n)
         got = _plane_search.best_plane_support(pts, 101, 0.01,
                                                np.random.default_rng(5))
@@ -594,17 +638,100 @@ class TestBestPlaneSupport:
         normals, offsets = plane_candidates(pts, 100, np.random.default_rng(4))
         res = np.abs(plane_residuals(pts, normals[:, None], offsets[:, None]))
         product = np.abs(np.column_stack([normals, offsets]) @ np.vstack([pts.T, -np.ones(n)]))
-        top = int(np.argmax((res <= 0.01).sum(axis=1)))
+        counts = (res <= 0.01).sum(axis=1)
+        top = int(np.argmax(counts[:reference_scored(counts, n)]))
         differ = np.flatnonzero(product[top] != res[top])
         k = differ[np.argmin(np.abs(res[top, differ] - 0.01))]
         thresholds = [np.nextafter(res[top, k], 0.0), res[top, k], np.nextafter(res[top, k], 1.0)]
         assert any((product[top] <= t).sum() != (res[top] <= t).sum() for t in thresholds)
         for t in thresholds:
             counts = (res <= t).sum(axis=1)
+            counts = counts[:reference_scored(counts, n)]
             mask, count = _plane_search.best_plane_support(pts, 100, t,
                                                            np.random.default_rng(4))
             assert count == counts.max()
             assert np.array_equal(mask, res[int(np.argmax(counts))] <= t)
+
+    @pytest.fixture
+    def scored_rows(self, monkeypatch):
+        """Every candidate row (n, d) best_plane_support hands to support's
+        counter, as tuples, in no particular order."""
+        rows = []
+        real = _plane_search.support
+
+        def support(a, b):
+            counts = real(a, b)
+
+            def counting(hyps, threshold, best):
+                rows.extend(map(tuple, hyps))
+                return counts(hyps, threshold, best)
+            return counting
+        monkeypatch.setattr(_plane_search, "support", support)
+        return rows
+
+    @staticmethod
+    def plane_in_box(rng, n, share):
+        """A level plane holding `share` of n points, with 2 mm noise, the
+        rest uniform in the same 2 m box."""
+        m = int(share * n)
+        plane = np.column_stack([rng.uniform(-1, 1, (m, 2)), rng.normal(0.0, 0.002, m)])
+        return np.vstack([plane, rng.uniform(-1, 1, size=(n - m, 3))])
+
+    @staticmethod
+    def expected_rows(pts, iterations, rng, k):
+        normals, offsets = plane_candidates(pts, iterations, rng)
+        return sorted(map(tuple, np.column_stack([normals, offsets])[:k]))
+
+    def test_low_inlier_ratio_scores_every_candidate(self, scored_rows):
+        # w is about 0.1, so the rule asks for about 6,900 candidates and
+        # the 1,000 draws are the cap: the search scores all of them, over
+        # five batches, and equals the full scan. The plane's candidate is
+        # number 806, in the fourth batch.
+        pts = self.plane_in_box(np.random.default_rng(1), 2000, 0.1)
+        got = _plane_search.best_plane_support(pts, 1000, 0.01, np.random.default_rng(1))
+        full = reference_plane_support(pts, 1000, 0.01, np.random.default_rng(1),
+                                       confidence=1.0)
+        assert np.array_equal(got[0], full[0]) and got[1] == full[1]
+        assert got[1] >= 200
+        assert sorted(scored_rows) == self.expected_rows(pts, 1000,
+                                                         np.random.default_rng(1), 1000)
+
+    def test_table_scan_scores_only_its_first_batch(self, scored_rows):
+        # A compose-style scan: a level table top with 65 % of 100,000
+        # points, the floor below it with 15 %, and clutter above the table.
+        # The top's w of about 0.65 needs about 22 candidates, so exactly
+        # the first 64 valid ones are scored.
+        rng = np.random.default_rng(11)
+        n, top, floor = 100_000, 65_000, 15_000
+        pts = np.vstack([
+            np.column_stack([rng.uniform(-0.6, 0.6, top), rng.uniform(-0.4, 0.4, top),
+                             0.75 + rng.normal(0.0, 0.002, top)]),
+            np.column_stack([rng.uniform(-1.5, 1.5, (floor, 2)),
+                             rng.normal(0.0, 0.002, floor)]),
+            rng.uniform((-0.6, -0.4, 0.76), (0.6, 0.4, 1.35), size=(n - top - floor, 3))])
+        got = _plane_search.best_plane_support(pts, 1000, 0.01, np.random.default_rng(2))
+        assert len(scored_rows) == 64
+        assert sorted(scored_rows) == self.expected_rows(pts, 1000,
+                                                         np.random.default_rng(2), 64)
+        ref = reference_plane_support(pts, 1000, 0.01, np.random.default_rng(2))
+        assert np.array_equal(got[0], ref[0]) and got[1] == ref[1]
+        assert got[1] >= top
+
+    def test_stop_after_third_batch_on_any_thread_count(self, monkeypatch, scored_rows):
+        # w is about 0.31, so the rule asks for about 230 candidates and the
+        # search stops after its third batch, at 448; one candidate per
+        # chunk. The full scan's winner (number 801) is never scored.
+        pts = self.plane_in_box(np.random.default_rng(1), 2000, 0.3)
+        ref = reference_plane_support(pts, 1000, 0.01, np.random.default_rng(1))
+        monkeypatch.setattr(_plane_search, "_SCORE_BUDGET", 1)
+        want_rows = self.expected_rows(pts, 1000, np.random.default_rng(1), 448)
+        for threads in ("1", "2", "8"):
+            monkeypatch.setenv("PANOSTITCH_THREADS", threads)
+            scored_rows.clear()
+            mask, count = _plane_search.best_plane_support(pts, 1000, 0.01,
+                                                           np.random.default_rng(1))
+            assert np.array_equal(mask, ref[0]) and count == ref[1]
+            assert sorted(scored_rows) == want_rows
 
     # 300 seeded 200-point normal clouds, 20 candidates each, at threshold 0:
     # each candidate's count is how many of its own three points land
