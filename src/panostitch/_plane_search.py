@@ -37,40 +37,32 @@ scored so far and w = best / n the best inlier ratio among them: k
 candidates all miss a clean 3-point sample of that plane with
 probability (1 - w^3)^k <= 1 - _CONFIDENCE (Fischler & Bolles 1981;
 Hartley & Zisserman, Multiple View Geometry, 2nd ed., sec. 4.7.1). The
-iteration count is the cap. A batch is scored in chunks of
-_SCORE_BUDGET // n, one support call per chunk on
-geometry.thread_count() threads. `best` is the largest count of a
-finished chunk, read without a lock (a stale read only prunes less) and
-raised under one, so no raise is lost. The batch edges are fixed
-candidate counts, and the stop test runs once every chunk of the batch
-has finished, when `best` is the exact maximum over the scored prefix (a
-candidate stops only below a count that some scored candidate holds).
-So where the search stops, and the plane it returns, depend neither on
-_SCORE_BUDGET nor on the thread count nor on which chunk finishes first.
+iteration count is the cap. Each batch is one support call on the
+calling thread, and `best` is the exact maximum over the scored prefix
+when the stop test reads it. Everything runs in a fixed order, so which
+candidates are scored and which stop early, not only the plane returned,
+is a pure function of the inputs and _SCORE_BLOCK.
 """
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (GeometryError, Plane, fit_plane_lsq, is_json, screened_le,
-                       thread_count)
+from .geometry import GeometryError, Plane, fit_plane_lsq, is_json, screened_le
 
-# Cap on the candidate-by-point score buffer, in elements (memory only).
-_SCORE_BUDGET = 4_000_000
 # The plane search stops once, with this confidence, some scored candidate
 # was a clean sample of the best plane so far; its first batch holds
 # _FIRST_BATCH candidates, each later batch twice the one before.
 _CONFIDENCE = 0.999
 _FIRST_BATCH = 64
 # Columns (points, matches) scored per step of support, at most 65,535
-# (counts are summed in uint16); a 40-candidate plane chunk's buffers (1.6 MB)
-# stay in a core's L2 cache.
+# (counts are summed in uint16).
 _POINT_BLOCK = 4096
+# Residuals per block of hypotheses in support: 16 rows of a 4,096-column
+# step, whose buffers (640 KiB) stay in a core's L2 cache.
+_SCORE_BLOCK = 65_536
 
 
 @dataclass(frozen=True)
@@ -126,11 +118,13 @@ def support(a: np.ndarray, b: np.ndarray):
     or -1 for a row that stopped.
 
     The screen |hyps @ (a o b)^T| is within the module docstring's band of
-    |residuals|, so no count depends on how the work is split. Columns go
-    in blocks of _POINT_BLOCK; before each block, a row whose count plus
-    the columns left is strictly below best[0] stops: it cannot be the
-    maximum, and one that ties is scored to the end, so the first maximum
-    still wins.
+    |residuals|, so no count depends on how the work is split. Rows go in
+    blocks of max(1, _SCORE_BLOCK // min(n, _POINT_BLOCK)), columns in
+    blocks of _POINT_BLOCK. The int best is the running best count: after
+    each block of rows it is raised to that block's largest count, and
+    before each block of columns a row whose count plus the columns left
+    is strictly below it stops: it cannot be the maximum, and one that
+    ties is scored to the end, so the first maximum still wins.
     """
     n, K = a.shape
     # C order: from C-ordered factors the product comes out F-ordered, and
@@ -139,33 +133,37 @@ def support(a: np.ndarray, b: np.ndarray):
     cols = np.multiply(a.T, b.T, order="C")
     a_max, b_max = (max(x.max(), -x.min()) for x in (a, b))
     gamma = (K + 1) * 2.0 ** -53 / (1 - (K + 1) * 2.0 ** -53)
+    width = min(n, _POINT_BLOCK)
 
-    def counts(hyps: np.ndarray, threshold: float, best: list[int]) -> np.ndarray:
+    def counts(hyps: np.ndarray, threshold: float, best: int) -> np.ndarray:
         h_max = max(hyps.max(), -hyps.min())
         band = np.inf
         if np.max((a_max, b_max, h_max)) < 2.0 ** 300:
             band = 4 * gamma * K * a_max * h_max * b_max \
                 + 4 * K * 2.0 ** -1074 * max(1.0, b_max, h_max)
-        width = min(n, _POINT_BLOCK)
-        res = np.empty((len(hyps), width))
-        near, far = np.empty((2, len(hyps), width), dtype=bool)
-        tally = np.zeros(len(hyps), dtype=np.int64)
-        rows = np.arange(len(hyps))            # rows still scored
+        step = max(1, _SCORE_BLOCK // width)
+        res = np.empty((min(step, len(hyps)), width))
+        near, far = np.empty((2, *res.shape), dtype=bool)
         result = np.full(len(hyps), -1, dtype=np.int64)
-        for lo in range(0, n, _POINT_BLOCK):
-            alive = tally + (n - lo) >= best[0]
-            if not alive.all():
-                hyps, tally, rows = hyps[alive], tally[alive], rows[alive]
-                if not len(hyps):
-                    return result
-            hi = min(lo + _POINT_BLOCK, n)
-            r, hit, miss = (buf[:len(hyps), :hi - lo] for buf in (res, near, far))
-            np.matmul(hyps, cols[:, lo:hi], out=r)
-            np.abs(r, out=r)
-            screened_le(r, threshold, band,
-                        lambda i, j: residuals(hyps[i], a[lo + j], b[lo + j]), hit, miss)
-            tally += hit.view(np.uint8).sum(axis=1, dtype=np.uint16)
-        result[rows] = tally
+        for top in range(0, len(hyps), step):
+            h = hyps[top:top + step]
+            rows = np.arange(top, top + len(h))     # rows still scored
+            tally = np.zeros(len(h), dtype=np.int64)
+            for lo in range(0, n, _POINT_BLOCK):
+                alive = tally + (n - lo) >= best
+                if not alive.all():
+                    h, tally, rows = h[alive], tally[alive], rows[alive]
+                    if not len(h):
+                        break
+                hi = min(lo + _POINT_BLOCK, n)
+                r, hit, miss = (buf[:len(h), :hi - lo] for buf in (res, near, far))
+                np.matmul(h, cols[:, lo:hi], out=r)
+                np.abs(r, out=r)
+                screened_le(r, threshold, band,
+                            lambda i, j: residuals(h[i], a[lo + j], b[lo + j]), hit, miss)
+                tally += hit.view(np.uint8).sum(axis=1, dtype=np.uint16)
+            result[rows] = tally
+            best = max(best, int(tally.max(initial=-1)))
         return result
     return counts
 
@@ -202,28 +200,18 @@ def best_plane_support(pts: np.ndarray, iterations: int, threshold: float,
     normals = normals[keep] / norms[keep, None]
     offsets = np.einsum("ij,ij->i", pts[idx[keep, 0]], normals)
 
-    chunk = max(1, _SCORE_BUDGET // max(n, 1))
     planes = np.column_stack([normals, offsets])       # h = (n, d)
     a = np.column_stack([pts, -np.ones(n)])             # a = (p, -1), b = 1
     b = np.broadcast_to(1.0, a.shape)
     count = support(a, b)
-    best = [-1]   # largest count of a finished chunk; raised under best_lock
-    best_lock = threading.Lock()
-
-    def score(span: tuple[int, int]) -> np.ndarray:
-        counts = count(planes[span[0]:span[1]], threshold, best)
-        with best_lock:
-            best[0] = max(best[0], int(counts.max()))
-        return counts
-
-    scored, lo, size = [], 0, _FIRST_BATCH
-    with ThreadPoolExecutor(thread_count()) as pool:
-        while lo < keep.size:
-            hi = min(lo + size, keep.size)
-            scored += pool.map(score, [(s, min(s + chunk, hi)) for s in range(lo, hi, chunk)])
-            lo, size = hi, 2 * size
-            if (1.0 - (best[0] / n) ** 3) ** lo <= 1.0 - _CONFIDENCE:
-                break
+    best, scored, lo, size = -1, [], 0, _FIRST_BATCH
+    while lo < keep.size:
+        hi = min(lo + size, keep.size)
+        scored.append(count(planes[lo:hi], threshold, best))
+        best = max(best, int(scored[-1].max()))
+        lo, size = hi, 2 * size
+        if (1.0 - (best / n) ** 3) ** lo <= 1.0 - _CONFIDENCE:
+            break
     counts = np.concatenate(scored)
     top = int(np.argmax(counts))     # first maximum: the earliest candidate wins ties
     mask = np.abs(residuals(planes[top], a, b)) <= threshold

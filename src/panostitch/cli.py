@@ -12,9 +12,9 @@ Exit codes: 0 success, 2 input error (any file that cannot be read or
 written; a bad stitch pair, or an output under a file or a directory named
 as an output file, exits 2 before any cloud, manifest or CSV is read), 3
 graph, 4 placement, 5 numerical failure, 141 a closed stdout (128 + SIGPIPE).
-PANOSTITCH_THREADS caps the KD-tree, normal-estimation and plane-search
-threads, not the BLAS library's own pool; a value that is not a positive
-integer exits 2 before the command runs.
+PANOSTITCH_THREADS caps the KD-tree query threads, the only ones the
+package starts, not the BLAS library's own pool; a value that is not a
+positive integer exits 2 before the command runs.
 """
 
 from __future__ import annotations

@@ -29,7 +29,6 @@ from .geometry import check_rotation, check_unit
 from .panorama import BearingMatchSet
 
 PARALLEL_RAY_TOL = 1e-8
-SUPPORT_BLOCK = 65_536   # residuals (hypotheses x matches) per scored block of hypotheses
 
 
 class EstimationError(RuntimeError):
@@ -128,10 +127,10 @@ def estimate_essential(matches: BearingMatchSet, cfg: RansacConfig = RansacConfi
     in batches of _RANSAC_BATCH: each batch draws its samples of 8
     distinct match indices with _plane_search.sample_distinct (one integer
     draw per batch, rows holding a repeat drawn again) and solves them by
-    QR in _eight_point. Valid samples are counted by _plane_search.support
-    in blocks of max(1, SUPPORT_BLOCK // n), against the best count so far;
-    the first sample with the most inliers wins, so the result is a pure
-    function of the seed and does not depend on the block size.
+    QR in _eight_point. The valid samples of each batch are counted by one
+    _plane_search.support call against the best count so far; the first
+    sample with the most inliers wins, so the result is a pure function of
+    the seed and does not depend on how support splits the batch.
     """
     ba, bb = matches.bearings_a, matches.bearings_b
     n = len(matches)
@@ -141,8 +140,7 @@ def estimate_essential(matches: BearingMatchSet, cfg: RansacConfig = RansacConfi
     rng = np.random.default_rng(seed)
     a, b = np.repeat(bb, 3, axis=1), np.tile(ba, 3)   # b_b^T E b_a = residuals(E.ravel(), a, b)
     count = support(a, b)
-    rows = max(1, SUPPORT_BLOCK // n)
-    best = [0]    # the largest count so far; only a larger one replaces best_h
+    best = 0    # the largest count so far; only a larger one replaces best_h
     best_h: np.ndarray | None = None
     done = 0
     while done < cfg.iterations:
@@ -151,13 +149,14 @@ def estimate_essential(matches: BearingMatchSet, cfg: RansacConfig = RansacConfi
         idx = sample_distinct(rng, n, batch, 8)
         E, valid = _eight_point(ba[idx], bb[idx])
         H = E[valid].reshape(-1, 9)
-        for lo in range(0, len(H), rows):
-            counts = count(H[lo:lo + rows], cfg.threshold, best)
-            j = int(np.argmax(counts))
-            if counts[j] > best[0]:
-                best[0], best_h = int(counts[j]), H[lo + j]
+        if not len(H):
+            continue
+        counts = count(H, cfg.threshold, best)
+        j = int(np.argmax(counts))
+        if counts[j] > best:
+            best, best_h = int(counts[j]), H[j]
 
-    if best_h is None or best[0] < cfg.min_inliers:
+    if best_h is None or best < cfg.min_inliers:
         raise EstimationError(
             f"no model with >= {cfg.min_inliers} inliers after {cfg.iterations} iterations")
 

@@ -379,9 +379,6 @@ class Plane:
         s = self.signed_distance(p)
         return p - np.multiply.outer(s, self.normal) if p.ndim > 1 else p - s * self.normal
 
-    def flipped(self) -> "Plane":
-        return Plane(-self.normal, -self.d)
-
     @staticmethod
     def from_point_normal(point, normal) -> "Plane":
         n = unit(normal)
@@ -466,11 +463,10 @@ def screened_le(r: np.ndarray, threshold: float, band: float, exact,
 # ---------------------------------------------------------------------------
 
 def thread_count() -> int:
-    """Threads for the parallel stages (KD-tree queries, normal blocks,
-    plane search): the PANOSTITCH_THREADS cap (a positive decimal
-    integer), or the number of CPUs this process may run on when it is
-    unset or empty; any other value raises ValueError. Results do not
-    depend on it."""
+    """Threads for KD-tree queries, the package's only parallel stage:
+    the PANOSTITCH_THREADS cap (a positive decimal integer), or the
+    number of CPUs this process may run on when it is unset or empty; any
+    other value raises ValueError. Results do not depend on it."""
     cap = os.environ.get("PANOSTITCH_THREADS")
     if not cap:
         return len(os.sched_getaffinity(0))
@@ -488,7 +484,6 @@ class PointIndex:
     build one skip the 0.4 s import of scipy.spatial).
     query resolves equal-distance ties to the lowest point index,
     matching a brute-force scan; knn returns them in cKDTree's order.
-    Read-only after construction and safe to query concurrently.
     """
 
     points: np.ndarray
@@ -516,13 +511,10 @@ class PointIndex:
             return int(min(exact)), float(np.min(d))
         return int(idx[0]), float(dist[0])
 
-    def knn(self, qs, k: int, *, serial: bool = False
-            ) -> tuple[np.ndarray, np.ndarray]:
+    def knn(self, qs, k: int) -> tuple[np.ndarray, np.ndarray]:
         """k nearest neighbors per query point: (indices, distances), each
-        (N, k), or (N,) at k = 1. Runs on thread_count() threads, or on
-        the calling thread alone when serial (a caller that runs its own
-        thread pool). Results do not depend on the thread count."""
+        (N, k), or (N,) at k = 1. Runs on thread_count() threads; results
+        do not depend on the thread count."""
         qs = as_points(qs)
-        workers = 1 if serial else thread_count()
-        dist, idx = self._tree.query(qs, k=k, workers=workers)
+        dist, idx = self._tree.query(qs, k=k, workers=thread_count())
         return np.asarray(idx, dtype=np.int64), np.asarray(dist, dtype=np.float64)

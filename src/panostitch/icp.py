@@ -37,13 +37,12 @@ gives that point, with the viewpoint at the target's origin.
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import (Aabb, PointCloud, PointIndex, RigidTransform, compose,
-                       rotation_exp, thread_count)
+                       rotation_exp)
 
 SINGULAR_COND = 1e12
 NORMAL_BLOCK = 2048     # query points per neighbor gather of the normal kernel
@@ -107,17 +106,15 @@ def _normals(index: PointIndex, qs: np.ndarray, k: int, viewpoint) -> np.ndarray
     """Normals at the query points qs, each from its k nearest points of
     index, oriented toward viewpoint: the kernel of estimate_normals.
 
-    Query points are processed in blocks of NORMAL_BLOCK on
-    thread_count() threads, one neighbor query per block on its own
-    thread, so the neighbor gathers take O(threads * NORMAL_BLOCK * k)
+    Query points are processed in blocks of NORMAL_BLOCK, one neighbor
+    query per block, so the neighbor gathers take O(NORMAL_BLOCK * k)
     memory rather than O(n * k). Each point's arithmetic depends on
-    neither the block, the thread count nor the other query points.
+    neither the block nor the other query points.
     """
     vp = np.asarray(viewpoint, dtype=np.float64).reshape(3)
     normals = np.empty((len(qs), 3))
-
-    def block(lo: int) -> None:
-        nbr, _ = index.knn(qs[lo:lo + NORMAL_BLOCK], k=k, serial=True)
+    for lo in range(0, len(qs), NORMAL_BLOCK):
+        nbr, _ = index.knn(qs[lo:lo + NORMAL_BLOCK], k=k)
         centered = index.points[nbr]                  # (b, k, 3)
         centered -= centered.mean(axis=1, keepdims=True)
         cov = np.empty((len(nbr), 3, 3))
@@ -128,9 +125,6 @@ def _normals(index: PointIndex, qs: np.ndarray, k: int, viewpoint) -> np.ndarray
         cov /= k
         _, vecs = np.linalg.eigh(cov)                 # ascending eigenvalues
         normals[lo:lo + NORMAL_BLOCK] = vecs[:, :, 0]
-
-    with ThreadPoolExecutor(thread_count()) as pool:
-        list(pool.map(block, range(0, len(qs), NORMAL_BLOCK)))   # re-raises failures
     flip = np.einsum("ni,ni->n", normals, vp[None, :] - qs) < 0
     normals[flip] = -normals[flip]
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)

@@ -79,11 +79,8 @@ def select_ground_points(points: TriangulatedSet, gravity,
                                 min_cos=np.cos(np.deg2rad(GROUND_MAX_TILT_DEG)))
     except GeometryError as e:
         raise GroundPlaneError(f"no gravity-consistent floor: {e}") from e
-    ground = pts[mask]
-    if float(np.median(ground @ plane.normal)) < 0:
-        plane = plane.flipped()
     return GroundModel(plane=plane, camera_height=cfg.camera_height,
-                       ground_points=ground)
+                       ground_points=pts[mask])
 
 
 def recover_scale(g: GroundModel) -> float:

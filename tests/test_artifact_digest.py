@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from panostitch import _plane_search, epipolar, icp
+from panostitch import _plane_search, icp
 
 TOOL = Path(__file__).parent.parent / "tools" / "artifact_digest.py"
 spec = importlib.util.spec_from_file_location("artifact_digest", TOOL)
@@ -22,8 +22,7 @@ IN_PROCESS = [v for v in tool.VARIANTS if not v[2]]
 def state():
     """What each in-process variant changes."""
     return {"PANOSTITCH_THREADS": os.environ.get("PANOSTITCH_THREADS"),
-            "_SCORE_BUDGET": _plane_search._SCORE_BUDGET,
-            "SUPPORT_BLOCK": epipolar.SUPPORT_BLOCK,
+            "_SCORE_BLOCK": _plane_search._SCORE_BLOCK,
             "NORMAL_BLOCK": icp.NORMAL_BLOCK}
 
 
@@ -47,16 +46,14 @@ def test_stable_flow_passes_after_every_variant(tmp_path):
     assert seen == [base,
                     {**base, "PANOSTITCH_THREADS": "1"},
                     {**base, "PANOSTITCH_THREADS": "8"},
-                    {**base, "_SCORE_BUDGET": 1},
-                    {**base, "SUPPORT_BLOCK": 1},
+                    {**base, "_SCORE_BLOCK": 1},
                     {**base, "NORMAL_BLOCK": 1}]
     assert state() == base   # every patch undone
 
 
 @pytest.mark.parametrize("unstable, label", [
     ("PANOSTITCH_THREADS", "PANOSTITCH_THREADS=1"),
-    ("_SCORE_BUDGET", "one candidate per chunk"),
-    ("SUPPORT_BLOCK", "one hypothesis per block"),
+    ("_SCORE_BLOCK", "one hypothesis per block"),
     ("NORMAL_BLOCK", "one normal per block"),
 ])
 def test_changed_bytes_name_the_file_and_variant(tmp_path, monkeypatch, unstable, label):
@@ -67,6 +64,6 @@ def test_changed_bytes_name_the_file_and_variant(tmp_path, monkeypatch, unstable
 
 def test_table_holds_every_variant():
     assert [v[0] for v in tool.VARIANTS] == [
-        "PANOSTITCH_THREADS=1", "PANOSTITCH_THREADS=8", "one candidate per chunk",
-        "one hypothesis per block", "one normal per block", "OPENBLAS_NUM_THREADS=1"]
+        "PANOSTITCH_THREADS=1", "PANOSTITCH_THREADS=8", "one hypothesis per block",
+        "one normal per block", "OPENBLAS_NUM_THREADS=1"]
     assert [v[0] for v in tool.VARIANTS if v[2]] == ["OPENBLAS_NUM_THREADS=1"]

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -172,7 +173,8 @@ class TestSynthCommand:
         ({"episodes": {"a": 1}},
          "bad synth config: episodes must be a non-empty list, got {'a': 1}"),
         ({"scene": {"cloud_point_count": 500}, "episodes": []},
-         "bad synth config: episodes must be a non-empty list, got []")] + [
+         "bad synth config: episodes must be a non-empty list, got []"),
+        ({"seed": 3}, "synth config needs 'scene' and/or 'episodes'")] + [
         ({"scene": {"gt_translation": value}},
          f"bad scene spec: gt_translation must be 3 finite numbers, got {value!r}")
         for value in GT_TRANSLATION_FAULTS] + [
@@ -190,7 +192,7 @@ class TestSynthCommand:
              "exact-counts-number", "true-rate-bool", "true-rate-string", "task-null",
              "task-number", "misspelled-episode-key", "pixel-noise-negative",
              "cloud-count-negative", "cloud-count-zero", "episodes-empty",
-             "episodes-object", "episodes-empty-with-scene"] + [
+             "episodes-object", "episodes-empty-with-scene", "no-scene-or-episodes"] + [
             f"gt-translation-{value}" for value in GT_TRANSLATION_FAULTS] + [
             f"{key}-{value}" for key, value in SCENE_NUMBER_FAULTS] + [
             f"room-extent-{value}" for value in ROOM_EXTENT_FAULTS])
@@ -228,8 +230,8 @@ class TestSynthCommand:
         assert "bad synth config: unknown keys ['seeed']" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("config", ["[1]", '"scene"', "null", "3"],
-                             ids=["array", "string", "null", "number"])
+    @pytest.mark.parametrize("config", ["[1]", '"scene"', "null", "3", '{"seed": '],
+                             ids=["array", "string", "null", "number", "truncated"])
     def test_config_that_is_not_an_object_exits_2(self, tmp_path, capsys, config):
         path = tmp_path / "config.json"
         path.write_text(config)
@@ -563,6 +565,13 @@ class TestStitchCommand:
         assert "malformed stitch manifest" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_truncated_manifest_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "manifest.json"
+        path.write_text('{"seed": ')
+        assert run("stitch", path, "--out", tmp_path / "o") == 2
+        assert f"malformed stitch manifest {path}: Expecting value" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_rooms_out_of_reach_exit_5(self, synth_dir, tmp_path, capsys):
         # Room B moved 9 m along x: at the coarse pose the clouds' boxes,
         # each grown by the 0.5 m overlap margin, do not meet, so no ICP
@@ -775,6 +784,17 @@ class TestPlaceCommand:
         manifest = load_manifest(scene_manifest)
         assert manifest.assets[0].asset_id == "mug"
 
+    @pytest.mark.parametrize("plane, box_min, message", [
+        ("table", [0.2, 0, 0], "bad asset box: Aabb min"),
+        ("shelf", [0, 0, 0], "unknown plane 'shelf'")],
+        ids=["min-above-max", "unknown-plane"])
+    def test_bad_request_exits_2(self, scene_manifest, capsys, plane, box_min, message):
+        before = scene_manifest.read_bytes()
+        assert run("place", scene_manifest, "--plane", plane, "--asset-id", "mug",
+                   "--aabb-min", *box_min, "--aabb-max", 0.1, 0.1, 0.1) == 2
+        assert message in capsys.readouterr().err
+        assert scene_manifest.read_bytes() == before
+
     def test_oversized_exits_4(self, scene_manifest):
         assert run("place", scene_manifest, "--plane", "table",
                    "--asset-id", "couch", "--aabb-min", 0, 0, 0,
@@ -915,6 +935,24 @@ class TestEvalCommand:
                         "nav,train,1,2.0\n")
         assert run("eval", "--episodes", path) == 2
         assert "line 2" in capsys.readouterr().err
+
+    def test_malformed_rates_csv_exits_2_with_line(self, tmp_path, capsys):
+        path = tmp_path / "rates.csv"
+        path.write_text("method,task,tier,sim_rate,real_rate\n"
+                        "ACT,set_tableware,train,0.83,0.7\n"
+                        "ACT,set_tableware,unseen_scene\n")
+        assert run("eval", "--correlate", path) == 2
+        assert f"{path}: line 3: expected 5 fields, got 3" in capsys.readouterr().err
+
+    def test_zero_variance_rates_exit_5(self, tmp_path, capsys):
+        # The published rates with every sim rate set to 0.5.
+        rows = [line.split(",") for line in
+                (DATA / "simreal_rates.csv").read_text().splitlines()]
+        path = tmp_path / "rates.csv"
+        path.write_text("".join(",".join(r if i == 0 else [*r[:3], "0.5", r[4]]) + "\n"
+                                for i, r in enumerate(rows)))
+        assert run("eval", "--correlate", path) == 5
+        assert "pearson undefined for zero-variance input" in capsys.readouterr().err
 
     def test_no_inputs_exits_2(self):
         assert run("eval") == 2
@@ -1092,6 +1130,31 @@ class TestThreadsVariable:
         assert run("eval", "--episodes", DATA / "microwave_episodes.csv",
                    "--report", report) == 0
         assert report.exists()
+
+    def test_no_command_starts_a_thread(self, tmp_path, monkeypatch):
+        # KD-tree queries are the only parallel stage, and at one thread
+        # cKDTree runs them on the calling thread; both RANSACs and the
+        # normal kernel always do, so the whole workflow runs with
+        # Thread.start refused.
+        def refuse(thread):
+            raise RuntimeError(f"{thread!r} started")
+        monkeypatch.setenv("PANOSTITCH_THREADS", "1")
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "seed": 5, "episodes": [EPISODE],
+            "scene": {"pixel_noise_sigma": 0.0, "outlier_fraction": 0.0,
+                      "cloud_point_count": 3000}}))
+        art, out = tmp_path / "art", tmp_path / "stitched"
+        manifest = out / "scene_manifest.json"
+        codes = [run("synth", config, "--out", art),
+                 run("stitch", art / "stitch_manifest.json", "--out", out),
+                 run("plane", out / "merged.ply", "--add-to-manifest", manifest,
+                     "--plane-id", "floor"),
+                 run("place", manifest, "--plane", "floor", "--asset-id", "crate",
+                     "--aabb-min", 0, 0, 0, "--aabb-max", 0.4, 0.4, 0.4),
+                 run("eval", "--episodes", art / "episodes.csv")]
+        assert codes == [0] * 5
 
 
 def test_import_leaves_scipy_spatial_unloaded():

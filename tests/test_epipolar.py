@@ -3,6 +3,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from panostitch import _plane_search
 from panostitch import epipolar as epipolar_mod
 from panostitch._plane_search import _POINT_BLOCK, residuals, sample_distinct, support
 from panostitch.epipolar import (CheiralityError, EssentialEstimate, EstimationError,
@@ -181,9 +182,10 @@ def essential_factors(bb, ba):
 
 
 def essential_counts(E, bb, ba, threshold):
-    """Per-hypothesis inlier counts from the essential scorer, with no
-    best count to stop at."""
-    return support(*essential_factors(bb, ba))(E.reshape(-1, 9), threshold, [0])
+    """Per-hypothesis inlier counts from the essential scorer, from best 0;
+    exact for every row while the matches fit one point block, or for a
+    lone row."""
+    return support(*essential_factors(bb, ba))(E.reshape(-1, 9), threshold, 0)
 
 
 class TestSupportKernel:
@@ -205,10 +207,8 @@ class TestSupportKernel:
         assert on[c] > below[c]
 
     def test_one_row_per_block_above_the_budget(self):
-        # estimate_essential scores one hypothesis per call here, over 17
-        # point blocks of the kernel.
-        n = epipolar_mod.SUPPORT_BLOCK + 7
-        assert max(1, epipolar_mod.SUPPORT_BLOCK // n) == 1
+        # One hypothesis per call, over 17 point blocks of the kernel.
+        n = 16 * _POINT_BLOCK + 7
         matches = rigid_motion_matches(n, seed=3, unit=False)
         ba, bb = matches.bearings_a, matches.bearings_b
         E = np.random.default_rng(3).normal(size=(3, 3, 3))
@@ -292,7 +292,7 @@ class TestEstimateEssentialOracle:
 
     def test_same_result_with_one_hypothesis_per_block(self):
         matches = rigid_motion_matches(2000, seed=4)
-        with mock.patch.object(epipolar_mod, "SUPPORT_BLOCK", 1):
+        with mock.patch.object(_plane_search, "_SCORE_BLOCK", 2000):
             assert_same_as_reference(matches, RansacConfig(1e-3, 600), seed=4)
 
     @pytest.mark.parametrize("n", [9, 300, 2001])

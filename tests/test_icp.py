@@ -154,7 +154,7 @@ class TestEstimateNormals:
         pts, _ = sample_room_cloud(EXTENT, n, 0.2, np.random.default_rng(n))
         cloud = PointCloud(pts + np.random.default_rng(0).normal(0, 0.003, pts.shape))
         want = reference_normals(cloud, 20, (0.3, -0.2, 1.5))
-        # 8 threads: more than most of these clouds have blocks.
+        # The neighbor queries' thread count is all that may vary here.
         for threads in ("1", "2", "8"):
             monkeypatch.setenv("PANOSTITCH_THREADS", threads)
             est = estimate_normals(cloud, k=20, viewpoint=(0.3, -0.2, 1.5))
@@ -670,7 +670,7 @@ class TestNormalsOnDemand:
         cfg = IcpConfig()
         full = estimate_normals(bare, k=cfg.normal_k, viewpoint=(0, 0, 0))
         want = point_to_plane_icp(source, full, cfg=cfg)
-        # 8 threads: more than most of these batches have blocks.
+        # The neighbor queries' thread count is all that may vary here.
         for threads in ("1", "2", "8"):
             monkeypatch.setenv("PANOSTITCH_THREADS", threads)
             assert_same_run(point_to_plane_icp(source, bare, cfg=cfg), want)

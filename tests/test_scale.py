@@ -75,6 +75,20 @@ class TestSelectGroundPoints:
         with pytest.raises(GroundPlaneError, match="not positive"):
             recover_scale(g)
 
+    def test_floor_within_its_noise_of_the_camera_is_refused(self):
+        # A floor 0.2 mm below the camera under 5 mm noise: the fitted plane
+        # passes 0.04 mm above it, so its points' median projection is
+        # negative. Turning that plane over would give an alpha near 5,500
+        # instead of a refusal.
+        rng = np.random.default_rng(1)
+        pts = np.column_stack([rng.uniform(-2, 2, 200), rng.uniform(-2, 2, 200),
+                               -0.0002 + rng.normal(0, 0.005, 200)])
+        tri = TriangulatedSet(points=pts, inlier_indices=np.arange(200))
+        g = select_ground_points(tri, GRAVITY, GroundConfig(), seed=1)
+        assert np.median(g.projections()) < 0
+        with pytest.raises(GroundPlaneError, match="not positive"):
+            recover_scale(g)
+
 
 class TestRecoverScale:
     def test_identity_when_projections_equal_height(self):

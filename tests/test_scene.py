@@ -253,18 +253,18 @@ def plane_residuals(p, n, d):
 
 
 def product_plane_support(pts, normals, offsets, threshold):
-    """The scorer before the rounding band: each chunk of candidates scores
+    """The scorer before the rounding band: each block of candidates scores
     the (points x candidates) product and sums its inlier bools down axis 0,
     and the winner's mask is the (points x normal) product. Its bits follow
     whichever BLAS kernel each product's shape selects."""
     n = pts.shape[0]
-    chunk = max(1, _plane_search._SCORE_BUDGET // max(n, 1))
+    rows = max(1, _plane_search._SCORE_BLOCK // min(n, _plane_search._POINT_BLOCK))
     best_count = -1
     best_normal = None
     best_offset = 0.0
-    for start in range(0, len(normals), chunk):
-        nc = normals[start:start + chunk]
-        oc = offsets[start:start + chunk]
+    for start in range(0, len(normals), rows):
+        nc = normals[start:start + rows]
+        oc = offsets[start:start + rows]
         dist = np.abs(pts @ nc.T - oc[None, :])
         counts = (dist <= threshold).sum(axis=0)
         j = int(np.argmax(counts))
@@ -333,36 +333,11 @@ class _ScriptedTriples:
         return self.triples.copy()
 
 
-class _OrderedPool:
-    """Stands in for ThreadPoolExecutor in _plane_search: scores the chunks
-    of each batch one at a time, last chunk first when reverse, and keeps
-    each chunk's counts by its start."""
-
-    def __init__(self, reverse=False):
-        self.reverse = reverse
-        self.results = {}
-
-    def __call__(self, workers):
-        return self
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, spans):
-        spans = list(spans)
-        for span in (spans[::-1] if self.reverse else spans):
-            self.results[span[0]] = fn(span)
-        return [self.results[span[0]] for span in spans]
-
-
 class TestBestPlaneSupport:
     @pytest.fixture
     def small_budget(self, monkeypatch):
-        # 2000-point clouds then score 10 candidates per chunk.
-        monkeypatch.setattr(_plane_search, "_SCORE_BUDGET", 20_000)
+        # 2000-point clouds then score 10 candidates per block.
+        monkeypatch.setattr(_plane_search, "_SCORE_BLOCK", 20_000)
 
     def floor_and_wall(self, rng, n=2000):
         floor = np.column_stack([rng.uniform(-2, 2, n // 2), rng.uniform(-2, 2, n // 2),
@@ -374,7 +349,7 @@ class TestBestPlaneSupport:
 
     # 1 and 7 iterations score every candidate. At 201 and 1000 the floor's
     # inlier ratio (about 0.49) stops the search after its first batch, 64
-    # candidates in 7 chunks, unless the 10-degree gate leaves fewer valid.
+    # candidates in 7 blocks, unless the 10-degree gate leaves fewer valid.
     @pytest.mark.parametrize("iterations", [1, 7, 201, 1000])
     @pytest.mark.parametrize("tilt", [None, 10.0, 89.0])
     def test_matches_reference_over_several_chunks(self, small_budget, iterations, tilt):
@@ -415,7 +390,7 @@ class TestBestPlaneSupport:
         assert np.array_equal(got[0], ref[0]) and got[1] == ref[1]
 
     def test_table_scan_matches_reference(self, rng):
-        # 100k points: 40 candidates per chunk at the module budget.
+        # 100k points: 16 candidates per block at the module's _SCORE_BLOCK.
         n = 100_000
         pts = np.column_stack([rng.uniform(-0.6, 0.6, n), rng.uniform(-0.4, 0.4, n),
                                0.75 + rng.normal(0.0, 0.002, n)])
@@ -431,7 +406,7 @@ class TestBestPlaneSupport:
     @staticmethod
     def check_earlier_chunk_tie(rng):
         # Two parallel 600-point planes; candidate 3 spans the lower one,
-        # candidate 25 (third chunk) the upper one, the rest are junk.
+        # candidate 25 (third block) the upper one, the rest are junk.
         low = np.column_stack([rng.uniform(-1, 1, (600, 2)), np.zeros(600)])
         high = np.column_stack([rng.uniform(-1, 1, (600, 2)), np.ones(600)])
         junk = rng.uniform(-3, 3, size=(800, 3)) + [0.0, 0.0, 10.0]
@@ -439,7 +414,7 @@ class TestBestPlaneSupport:
         triples = 1200 + np.arange(30 * 3).reshape(30, 3)
         triples[3] = (0, 1, 2)
         triples[25] = (600, 601, 602)
-        for later in (25, 4):   # a later chunk, then later in the same chunk
+        for later in (25, 4):   # a later block, then later in the same block
             scripted = triples.copy()
             if later != 25:
                 scripted[[later, 25]] = scripted[[25, later]]
@@ -459,10 +434,11 @@ class TestBestPlaneSupport:
     @pytest.mark.parametrize("threads", ["1", "2", "8"])
     def test_point_blocks_and_threads_match_reference(self, monkeypatch, threads, n):
         monkeypatch.setenv("PANOSTITCH_THREADS", threads)
-        # 21 candidates per chunk: the floor stops the search after its
-        # first batch of 64 (of 101 draws), three full chunks and a last
-        # chunk of one candidate, scored by a one-row product.
-        monkeypatch.setattr(_plane_search, "_SCORE_BUDGET", 21 * n)
+        # 21 candidates per block: the floor stops the search after its
+        # first batch of 64 (of 101 draws), three full blocks and a last
+        # block of one candidate, scored by a one-row product.
+        monkeypatch.setattr(_plane_search, "_SCORE_BLOCK",
+                            21 * min(n, _plane_search._POINT_BLOCK))
         pts = self.floor_and_wall(np.random.default_rng(n), n)
         got = _plane_search.best_plane_support(pts, 101, 0.01,
                                                np.random.default_rng(5))
@@ -496,8 +472,8 @@ class TestBestPlaneSupport:
         pts = rng.normal(size=(n, 3))
         triples = np.array([rng.choice(n - 1, 3, replace=False) for _ in range(8)])
         triples[np.arange(8), np.arange(8) % 3] = n - 1
-        # Each triple alone, twice in one chunk (so its count decides the
-        # result), and all eight in one chunk.
+        # Each triple alone, twice in one block (so its count decides the
+        # result), and all eight in one block.
         scripts = [t[None] for t in triples] + [np.stack([t, t]) for t in triples]
         for scripted in scripts + [triples]:
             got = _plane_search.best_plane_support(pts, len(scripted), 0.0,
@@ -512,7 +488,7 @@ class TestBestPlaneSupport:
                                                        threshold):
         monkeypatch.setenv("PANOSTITCH_THREADS", threads)
         n = 2 * _plane_search._POINT_BLOCK + 77
-        monkeypatch.setattr(_plane_search, "_SCORE_BUDGET", 10 * n)
+        monkeypatch.setattr(_plane_search, "_SCORE_BLOCK", 10 * _plane_search._POINT_BLOCK)
         pts = np.round(np.random.default_rng(3).uniform(-1, 1, size=(n, 3)), 1)
         got = _plane_search.best_plane_support(pts, 201, threshold,
                                                np.random.default_rng(8))
@@ -530,8 +506,8 @@ class TestBestPlaneSupport:
         """Three point blocks: a 5,000-point plane at z = 1, junk, then a
         5,000-point plane at z = 0 that starts 904 points before the last
         block, so after the second block its candidate has 904 inliers and
-        exactly 5,000 reachable. Candidate 3 (first chunk of 10) spans the
-        lower plane, candidate 25 (third chunk) the upper one, the rest
+        exactly 5,000 reachable. Candidate 3 (first block of 10) spans the
+        lower plane, candidate 25 (third block) the upper one, the rest
         junk."""
         b = _plane_search._POINT_BLOCK
         n, c = 3 * b, b + 904
@@ -543,37 +519,30 @@ class TestBestPlaneSupport:
         triples[25] = np.arange(3)
         return np.vstack([high, junk, low]), triples
 
-    def best_with_pool(self, monkeypatch, pts, triples, threshold, pool):
-        monkeypatch.setattr(_plane_search, "ThreadPoolExecutor", pool)
+    @staticmethod
+    def support_counts(pts, triples, threshold):
+        """support's counts for the scripted candidates, all in one call from
+        best -1, after best_plane_support is checked against the reference."""
         got = _plane_search.best_plane_support(pts, len(triples), threshold,
                                                _ScriptedTriples(triples))
         ref = reference_plane_support(pts, len(triples), threshold,
                                       _ScriptedTriples(triples))
         assert np.array_equal(got[0], ref[0]) and got[1] == ref[1]
-        return got
-
-    def test_tie_in_an_earlier_chunk_survives_a_later_chunk_finishing_first(
-            self, monkeypatch, rng):
-        # The last chunk finishes first with 5,000. The lower plane's
-        # candidate can then only just tie it, and a tie is kept scoring,
-        # so the earlier candidate still wins.
-        pts, triples = self.two_planes_over_three_blocks(rng)
-        monkeypatch.setattr(_plane_search, "_SCORE_BUDGET", 10 * len(pts))
-        pool = _OrderedPool(reverse=True)
-        mask, count = self.best_with_pool(monkeypatch, pts, triples, 0.01, pool)
-        assert count == 5000 and pool.results[20][5] == 5000
-        assert pool.results[0][3] == 5000
-        assert np.array_equal(np.flatnonzero(mask), np.arange(len(pts) - 5000, len(pts)))
+        normals, offsets = plane_candidates(pts, len(triples), _ScriptedTriples(triples))
+        a = np.column_stack([pts, -np.ones(len(pts))])
+        count = _plane_search.support(a, np.broadcast_to(1.0, a.shape))
+        return got, count(np.column_stack([normals, offsets]), threshold, -1)
 
     def test_later_chunk_pruned_whole(self, monkeypatch, rng):
-        # In order, the first chunk finishes with 5,000; no junk candidate
-        # of the second chunk can reach it once two blocks are scored.
+        # The first block of 10 rows ends with 5,000; no junk candidate of
+        # the second block can reach it once two point blocks are scored.
+        # The upper plane's candidate in the third block ties it, so it is
+        # scored to the end and the earlier candidate still wins.
         pts, triples = self.two_planes_over_three_blocks(rng)
-        monkeypatch.setattr(_plane_search, "_SCORE_BUDGET", 10 * len(pts))
-        pool = _OrderedPool()
-        mask, count = self.best_with_pool(monkeypatch, pts, triples, 0.01, pool)
-        assert count == 5000 and pool.results[0][3] == 5000
-        assert np.all(pool.results[10] == -1)
+        monkeypatch.setattr(_plane_search, "_SCORE_BLOCK", 10 * _plane_search._POINT_BLOCK)
+        (mask, count), counts = self.support_counts(pts, triples, 0.01)
+        assert count == 5000 and counts[3] == 5000 and counts[25] == 5000
+        assert np.all(counts[10:20] == -1)
         assert np.array_equal(np.flatnonzero(mask), np.arange(len(pts) - 5000, len(pts)))
 
     def test_threshold_zero_chunk_down_to_one_survivor(self, monkeypatch):
@@ -581,9 +550,10 @@ class TestBestPlaneSupport:
         # plane_residuals gives exactly 0, as it does for the points kept
         # below; the lone survivor is then scored by a one-row product.
         # Candidate 0 spans 200 points at z = 20 exactly; candidate 7 spans
-        # 190 such grid points in the first block and 20 in the 20-point
-        # last block, so after the first block it is the only one of its
-        # chunk that can still reach 200, and it wins with its last block.
+        # 190 such grid points in the first point block and 20 in the
+        # 20-point last one, so after the first point block it is the only
+        # one of its block of 5 rows that can still reach 200, and it wins
+        # with its last point block.
         rng = np.random.default_rng(0)
         b = _plane_search._POINT_BLOCK
         i, j = rng.integers(-30, 31, (2, 20_000))
@@ -600,15 +570,14 @@ class TestBestPlaneSupport:
         triples = 203 + 190 + np.arange(10 * 3).reshape(10, 3)
         triples[0] = (3, 4, 5)
         triples[7] = (0, 1, 2)
-        monkeypatch.setattr(_plane_search, "_SCORE_BUDGET", 5 * len(pts))
-        pool = _OrderedPool()
-        mask, count = self.best_with_pool(monkeypatch, pts, triples, 0.0, pool)
-        assert count >= 210 and pool.results[5][2] == count
-        assert pool.results[0][0] == 200
+        monkeypatch.setattr(_plane_search, "_SCORE_BLOCK", 5 * b)
+        (mask, count), counts = self.support_counts(pts, triples, 0.0)
+        assert count >= 210 and counts[7] == count
+        assert counts[0] == 200
+        assert np.all(counts[[5, 6, 8, 9]] == -1)
 
     @pytest.mark.parametrize("threads", ["1", "2", "8"])
     def test_table_scan_on_any_thread_count(self, monkeypatch, threads):
-        # Which candidates stop early depends on which chunks finish first.
         monkeypatch.setenv("PANOSTITCH_THREADS", threads)
         rng = np.random.default_rng(7)
         n = 100_000
@@ -720,10 +689,10 @@ class TestBestPlaneSupport:
     def test_stop_after_third_batch_on_any_thread_count(self, monkeypatch, scored_rows):
         # w is about 0.31, so the rule asks for about 230 candidates and the
         # search stops after its third batch, at 448; one candidate per
-        # chunk. The full scan's winner (number 801) is never scored.
+        # block. The full scan's winner (number 801) is never scored.
         pts = self.plane_in_box(np.random.default_rng(1), 2000, 0.3)
         ref = reference_plane_support(pts, 1000, 0.01, np.random.default_rng(1))
-        monkeypatch.setattr(_plane_search, "_SCORE_BUDGET", 1)
+        monkeypatch.setattr(_plane_search, "_SCORE_BLOCK", 1)
         want_rows = self.expected_rows(pts, 1000, np.random.default_rng(1), 448)
         for threads in ("1", "2", "8"):
             monkeypatch.setenv("PANOSTITCH_THREADS", threads)
@@ -752,13 +721,13 @@ class TestBestPlaneSupport:
         assert bad == []
 
     def test_result_depends_on_no_chunk_size_or_thread_count(self, monkeypatch):
-        # Budgets of one candidate per chunk, of 7 and of all 20.
+        # One candidate per block, 7 and all 20.
         bad = []
         for seed in self.NORMAL_CLOUD_SEEDS:
             results = []
-            for budget in (1, 1400, 4_000_000):
+            for block in (1, 1400, 4_000_000):
                 for threads in ("1", "2"):
-                    monkeypatch.setattr(_plane_search, "_SCORE_BUDGET", budget)
+                    monkeypatch.setattr(_plane_search, "_SCORE_BLOCK", block)
                     monkeypatch.setenv("PANOSTITCH_THREADS", threads)
                     results.append(self.normal_cloud_support(seed))
             mask, count = results[0]

@@ -12,10 +12,9 @@ estimates the target normals it reads in more than one query block),
 `eval` of the synthesized episodes. A second `plane --flatten` runs on a
 106,000-point table under 70 % clutter. Its inlier ratio of about 0.3
 keeps the plane search going through three batches of candidates (64,
-128 and 256, to 448 of 1,000), each scored in chunks of 37, and a
-candidate stops early once it cannot reach the count of a chunk that has
-finished, in its own batch or an earlier one, so which candidates stop
-depends on the thread count. A labeled cloud (normals and room ids) is
+128 and 256, to 448 of 1,000), each scored in blocks of 16, and a
+candidate stops early once it cannot reach the best count of an earlier
+block, in its own batch or an earlier one. A labeled cloud (normals and room ids) is
 also written as ASCII PLY, read back and written as binary, so both
 directions of the ASCII codec are covered. `dtw.json` holds the `repr`
 of `dtw` and of `dtw(normalize=True)` over seeded float and
@@ -31,10 +30,9 @@ Every step is seeded, so two source trees that produce the same
 artifacts print the same digests.
 
 The whole flow then runs again into the same OUT_DIR under each entry
-of VARIANTS: PANOSTITCH_THREADS=1 and =8, the plane search's
-_SCORE_BUDGET patched to one candidate per chunk, the essential RANSAC's
-SUPPORT_BLOCK patched to one hypothesis per matrix product, ICP's
-NORMAL_BLOCK patched to one target normal per neighbor query, and
+of VARIANTS: PANOSTITCH_THREADS=1 and =8, _plane_search._SCORE_BLOCK
+patched to 1, so both RANSACs score one hypothesis per block of rows,
+ICP's NORMAL_BLOCK patched to one target normal per neighbor query, and
 OPENBLAS_NUM_THREADS=1, which OpenBLAS reads only when numpy loads, so
 that run is a child interpreter that imports this script. The script
 exits non-zero, naming the first artifact and variant, unless every
@@ -67,7 +65,7 @@ from unittest import mock
 
 import numpy as np
 
-from panostitch import _plane_search, cli, epipolar, icp
+from panostitch import _plane_search, cli, icp
 from panostitch.geometry import PointCloud, RigidTransform, rot_z
 from panostitch.metrics import dtw
 from panostitch.ply import read_ply, write_ply
@@ -114,9 +112,7 @@ RANSAC_VARIANT = {"threshold": 0.003, "iterations": 700}
 VARIANTS = (
     ("PANOSTITCH_THREADS=1", mock.patch.dict(os.environ, PANOSTITCH_THREADS="1"), False),
     ("PANOSTITCH_THREADS=8", mock.patch.dict(os.environ, PANOSTITCH_THREADS="8"), False),
-    ("one candidate per chunk",
-     mock.patch.object(_plane_search, "_SCORE_BUDGET", 1), False),
-    ("one hypothesis per block", mock.patch.object(epipolar, "SUPPORT_BLOCK", 1), False),
+    ("one hypothesis per block", mock.patch.object(_plane_search, "_SCORE_BLOCK", 1), False),
     ("one normal per block", mock.patch.object(icp, "NORMAL_BLOCK", 1), False),
     ("OPENBLAS_NUM_THREADS=1",
      mock.patch.dict(os.environ, OPENBLAS_NUM_THREADS="1"), True),
