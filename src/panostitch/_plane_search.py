@@ -1,14 +1,18 @@
-"""Shared vectorized RANSAC machinery: the sampler, the inlier formula
-and the support kernel of both RANSACs, the plane search and the plane fit.
+"""Shared vectorized RANSAC machinery: the sampler, the inlier formulas,
+the support kernel and the adaptive-stop loop of both RANSACs, the
+plane search and the plane fit.
 
 Candidates are drawn (sample_distinct) and scored in batches, so a search
 costs a handful of matrix products, and results are a pure function of
-(points, config, rng state). Both RANSACs count column m (a point, a
-match) as an inlier of hypothesis h when |residuals(h, a_m, b_m)| <=
-threshold, the fixed-order sum of (a_mk h_k) b_mk over k; only the
-factors differ. A plane (n, d) has a = (p, -1) and b = 1, which gives
-((p0 n0 + p1 n1) + p2 n2) - d bit for bit, as multiplying by 1 and by -1
-is exact; the essential matrix's factors are in the epipolar docstring.
+(points, config, rng state). Both RANSACs start from residuals(h, a_m,
+b_m), the fixed-order sum of (a_mk h_k) b_mk over k; only the factors
+and the test differ. A plane (n, d) has a = (p, -1) and b = 1, which
+gives ((p0 n0 + p1 n1) + p2 n2) - d bit for bit, as multiplying by 1 and
+by -1 is exact, and counts point m when |residuals| <= threshold. The
+essential matrix takes r = residuals(E.ravel(), a, b) = b_b^T E b_a and
+q = t^2 ||E b_a||^2, a 6-term quadratic form in b_a (the factors are in
+the epipolar docstring), and counts match m when excess = r r - q <= 0,
+that is when the sine of b_b's angle to its epipolar plane is at most t.
 
 support(a, b) counts with one matrix product per block, hyps @ (a o b)^T,
 which only screens each entry (geometry.screened_le): the product rounds
@@ -28,20 +32,29 @@ sends more entries to the formula. Once max|a|, max|b| or max|h| is
 2^300 or more or not finite, a product could overflow, so the band is
 inf and every entry comes from the formula.
 
-The plane search draws all its candidates up front, so the draws depend
-only on the seed, the input size and the iteration count, then scores
-the valid ones in draw order, in batches of _FIRST_BATCH, twice that,
-and so on (64, 128, 256, ...). After each batch it stops once
-k >= log(1 - _CONFIDENCE) / log(1 - w^3), with k the valid candidates
-scored so far and w = best / n the best inlier ratio among them: k
-candidates all miss a clean 3-point sample of that plane with
-probability (1 - w^3)^k <= 1 - _CONFIDENCE (Fischler & Bolles 1981;
-Hartley & Zisserman, Multiple View Geometry, 2nd ed., sec. 4.7.1). The
-iteration count is the cap. Each batch is one support call on the
-calling thread, and `best` is the exact maximum over the scored prefix
-when the stop test reads it. Everything runs in a fixed order, so which
-candidates are scored and which stop early, not only the plane returned,
-is a pure function of the inputs and _SCORE_BLOCK.
+support(a, b, p) screens the excess the same way, with a second product
+g @ p^T for q. With dr and dq the bands of r and q above, |r| and the
+screen's r are at most R = K max|a| max|h| max|b| + dr, and q and its
+screen at most Q = L max|p| max|g| + dq (L = 6 terms), so the two
+excesses differ by at most 2 R dr + dq from the sums, plus 4 u (R^2 + Q)
+from the two squares and the two subtractions, plus 2 2^-1075 for
+squares in the subnormal range; the band doubles that sum for its own
+rounding and adds 8 2^-1074. It is one scalar per call, so no count
+depends on block sizes or BLAS threads.
+
+search() drives both RANSACs. It scores the candidates in draw order,
+in batches of _FIRST_BATCH, twice that, and so on (64, 128, 256, ...).
+After each batch it stops once k >= log(1 - _CONFIDENCE) / log(1 -
+w^s), with k the valid candidates scored so far, w = best / n the best
+inlier ratio among them and s the sample size (3 for a plane, 5 for an
+upright essential): k candidates all miss a clean s-point sample of that
+model with probability (1 - w^s)^k <= 1 - _CONFIDENCE (Fischler &
+Bolles 1981; Hartley & Zisserman, Multiple View Geometry, 2nd ed., sec.
+4.7.1). The draw count is the cap. Each batch is one support call on
+the calling thread, and `best` is the exact maximum over the scored
+prefix when the stop test reads it. Everything runs in a fixed order, so
+which candidates are scored and which stop early, not only the model
+returned, is a pure function of the inputs and _SCORE_BLOCK.
 """
 
 from __future__ import annotations
@@ -52,8 +65,8 @@ import numpy as np
 
 from .geometry import GeometryError, Plane, fit_plane_lsq, is_json, screened_le
 
-# The plane search stops once, with this confidence, some scored candidate
-# was a clean sample of the best plane so far; its first batch holds
+# A search stops once, with this confidence, some scored candidate was a
+# clean sample of the best model so far; its first batch holds
 # _FIRST_BATCH candidates, each later batch twice the one before.
 _CONFIDENCE = 0.999
 _FIRST_BATCH = 64
@@ -63,6 +76,8 @@ _POINT_BLOCK = 4096
 # Residuals per block of hypotheses in support: 16 rows of a 4,096-column
 # step, whose buffers (640 KiB) stay in a core's L2 cache.
 _SCORE_BLOCK = 65_536
+
+_U = 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -111,38 +126,70 @@ def residuals(h: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return r
 
 
-def support(a: np.ndarray, b: np.ndarray):
-    """The support counter over n columns with factors a, b (n, K):
-    counts(hyps, threshold, best) gives, for each row h of hyps (C, K), the
-    exact count of columns m with |residuals(h, a_m, b_m)| <= threshold,
-    or -1 for a row that stopped.
+def excess(hg: np.ndarray, a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The quadratic inlier formula: r r - q, with r = residuals(h, a, b)
+    and q = residuals(g, p, 1) for hg = (h, g) split after a's K columns;
+    rows broadcast."""
+    K = a.shape[-1]
+    r = residuals(hg[..., :K], a, b)
+    return r * r - residuals(hg[..., K:], p, np.broadcast_to(1.0, p.shape))
 
-    The screen |hyps @ (a o b)^T| is within the module docstring's band of
-    |residuals|, so no count depends on how the work is split. Rows go in
-    blocks of max(1, _SCORE_BLOCK // min(n, _POINT_BLOCK)), columns in
-    blocks of _POINT_BLOCK. The int best is the running best count: after
-    each block of rows it is raised to that block's largest count, and
-    before each block of columns a row whose count plus the columns left
-    is strictly below it stops: it cannot be the maximum, and one that
-    ties is scored to the end, so the first maximum still wins.
+
+def _band(K: int, x_max: float, h_max: float, y_max: float) -> float:
+    """How far a K-term product x @ h, with y folded into x, may round from
+    residuals(h, x, y) (module docstring), or inf past 2^300."""
+    if not np.max((x_max, y_max, h_max)) < 2.0 ** 300:
+        return np.inf
+    gamma = (K + 1) * _U / (1 - (K + 1) * _U)
+    return 4 * gamma * K * x_max * h_max * y_max \
+        + 4 * K * 2.0 ** -1074 * max(1.0, y_max, h_max)
+
+
+def _abs_max(x: np.ndarray) -> float:
+    return max(x.max(), -x.min())
+
+
+def support(a: np.ndarray, b: np.ndarray, p: np.ndarray | None = None):
+    """The support counter over n columns with factors a, b (n, K) and, for
+    the quadratic test, products p (n, L): counts(hyps, threshold, best)
+    gives, for each row h of hyps (C, K), the exact count of columns m with
+    |residuals(h, a_m, b_m)| <= threshold, or, with p, for each row (h, g)
+    of hyps (C, K + L) the exact count with excess((h, g), a_m, b_m, p_m)
+    <= threshold (>= 0); -1 for a row that stopped.
+
+    The screens |hyps @ (a o b)^T| and r r - g @ p^T are within the
+    module docstring's bands, so no count depends on how the work is
+    split. Rows go in blocks of max(1, _SCORE_BLOCK // min(n,
+    _POINT_BLOCK)), columns in blocks of _POINT_BLOCK. The int best is the
+    running best count: after each block of rows it is raised to that
+    block's largest count, and before each block of columns a row whose
+    count plus the columns left is strictly below it stops: it cannot be
+    the maximum, and one that ties is scored to the end, so the first
+    maximum still wins.
     """
     n, K = a.shape
     # C order: from C-ordered factors the product comes out F-ordered, and
     # matmul on that operand took ~16 ms per block instead of ~25 us (2-CPU
     # x86-64, OpenBLAS 0.3.31).
     cols = np.multiply(a.T, b.T, order="C")
-    a_max, b_max = (max(x.max(), -x.min()) for x in (a, b))
-    gamma = (K + 1) * 2.0 ** -53 / (1 - (K + 1) * 2.0 ** -53)
+    a_max, b_max = _abs_max(a), _abs_max(b)
+    quad = p is not None
+    if quad:
+        pcols, p_max, L = np.ascontiguousarray(p.T), _abs_max(p), p.shape[1]
     width = min(n, _POINT_BLOCK)
 
     def counts(hyps: np.ndarray, threshold: float, best: int) -> np.ndarray:
-        h_max = max(hyps.max(), -hyps.min())
-        band = np.inf
-        if np.max((a_max, b_max, h_max)) < 2.0 ** 300:
-            band = 4 * gamma * K * a_max * h_max * b_max \
-                + 4 * K * 2.0 ** -1074 * max(1.0, b_max, h_max)
+        h_max = _abs_max(hyps[:, :K])
+        band = _band(K, a_max, h_max, b_max)
+        if quad:
+            g_max = _abs_max(hyps[:, K:])
+            dq = _band(L, p_max, g_max, 1.0)
+            R = K * a_max * h_max * b_max + band
+            Q = L * p_max * g_max + dq
+            band = 2 * (2 * R * band + dq + 4 * _U * (R * R + Q)) + 8 * 2.0 ** -1074
         step = max(1, _SCORE_BLOCK // width)
         res = np.empty((min(step, len(hyps)), width))
+        quadratic = np.empty_like(res) if quad else None
         near, far = np.empty((2, *res.shape), dtype=bool)
         result = np.full(len(hyps), -1, dtype=np.int64)
         for top in range(0, len(hyps), step):
@@ -157,15 +204,51 @@ def support(a: np.ndarray, b: np.ndarray):
                         break
                 hi = min(lo + _POINT_BLOCK, n)
                 r, hit, miss = (buf[:len(h), :hi - lo] for buf in (res, near, far))
-                np.matmul(h, cols[:, lo:hi], out=r)
-                np.abs(r, out=r)
-                screened_le(r, threshold, band,
-                            lambda i, j: residuals(h[i], a[lo + j], b[lo + j]), hit, miss)
+                np.matmul(h[:, :K], cols[:, lo:hi], out=r)
+                if quad:
+                    q = quadratic[:len(h), :hi - lo]
+                    np.matmul(h[:, K:], pcols[:, lo:hi], out=q)
+                    np.multiply(r, r, out=r)
+                    np.subtract(r, q, out=r)
+                    # |max(x, 0)| <= threshold exactly when x <= threshold
+                    screened_le(r, threshold, band, lambda i, j: np.maximum(
+                        excess(h[i], a[lo + j], b[lo + j], p[lo + j]), 0.0), hit, miss)
+                else:
+                    np.abs(r, out=r)
+                    screened_le(r, threshold, band,
+                                lambda i, j: residuals(h[i], a[lo + j], b[lo + j]), hit, miss)
                 tally += hit.view(np.uint8).sum(axis=1, dtype=np.uint16)
             result[rows] = tally
             best = max(best, int(tally.max(initial=-1)))
         return result
     return counts
+
+
+def search(count, candidates, draws: int, n: int, s: int,
+           threshold: float) -> tuple[np.ndarray | None, int, int]:
+    """The adaptive-stop loop of both RANSACs (module docstring).
+
+    candidates(lo, hi) returns the rows of the valid candidates among
+    draws lo..hi - 1, in draw order; count is a support counter over n
+    columns, called once per batch with `threshold` and the best count so
+    far. Returns (row, best, scored): the first row with the largest count,
+    or None when no draw was valid, that count (-1 for none), and how many
+    draws were scored before the stop or the cap.
+    """
+    best, top, k, lo, size = -1, None, 0, 0, _FIRST_BATCH
+    while lo < draws:
+        hi = min(lo + size, draws)
+        hyps = candidates(lo, hi)
+        if len(hyps):
+            counts = count(hyps, threshold, best)
+            j = int(np.argmax(counts))     # first maximum: the earliest candidate wins ties
+            if counts[j] > best:
+                best, top = int(counts[j]), hyps[j]
+            k += len(hyps)
+        lo, size = hi, 2 * size
+        if (1.0 - (best / n) ** s) ** k <= 1.0 - _CONFIDENCE:
+            break
+    return top, best, lo
 
 
 def best_plane_support(pts: np.ndarray, iterations: int, threshold: float,
@@ -175,13 +258,14 @@ def best_plane_support(pts: np.ndarray, iterations: int, threshold: float,
 
     When `axis` is given, candidates whose unit normal satisfies
     |normal . axis| < min_cos are skipped (used to keep floor fits
-    gravity-consistent). The valid candidates are scored in draw order, in
-    batches, until the module docstring's stop rule holds or all
-    `iterations` draws are scored. Returns (mask, count) for the best
-    scored candidate, the first one with the most inliers, or None when
-    no valid candidate exists. Each candidate (n, d) is counted by support
-    over the points, so the result has the bits of scoring each scored
-    candidate against every point with residuals: the distance
+    gravity-consistent). All `iterations` triples are drawn up front, so
+    the draws depend only on the seed, the input size and the iteration
+    count; search() then scores the valid candidates, in draw order, until
+    its stop rule holds (s = 3) or all are scored. Returns (mask, count)
+    for the best scored candidate, the first one with the most inliers, or
+    None when no valid candidate exists. Each candidate (n, d) is counted
+    by support over the points, so the result has the bits of scoring each
+    scored candidate against every point with residuals: the distance
     ((p0 n0 + p1 n1) + p2 n2) - d.
     """
     n = pts.shape[0]
@@ -203,19 +287,10 @@ def best_plane_support(pts: np.ndarray, iterations: int, threshold: float,
     planes = np.column_stack([normals, offsets])       # h = (n, d)
     a = np.column_stack([pts, -np.ones(n)])             # a = (p, -1), b = 1
     b = np.broadcast_to(1.0, a.shape)
-    count = support(a, b)
-    best, scored, lo, size = -1, [], 0, _FIRST_BATCH
-    while lo < keep.size:
-        hi = min(lo + size, keep.size)
-        scored.append(count(planes[lo:hi], threshold, best))
-        best = max(best, int(scored[-1].max()))
-        lo, size = hi, 2 * size
-        if (1.0 - (best / n) ** 3) ** lo <= 1.0 - _CONFIDENCE:
-            break
-    counts = np.concatenate(scored)
-    top = int(np.argmax(counts))     # first maximum: the earliest candidate wins ties
-    mask = np.abs(residuals(planes[top], a, b)) <= threshold
-    return mask, int(counts[top])
+    top, best, _ = search(support(a, b), lambda lo, hi: planes[lo:hi], keep.size,
+                          n, 3, threshold)
+    mask = np.abs(residuals(top, a, b)) <= threshold
+    return mask, best
 
 
 def fit_plane(pts: np.ndarray, cfg: PlaneFitConfig, rng: np.random.Generator,

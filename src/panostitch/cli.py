@@ -34,6 +34,7 @@ import numpy as np
 
 from . import scene as scene_mod
 from ._atomic import write_atomic, write_json
+from ._trace import recording, span
 from .epipolar import CheiralityError, EstimationError, RansacConfig
 from .geometry import (Aabb, GeometryError, PointCloud, RigidTransform, from_json,
                        is_json, rot_z, thread_count)
@@ -169,52 +170,66 @@ def cmd_stitch(args) -> int:
                 raise CliError(EXIT_INPUT, f"room {rid!r} has two cloud files: "
                                            f"{rooms[rid]} and {path}")
 
-    clouds = {rid: _read_cloud(path) for rid, path in rooms.items()}
-    registrations = []
-    for p, cfg in zip(pairs, configs):
-        label = f"pair:{p.room_a}->{p.room_b}"
-        t0 = time.perf_counter()
+    label = None
+
+    def stage_done(name: str, seconds: float, counts: dict) -> None:
+        _log("stitch", "stage_done", span=name, elapsed_s=round(seconds, 4),
+             **({"pair": label} if label else {}), **counts)
+
+    with recording(stage_done):
+        clouds = {}
+        for rid, path in rooms.items():
+            with span("ply.read_ply", room=rid) as counts:
+                clouds[rid] = _read_cloud(path)
+                counts["points"] = len(clouds[rid])
+        registrations = []
+        for p, cfg in zip(pairs, configs):
+            label = f"pair:{p.room_a}->{p.room_b}"
+            t0 = time.perf_counter()
+            try:
+                with span("panorama.load_matches") as counts:
+                    matches = load_matches(base / p.match_file)
+                    counts["matches"] = len(matches)
+                result: PairResult = register_room_pair(
+                    matches, clouds[p.room_a], clouds[p.room_b],
+                    cfg=cfg, seed=fork_seed(args.seed, label))
+            except MatchFileError as e:
+                raise CliError(EXIT_INPUT, f"{label}: {e}") from e
+            except (EstimationError, CheiralityError, GroundPlaneError, IcpError,
+                    GeometryError, ValueError) as e:
+                raise CliError(EXIT_NUMERIC, f"{label}: {e}") from e
+            _log("stitch", "pair_registered", pair=label,
+                 elapsed_s=round(time.perf_counter() - t0, 4),
+                 alpha=result.alpha, icp_iterations=result.icp.iterations,
+                 icp_converged=result.icp.converged,
+                 icp_stop_reason=result.icp.stop_reason)
+            registrations.append((p, result))
+        label = None
+
+        manifest = scene_mod.SceneManifest(
+            rooms=[scene_mod.RoomNode(id=rid, cloud=clouds[rid],
+                                      cloud_path=str(rooms[rid]))
+                   for rid in sorted(rooms)],
+            pair_registrations=[
+                scene_mod.PairRegistration(
+                    room_a=p.room_a, room_b=p.room_b,
+                    T_coarse=r.T_coarse, T_fine=r.T_fine,
+                    diagnostics=r.diagnostics())
+                for p, r in registrations],
+            root_room=root)
+
         try:
-            matches = load_matches(base / p.match_file)
-            result: PairResult = register_room_pair(
-                matches, clouds[p.room_a], clouds[p.room_b],
-                cfg=cfg, seed=fork_seed(args.seed, label))
-        except MatchFileError as e:
-            raise CliError(EXIT_INPUT, f"{label}: {e}") from e
-        except (EstimationError, CheiralityError, GroundPlaneError, IcpError,
-                GeometryError, ValueError) as e:
-            raise CliError(EXIT_NUMERIC, f"{label}: {e}") from e
-        _log("stitch", "pair_registered", pair=label,
-             elapsed_s=round(time.perf_counter() - t0, 4),
-             alpha=result.alpha, icp_iterations=result.icp.iterations,
-             icp_converged=result.icp.converged,
-             icp_stop_reason=result.icp.stop_reason)
-        registrations.append((p, result))
+            with span("scene.merge_rooms", rooms=len(manifest.rooms)):
+                merged = merge_rooms(manifest)
+        except (SceneGraphError, ManifestError) as e:
+            raise CliError(EXIT_GRAPH, str(e)) from e
+        _log("stitch", "merged", rooms=len(manifest.rooms), points=len(merged.cloud))
 
-    manifest = scene_mod.SceneManifest(
-        rooms=[scene_mod.RoomNode(id=rid, cloud=clouds[rid],
-                                  cloud_path=str(rooms[rid]))
-               for rid in sorted(rooms)],
-        pair_registrations=[
-            scene_mod.PairRegistration(
-                room_a=p.room_a, room_b=p.room_b,
-                T_coarse=r.T_coarse, T_fine=r.T_fine,
-                diagnostics=r.diagnostics())
-            for p, r in registrations],
-        root_room=root)
-
-    t0 = time.perf_counter()
-    try:
-        merged = merge_rooms(manifest)
-    except (SceneGraphError, ManifestError) as e:
-        raise CliError(EXIT_GRAPH, str(e)) from e
-    _log("stitch", "merged", rooms=len(manifest.rooms),
-         points=len(merged.cloud),
-         elapsed_s=round(time.perf_counter() - t0, 4))
-
-    write_ply(out_dir / "merged.ply", merged.cloud, binary=True,
-              room_ids=merged.room_ids)
-    scene_mod.save_manifest(out_dir / "scene_manifest.json", manifest)
+        with span("ply.write_ply", points=len(merged.cloud)):
+            write_ply(out_dir / "merged.ply", merged.cloud, binary=True,
+                      room_ids=merged.room_ids)
+        with span("scene.save_manifest"):
+            scene_mod.save_manifest(out_dir / "scene_manifest.json", manifest)
     write_json(out_dir / "diagnostics.json", {
         "root_room": root,
         "pairs": [{"room_a": p.room_a, "room_b": p.room_b,

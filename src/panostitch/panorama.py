@@ -11,7 +11,9 @@ gravity-leveled as captured by a tripod-mounted 360 camera.
 
 from __future__ import annotations
 
+import itertools
 import json
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -104,12 +106,45 @@ def _require(cond: bool, msg: str):
 
 
 def _number(m: dict, key: str) -> float:
-    """m[key] if it is a finite number. Matches are checked value by value
-    with is_json: a from_json call per match would cost far more."""
+    """m[key] if it is a finite number, else ValueError naming the key."""
     v = m[key]
     if not is_json(v, float):
         raise ValueError(f"{key} must be a finite number, got {v!r}")
     return v
+
+
+_FIELDS = ("score", "ua", "va", "ub", "vb")
+_fields = operator.itemgetter(*_FIELDS)
+
+
+def _match_table(matches: list) -> np.ndarray:
+    """(N, 5) float64 rows of each match's _FIELDS.
+
+    One itemgetter pass reads every match, one pass over the flat values
+    checks that each is an int or a float (not a bool), and numpy checks
+    that all are finite. When any of that fails, the matches are read
+    again one by one, so the first malformed entry raises MatchFileError
+    with its index; an entry whose score is below MIN_SCORE is skipped
+    there without a look at its pixels, so one whose pixels alone are
+    malformed gives a table with NaN placeholders in its row.
+    """
+    try:
+        rows = list(map(_fields, matches))
+        if set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}:
+            table = np.array(rows, dtype=np.float64).reshape(len(rows), len(_FIELDS))
+            if np.isfinite(table).all():
+                return table
+    except (KeyError, TypeError, ValueError, OverflowError):
+        pass
+    table = np.full((len(matches), len(_FIELDS)), np.nan)
+    for i, m in enumerate(matches):
+        try:
+            table[i, 0] = _number(m, "score")
+            if table[i, 0] >= MIN_SCORE:
+                table[i, 1:] = [_number(m, key) for key in _FIELDS[1:]]
+        except (KeyError, TypeError, ValueError) as e:
+            raise MatchFileError(f"malformed match entry {i}: {e}") from e
+    return table
 
 
 def parse_match_dict(data: dict) -> BearingMatchSet:
@@ -126,23 +161,14 @@ def parse_match_dict(data: dict) -> BearingMatchSet:
 
     matches = data["matches"]
     _require(isinstance(matches, list), "'matches' must be a list")
-    ua, va, ub, vb = [], [], [], []
-    for i, m in enumerate(matches):
-        try:
-            if _number(m, "score") < MIN_SCORE:
-                continue
-            ua.append(_number(m, "ua"))
-            va.append(_number(m, "va"))
-            ub.append(_number(m, "ub"))
-            vb.append(_number(m, "vb"))
-        except (KeyError, TypeError, ValueError) as e:
-            raise MatchFileError(f"malformed match entry {i}: {e}") from e
+    table = _match_table(matches)
+    ua, va, ub, vb = table[table[:, 0] >= MIN_SCORE, 1:].T
 
     _require(len(ua) >= MIN_MATCHES,
              f"insufficient matches: {len(ua)} usable, need >= {MIN_MATCHES}")
     try:
-        ba = pixel_to_bearing(np.array(ua), np.array(va), spec_a)
-        bb = pixel_to_bearing(np.array(ub), np.array(vb), spec_b)
+        ba = pixel_to_bearing(ua, va, spec_a)
+        bb = pixel_to_bearing(ub, vb, spec_b)
     except ValueError as e:
         raise MatchFileError(f"keypoint outside declared panorama: {e}") from e
     return BearingMatchSet(ba, bb, spec_a, spec_b)

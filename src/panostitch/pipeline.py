@@ -15,6 +15,7 @@ import numpy as np
 
 from .epipolar import (RansacConfig, decompose_essential, estimate_essential,
                        triangulate_set)
+from ._trace import span
 from .geometry import PointCloud, RigidTransform, unit, voxel_downsample
 from .icp import IcpConfig, IcpResult, point_to_plane_icp
 from .panorama import BearingMatchSet
@@ -85,17 +86,31 @@ def register_room_pair(matches: BearingMatchSet, cloud_a: PointCloud,
     its origin, the camera center for panorama-derived reconstructions.
     cloud_a's normals are never read.
     """
-    est = estimate_essential(matches, cfg.ransac, seed=fork_seed(seed, "ransac"))
-    pose = decompose_essential(est.matrix, matches, est.inlier_indices)
-    tri = triangulate_set(matches, pose, est.inlier_indices)
-    ground = select_ground_points(tri, cfg.gravity_axis, cfg.ground,
-                                  seed=fork_seed(seed, "ground"))
+    with span("epipolar.estimate_essential") as counts:
+        est = estimate_essential(matches, cfg.ransac, seed=fork_seed(seed, "ransac"),
+                                 gravity_axis=cfg.gravity_axis)
+        counts.update(hypotheses=est.hypotheses, inliers=len(est.inlier_indices))
+    with span("epipolar.decompose_essential"):
+        pose = decompose_essential(est.matrix, matches, est.inlier_indices)
+    with span("epipolar.triangulate_set"):
+        tri = triangulate_set(matches, pose, est.inlier_indices)
+    with span("scale.select_ground_points") as counts:
+        ground = select_ground_points(tri, cfg.gravity_axis, cfg.ground,
+                                      seed=fork_seed(seed, "ground"))
+        counts["ground_points"] = len(ground.ground_points)
     alpha = recover_scale(ground)
     T_coarse = apply_scale(pose, alpha)
 
-    src, dst = (voxel_downsample(c, cfg.voxel_size) if cfg.voxel_size else c
-                for c in (cloud_a, cloud_b))
-    icp_result = point_to_plane_icp(src, dst, T_coarse, cfg.icp)
+    clouds = []
+    for c in (cloud_a, cloud_b):
+        if cfg.voxel_size:
+            with span("geometry.voxel_downsample", points=len(c)) as counts:
+                c = voxel_downsample(c, cfg.voxel_size)
+                counts["kept"] = len(c)
+        clouds.append(c)
+    with span("icp.point_to_plane_icp") as counts:
+        icp_result = point_to_plane_icp(*clouds, T_coarse, cfg.icp)
+        counts["iterations"] = icp_result.iterations
 
     return PairResult(T_coarse=T_coarse, T_fine=icp_result.transform,
                       alpha=alpha, essential=est.matrix,

@@ -621,6 +621,32 @@ class TestStitchCommand:
         assert diag["converged"] is (reason == "rel_tol")
         assert diag["iterations"] == len(diag["error_trace"]) <= 15
 
+    def test_stage_log_names_each_stage(self, cycling_dir, tmp_path, capsys):
+        # The match-heavy cycling scene (2,000 matches, 40 % outliers):
+        # RANSAC stops after two batches, well under its 2,000-sample cap.
+        out = tmp_path / "o"
+        manifest = cycling_dir / "stitch_manifest.json"
+        assert run("stitch", manifest, "--out", out, "--seed", CYCLING_SCENE_SEED) == 0
+        events = [json.loads(line) for line in capsys.readouterr().err.splitlines()]
+        stages = [e for e in events if e["event"] == "stage_done"]
+        assert [e["span"] for e in stages] == [
+            "ply.read_ply", "ply.read_ply", "panorama.load_matches",
+            "epipolar.estimate_essential", "epipolar.decompose_essential",
+            "epipolar.triangulate_set", "scale.select_ground_points",
+            "geometry.voxel_downsample", "geometry.voxel_downsample",
+            "icp.point_to_plane_icp", "scene.merge_rooms", "ply.write_ply",
+            "scene.save_manifest"]
+        assert all(e["elapsed_s"] >= 0 for e in stages)
+        by_span = {e["span"]: e for e in stages}
+        diag = json.loads((out / "diagnostics.json").read_text())["pairs"][0]
+        ransac = by_span["epipolar.estimate_essential"]
+        assert ransac["pair"] == "pair:room_a->room_b"
+        assert ransac["hypotheses"] == 192
+        assert ransac["inliers"] == diag["ransac_inlier_count"]
+        assert by_span["icp.point_to_plane_icp"]["iterations"] == diag["icp"]["iterations"]
+        assert by_span["panorama.load_matches"]["matches"] == 2000
+        assert "pair" not in by_span["scene.merge_rooms"]
+
     def test_numerical_failure_exits_5(self, synth_dir, tmp_path, capsys):
         # Scramble the matches so no epipolar consensus exists; the pair
         # label must appear in the error detail.

@@ -1,3 +1,4 @@
+import math
 from unittest import mock
 
 import numpy as np
@@ -9,7 +10,7 @@ from panostitch._plane_search import _POINT_BLOCK, residuals, sample_distinct, s
 from panostitch.epipolar import (CheiralityError, EssentialEstimate, EstimationError,
                                  RansacConfig, RelativePose, decompose_essential,
                                  estimate_essential, triangulate_set)
-from panostitch.geometry import rotation_angle, skew
+from panostitch.geometry import rot_z, rotation_angle, skew
 from panostitch.panorama import BearingMatchSet, PanoramaSpec, parse_match_dict
 from panostitch.testkit import SynthSceneConfig, synth_room_pair
 
@@ -46,54 +47,129 @@ def pure_translation_matches(n=40, seed=0):
     return make_match_set(ba, bb), gt
 
 
-def reference_essential(matches, cfg=RansacConfig(), seed=0):
-    """The RANSAC loop scored with one einsum per batch, every hypothesis
-    against every match, as it was before the blocked support kernel.
-    estimate_essential must match it bit for bit, raises included."""
+# The essential RANSAC's stop rule and sample size, written out here apart
+# from the module.
+STOP_CONFIDENCE = 0.999
+FIRST_BATCH = 64
+SAMPLE = 5
+
+
+def epipolar_products(E, ba, bb):
+    """b_b^T E b_a for each matrix of E (C, 3, 3) against every match: the
+    terms (b_b,i E_ij) b_a,j added in (i, j) row order."""
+    E = E[:, None]
+    r = (bb[:, 0] * E[..., 0, 0]) * ba[:, 0]
+    for i, j in [(i, j) for i in range(3) for j in range(3)][1:]:
+        r = r + (bb[:, i] * E[..., i, j]) * ba[:, j]
+    return r
+
+
+def squared_norms(E, x, t2):
+    """t2 ||E x||^2 = sum_k g_k P_k over the products P of x's coordinates,
+    with g = t2 times the entries of E^T E, each added in row order."""
+    E = E[:, None]
+
+    def G(j, k):
+        return (E[..., 0, j] * E[..., 0, k] + E[..., 1, j] * E[..., 1, k]) \
+            + E[..., 2, j] * E[..., 2, k]
+    g = [t2 * x for x in (G(0, 0), G(1, 1), G(2, 2),
+                          2.0 * G(0, 1), 2.0 * G(0, 2), 2.0 * G(1, 2))]
+    P = [x[:, 0] * x[:, 0], x[:, 1] * x[:, 1], x[:, 2] * x[:, 2],
+         x[:, 0] * x[:, 1], x[:, 0] * x[:, 2], x[:, 1] * x[:, 2]]
+    q = g[0] * P[0]
+    for gk, pk in zip(g[1:], P[1:]):
+        q = q + gk * pk
+    return q
+
+
+def sine_excess(E, ba, bb, t2):
+    """The fixed-order inlier formula in view b, r r - t2 ||E b_a||^2."""
+    r = epipolar_products(E, ba, bb)
+    return r * r - squared_norms(E, ba, t2)
+
+
+def squared_sine_bound(pixels, spec):
+    return math.sin(min(2.0 * math.pi * pixels / spec.width, math.pi / 2)) ** 2
+
+
+def symmetric_inliers(E, matches, cfg):
+    """Matches within cfg.threshold of E's epipolar planes in both views."""
+    ba, bb = matches.bearings_a, matches.bearings_b
+    r = epipolar_products(E[None], ba, bb)[0]
+    in_b = r * r - squared_norms(E[None], ba, squared_sine_bound(cfg.threshold, matches.spec_b))[0]
+    in_a = r * r - squared_norms(E.T[None], bb, squared_sine_bound(cfg.threshold, matches.spec_a))[0]
+    return (in_b <= 0) & (in_a <= 0)
+
+
+def reference_essential(matches, cfg=RansacConfig(), seed=0, gravity_axis=(0.0, 0.0, -1.0)):
+    """Every drawn 5-match sample solved at once and scored against every
+    match by sine_excess; of the prefix the batches of 64, 128, ... keep
+    until k >= log(1 - STOP_CONFIDENCE) / log(1 - w^5) (k the valid samples
+    scored, w their best count over n), the first maximum wins; then up to
+    3 refits until the symmetric inlier set repeats. estimate_essential
+    must match it bit for bit, raises included."""
     ba, bb = matches.bearings_a, matches.bearings_b
     n = len(matches)
     if n < 8:
         raise EstimationError(f"need at least 8 matches, got {n}")
-    rng = np.random.default_rng(seed)
-    best_count = 0
-    best_mask = None
-    done = 0
-    while done < cfg.iterations:
-        count = min(epipolar_mod._RANSAC_BATCH, cfg.iterations - done)
-        done += count
-        idx = sample_distinct(rng, n, count, 8)
-        E, valid = epipolar_mod._eight_point(ba[idx], bb[idx])
-        res = np.abs(np.einsum("ni,cij,nj->cn", bb, E, ba))
-        counts = (res <= cfg.threshold).sum(axis=1)
-        counts[~valid] = 0
-        j = int(np.argmax(counts))
-        if counts[j] > best_count:
-            best_count = int(counts[j])
-            best_mask = res[j] <= cfg.threshold
-    if best_mask is None or best_count < cfg.min_inliers:
+    idx = sample_distinct(np.random.default_rng(seed), n, cfg.iterations, SAMPLE)
+    level = epipolar_mod._leveling(gravity_axis)
+    la, lb = (ba, bb) if level is None else (ba @ level.T, bb @ level.T)
+    E, valid = epipolar_mod._upright_five_point(la[idx], lb[idx])
+    if level is not None:
+        E = level.T @ E @ level
+    t2 = squared_sine_bound(cfg.threshold, matches.spec_b)
+    counts = np.where(valid, (sine_excess(E, ba, bb, t2) <= 0).sum(axis=1), -1)
+    drawn, size, k = 0, FIRST_BATCH, 0
+    while drawn < cfg.iterations:
+        k += int(valid[drawn:drawn + size].sum())
+        drawn, size = min(drawn + size, cfg.iterations), 2 * size
+        w = counts[:drawn].max() / n
+        if w > 0:   # at w = 0 no count of samples is enough
+            with np.errstate(divide="ignore"):
+                if k >= np.log(1 - STOP_CONFIDENCE) / np.log(1 - w ** SAMPLE):
+                    break
+    best = int(counts[:drawn].max())
+    if best < cfg.min_inliers:
         raise EstimationError(
-            f"no model with >= {cfg.min_inliers} inliers after {cfg.iterations} iterations")
-    try:
-        E, valid = epipolar_mod._eight_point(ba[best_mask][None], bb[best_mask][None])
-    except np.linalg.LinAlgError as e:
-        raise EstimationError("inlier refit did not converge") from e
-    if not valid[0]:
-        raise EstimationError("inlier refit is degenerate")
-    E = E[0]
-    mask = np.abs(np.einsum("ni,ij,nj->n", bb, E, ba)) <= cfg.threshold
-    if int(mask.sum()) < cfg.min_inliers:
+            f"no model with >= {cfg.min_inliers} inliers after {drawn} hypotheses")
+    model = E[int(np.argmax(counts[:drawn]))]
+    mask = symmetric_inliers(model, matches, cfg)
+    for _ in range(3):
+        if mask.sum() < cfg.min_inliers:
+            break
+        try:
+            refit, ok = epipolar_mod._eight_point(ba[mask][None], bb[mask][None])
+        except np.linalg.LinAlgError as e:
+            raise EstimationError("inlier refit did not converge") from e
+        if not ok[0]:
+            raise EstimationError("inlier refit is degenerate")
+        model = refit[0]
+        again = symmetric_inliers(model, matches, cfg)
+        repeat = np.array_equal(again, mask)
+        mask = again
+        if repeat:
+            break
+    if mask.sum() < cfg.min_inliers:
         raise EstimationError("refit model lost its inlier support")
     inliers = np.flatnonzero(mask)
-    return EssentialEstimate(matrix=E, inlier_indices=inliers,
-                             low_confidence=len(inliers) / n < 0.3)
+    return EssentialEstimate(matrix=model, inlier_indices=inliers,
+                             low_confidence=len(inliers) / n < 0.3, hypotheses=drawn)
 
 
-def rigid_motion_matches(n, seed, unit=True):
+def sine_config(sine, iterations=2000, width=2048):
+    """A RansacConfig whose pixel threshold is the given sine bound in a
+    panorama `width` pixels wide."""
+    return RansacConfig(math.asin(sine) * width / (2 * math.pi), iterations)
+
+
+def rigid_motion_matches(n, seed, unit=True, upright=False):
     """n bearing pairs of one random rigid motion, b bearings perturbed by
     ~1e-3 rad and a third of them replaced by random directions. With
-    unit=False every bearing is scaled by a factor in [0.5, 2]."""
+    unit=False every bearing is scaled by a factor in [0.5, 2]; with
+    upright=True the rotation is about z."""
     rng = np.random.default_rng(seed)
-    R = random_rotation(rng)
+    R = rot_z(rng.uniform(-np.pi, np.pi)) if upright else random_rotation(rng)
     t = rng.normal(size=3)
     pts = rng.uniform(-5.0, 5.0, size=(n, 3))
     pb = pts @ R.T + t / np.linalg.norm(t)
@@ -129,6 +205,7 @@ def assert_same_as_reference(matches, cfg, seed):
     assert est.inlier_indices.dtype == ref.inlier_indices.dtype
     np.testing.assert_array_equal(est.inlier_indices, ref.inlier_indices)
     assert est.low_confidence == ref.low_confidence
+    assert est.hypotheses == ref.hypotheses
 
 
 def svd_eight_point(sa, sb):
@@ -139,6 +216,82 @@ def svd_eight_point(sa, sb):
     E = vt[:, -1].reshape(-1, 3, 3)
     u3, _, v3 = np.linalg.svd(E)
     return u3 @ np.diag([1.0, 1.0, 0.0])[None, :, :] @ v3, s[:, 7] >= 1e-12
+
+
+def upright_samples(rng, count, translation_z=True):
+    """Noiseless 5-match samples of random yaw-only motions: bearings
+    (count, 5, 3) in both frames and the true [t]x R."""
+    R = np.stack([rot_z(a) for a in rng.uniform(-np.pi, np.pi, count)])
+    t = rng.normal(size=(count, 3))
+    if not translation_z:
+        t[:, 2] = 0.0
+    t /= np.linalg.norm(t, axis=1, keepdims=True)
+    pts = rng.uniform(-5.0, 5.0, size=(count, 5, 3))
+    pb = np.einsum("cij,cnj->cni", R, pts) + t[:, None]
+    E = np.stack([skew(tc) @ Rc for tc, Rc in zip(t, R)])
+    return (pts / np.linalg.norm(pts, axis=2, keepdims=True),
+            pb / np.linalg.norm(pb, axis=2, keepdims=True), E)
+
+
+class TestUprightFivePoint:
+    @pytest.mark.parametrize("translation_z", [True, False])
+    def test_noiseless_samples_give_the_true_essential(self, translation_z):
+        sa, sb, E_gt = upright_samples(np.random.default_rng(1), 500, translation_z)
+        E, valid = epipolar_mod._upright_five_point(sa, sb)
+        assert valid.all()
+        # Unit-norm rows, sign-free: arccos cannot resolve angles this small.
+        e, g = (x.reshape(-1, 9) / np.linalg.norm(x.reshape(-1, 9), axis=1, keepdims=True)
+                for x in (E, E_gt))
+        assert np.minimum(np.abs(e - g).max(axis=1), np.abs(e + g).max(axis=1)).max() < 1e-9
+        s = np.linalg.svd(E, compute_uv=False)
+        np.testing.assert_allclose(s, np.tile([1.0, 1.0, 0.0], (500, 1)), atol=1e-12)
+
+    def test_sample_with_a_repeated_match_is_invalid(self):
+        rng = np.random.default_rng(2)
+        sa, sb, _ = upright_samples(rng, 200)
+        k = rng.integers(0, 4, size=200)
+        sa[:, 4], sb[:, 4] = sa[np.arange(200), k], sb[np.arange(200), k]
+        assert not epipolar_mod._upright_five_point(sa, sb)[1].any()
+
+    def test_each_sample_solved_alone_has_the_same_bits(self):
+        sa, sb, _ = upright_samples(np.random.default_rng(3), 100)
+        sb = sb + np.random.default_rng(4).normal(0.0, 1e-3, size=sb.shape)
+        E, valid = epipolar_mod._upright_five_point(sa, sb)
+        for c in (0, 17, 99):
+            one, ok = epipolar_mod._upright_five_point(sa[c:c + 1], sb[c:c + 1])
+            assert one[0].tobytes() == E[c].tobytes() and ok[0] == valid[c]
+
+
+class TestBreakingPoint:
+    # 20 synth scenes per row (300 matches, 1 px noise), default RANSAC.
+    @staticmethod
+    def row(outliers):
+        recall, rot_err, flagged = [], [], []
+        for seed in range(20):
+            pair = synth_room_pair(SynthSceneConfig(seed=seed, pixel_noise_sigma=1.0,
+                                                    outlier_fraction=outliers))
+            matches = parse_match_dict(pair.match_data)
+            try:
+                est = estimate_essential(matches, seed=seed)
+            except EstimationError:
+                recall.append(0.0), rot_err.append(np.inf), flagged.append(True)
+                continue
+            true_in = np.flatnonzero(~pair.outlier_mask)
+            recall.append(np.intersect1d(est.inlier_indices, true_in).size / true_in.size)
+            pose = decompose_essential(est.matrix, matches, est.inlier_indices)
+            rot_err.append(np.degrees(rotation_angle(pose.rotation.T @ pair.gt_pose().rotation)))
+            flagged.append(est.low_confidence)
+        return np.array(recall), np.array(rot_err), np.array(flagged)
+
+    @pytest.mark.parametrize("outliers", [0.2, 0.5])
+    def test_recall_and_confidence_up_to_half_outliers(self, outliers):
+        recall, _, flagged = self.row(outliers)
+        assert np.median(recall) >= 0.9
+        assert not flagged.any()
+
+    def test_most_poses_within_half_a_degree_at_70_percent_outliers(self):
+        _, rot_err, _ = self.row(0.7)
+        assert (rot_err < 0.5).sum() >= 18
 
 
 class TestEightPoint:
@@ -173,7 +326,11 @@ class TestEightPoint:
         assert vt_thin.tobytes() == vt_full.tobytes()
         E, valid = epipolar_mod._eight_point(sa, sb)
         E_full, valid_full = svd_eight_point(sa, sb)
-        assert E.tobytes() == E_full.tobytes() and valid[0] == valid_full[0]
+        assert valid[0] == valid_full[0]
+        if m <= epipolar_mod._QR_ROWS:
+            assert E.tobytes() == E_full.tobytes()
+        else:   # solved from the R factors of its row blocks: the same vector
+            assert abs(np.einsum("cij,cij->c", E, E_full)[0]) / 2.0 >= 1.0 - 1e-12
 
 
 def essential_factors(bb, ba):
@@ -266,18 +423,74 @@ class TestSupportKernel:
         np.testing.assert_array_equal(essential_counts(E, b, b, threshold), expected)
 
 
+class TestSineSupport:
+    """support's quadratic test, as the essential RANSAC calls it, against
+    sine_excess."""
+
+    @staticmethod
+    def scene(n, seed):
+        matches = rigid_motion_matches(n, seed=seed, upright=True)
+        ba, bb = matches.bearings_a, matches.bearings_b
+        idx = sample_distinct(np.random.default_rng(seed), n, 64, SAMPLE)
+        E = epipolar_mod._upright_five_point(ba[idx], bb[idx])[0]
+        count = support(*essential_factors(bb, ba), epipolar_mod._products(ba))
+        return ba, bb, E, count
+
+    @staticmethod
+    def rows(E, t2):
+        """The counter's rows (E, t2 times E^T E's six coefficients)."""
+        return np.hstack([E.reshape(-1, 9), t2 * epipolar_mod._gram(E)])
+
+    # 120 thresholds, each put on an entry, so that the entry's excess is
+    # zero up to rounding: one row per block, 7 and the default 32.
+    @pytest.mark.parametrize("rows", [1, 7, None])
+    def test_thresholds_on_entries_match_the_formula(self, monkeypatch, rows):
+        n = 2001
+        ba, bb, E, count = self.scene(n, seed=21)
+        if rows:
+            monkeypatch.setattr(_plane_search, "_SCORE_BLOCK", rows * n)
+        r = epipolar_products(E, ba, bb)
+        q = squared_norms(E, ba, 1.0)
+        cols = np.multiply(*essential_factors(bb, ba)).T
+        rs = E.reshape(-1, 9) @ cols
+        rng = np.random.default_rng(21)
+        screen_wrong = 0
+        for c, k in zip(rng.integers(0, 64, 120), rng.integers(0, n, 120)):
+            t2 = r[c, k] ** 2 / q[c, k]
+            hyps = self.rows(E, t2)
+            formula = sine_excess(E, ba, bb, t2) <= 0
+            screen = rs * rs - hyps[:, 9:] @ epipolar_mod._products(ba).T <= 0
+            screen_wrong += int((screen != formula).any())
+            np.testing.assert_array_equal(count(hyps, 0.0, 0), formula.sum(axis=1))
+        assert screen_wrong   # the screen alone would miscount some of them
+
+    def test_rows_stop_across_point_blocks(self):
+        # Three point blocks: a row that cannot reach the best count stops,
+        # and every row that is scored to the end has the formula's count.
+        n = 2 * _POINT_BLOCK + 77
+        ba, bb, E, count = self.scene(n, seed=22)
+        t2 = squared_sine_bound(3.0, make_match_set(ba, bb).spec_b)
+        want = (sine_excess(E, ba, bb, t2) <= 0).sum(axis=1)
+        got = count(self.rows(E, t2), 0.0, int(want.max()))
+        scored = got >= 0
+        assert (~scored).any() and scored.any()
+        np.testing.assert_array_equal(got[scored], want[scored])
+        assert want[~scored].max() < want.max()
+
+
 class TestEstimateEssentialOracle:
     # 2 * _POINT_BLOCK + 77 matches take three point blocks, so a hypothesis
-    # that falls behind the best count stops before the last 77.
+    # that falls behind the best count stops before the last 77. The
+    # threshold is the sine bound; 1e-3 is about the matches' noise.
     @pytest.mark.parametrize("n", [8, 9, 300, 2000, 2001, 2 * _POINT_BLOCK + 77])
     @pytest.mark.parametrize("iterations", [1, 511, 512, 513])
     @pytest.mark.parametrize("threshold", [1e-4, 1e-3, 1e-2])
     def test_same_result_as_reference(self, n, iterations, threshold):
-        matches = rigid_motion_matches(n, seed=n)
+        matches = rigid_motion_matches(n, seed=n, upright=True)
         scored = []
 
-        def spy(a, b):
-            count = support(a, b)
+        def spy(*factors):
+            count = support(*factors)
 
             def counts(*args):
                 scored.append(count(*args))
@@ -285,21 +498,21 @@ class TestEstimateEssentialOracle:
             return counts
 
         with mock.patch.object(epipolar_mod, "support", spy):
-            assert_same_as_reference(matches, RansacConfig(threshold, iterations),
+            assert_same_as_reference(matches, sine_config(threshold, iterations),
                                      seed=iterations)
         stopped = sum(int((c < 0).sum()) for c in scored)
         assert stopped > 0 if n > 2 * _POINT_BLOCK and iterations > 1 else stopped == 0
 
     def test_same_result_with_one_hypothesis_per_block(self):
-        matches = rigid_motion_matches(2000, seed=4)
+        matches = rigid_motion_matches(2000, seed=4, upright=True)
         with mock.patch.object(_plane_search, "_SCORE_BLOCK", 2000):
-            assert_same_as_reference(matches, RansacConfig(1e-3, 600), seed=4)
+            assert_same_as_reference(matches, sine_config(1e-3, 600), seed=4)
 
     @pytest.mark.parametrize("n", [9, 300, 2001])
     @pytest.mark.parametrize("threshold", [1e-4, 1e-3, 1e-2])
     def test_same_result_with_non_unit_bearings(self, n, threshold):
-        matches = rigid_motion_matches(n, seed=n + 1, unit=False)
-        assert_same_as_reference(matches, RansacConfig(threshold, 513), seed=n)
+        matches = rigid_motion_matches(n, seed=n + 1, unit=False, upright=True)
+        assert_same_as_reference(matches, sine_config(threshold, 513), seed=n)
 
     def test_same_error_without_consensus(self, rng):
         ba = rng.normal(size=(40, 3))
@@ -315,6 +528,36 @@ class TestEstimateEssentialOracle:
                                                     outlier_fraction=0.2 + 0.1 * seed))
             assert_same_as_reference(parse_match_dict(pair.match_data), RansacConfig(),
                                      seed=seed)
+
+    # A match-heavy scene (2,000 matches at 40 % outliers) stops after its
+    # second batch, at 192 samples; one at 70 % runs to its cap.
+    @pytest.mark.parametrize("rows", [1, None])
+    @pytest.mark.parametrize("outliers, floor, iterations, drawn", [
+        (0.4, 1000, 2000, 192), (0.7, 150, 700, 700)])
+    def test_stop_rule_matches_the_oracle(self, monkeypatch, rows, outliers, floor,
+                                          iterations, drawn):
+        if rows == 1:
+            monkeypatch.setattr(_plane_search, "_SCORE_BLOCK", 1)
+        pair = synth_room_pair(SynthSceneConfig(
+            seed=3, pixel_noise_sigma=1.0, outlier_fraction=outliers,
+            floor_point_count=floor, wall_point_count=floor))
+        matches = parse_match_dict(pair.match_data)
+        cfg = RansacConfig(iterations=iterations)
+        assert_same_as_reference(matches, cfg, seed=3)
+        assert estimate_essential(matches, cfg, seed=3).hypotheses == drawn
+
+    def test_same_result_in_tilted_frames(self):
+        pair = synth_room_pair(SynthSceneConfig(seed=8, pixel_noise_sigma=1.0,
+                                                outlier_fraction=0.3))
+        matches = parse_match_dict(pair.match_data)
+        Q = random_rotation(np.random.default_rng(8))
+        tilted = BearingMatchSet(matches.bearings_a @ Q.T, matches.bearings_b @ Q.T,
+                                 matches.spec_a, matches.spec_b)
+        gravity = tuple(Q @ [0.0, 0.0, -1.0])
+        ref = reference_essential(tilted, RansacConfig(), 8, gravity)
+        est = estimate_essential(tilted, RansacConfig(), 8, gravity)
+        assert est.matrix.tobytes() == ref.matrix.tobytes()
+        np.testing.assert_array_equal(est.inlier_indices, ref.inlier_indices)
 
 
 class TestEstimateEssential:
@@ -351,13 +594,42 @@ class TestEstimateEssential:
         assert s[2] < 1e-6
 
     def test_inlier_residuals_respect_threshold(self, noisy_matches):
+        # Every inlier's bearings lie within 3 px of their epipolar planes
+        # in both views, and some match outside that is not reported.
         cfg = RansacConfig()
         est = estimate_essential(noisy_matches, cfg, seed=4)
-        res = np.abs(np.einsum("ni,ij,nj->n",
-                               noisy_matches.bearings_b[est.inlier_indices],
-                               est.matrix,
-                               noisy_matches.bearings_a[est.inlier_indices]))
-        assert np.all(res <= cfg.threshold)
+        E, ba, bb = est.matrix, noisy_matches.bearings_a, noisy_matches.bearings_b
+        r = np.abs(np.einsum("ni,ij,nj->n", bb, E, ba))
+        angle = np.arcsin(np.maximum(r / np.linalg.norm(ba @ E.T, axis=1),
+                                     r / np.linalg.norm(bb @ E, axis=1)))
+        pixels = angle * noisy_matches.spec_b.width / (2 * np.pi)
+        inlier = np.zeros(len(r), dtype=bool)
+        inlier[est.inlier_indices] = True
+        assert np.all(pixels[inlier] <= cfg.threshold * (1 + 1e-9))
+        assert np.all(pixels[~inlier] >= cfg.threshold * (1 - 1e-9))
+        assert (~inlier).any()
+
+    def test_tilted_frames_register_as_well(self):
+        # Both frames turned by one rotation Q, with gravity_axis along
+        # Q (0, 0, -1), give the rotation Q R Q^T and the same inliers, up
+        # to rounding, as the levelled scene.
+        rng = np.random.default_rng(12)
+        for seed in range(5):
+            pair = synth_room_pair(SynthSceneConfig(seed=seed, pixel_noise_sigma=1.0,
+                                                    outlier_fraction=0.5))
+            matches = parse_match_dict(pair.match_data)
+            Q = random_rotation(rng)
+            tilted = BearingMatchSet(matches.bearings_a @ Q.T, matches.bearings_b @ Q.T,
+                                     matches.spec_a, matches.spec_b)
+            gt = pair.gt_pose().rotation
+            errors = []
+            for m, g, R in ((matches, (0.0, 0.0, -1.0), gt),
+                            (tilted, tuple(Q @ [0.0, 0.0, -1.0]), Q @ gt @ Q.T)):
+                est = estimate_essential(m, seed=seed, gravity_axis=g)
+                pose = decompose_essential(est.matrix, m, est.inlier_indices)
+                errors.append(np.degrees(rotation_angle(pose.rotation.T @ R)))
+            assert errors[1] < 0.5
+            assert abs(errors[1] - errors[0]) < 0.01
 
     def test_too_few_matches(self, clean_matches):
         small = make_match_set(clean_matches.bearings_a[:5],

@@ -122,7 +122,7 @@ def assert_same_result(got: IcpResult, want: IcpResult) -> None:
             assert a == b, f.name
 
 
-# A scene whose ICP assignment at iteration 5 repeats that of iteration 3
+# A scene whose ICP assignment at iteration 3 repeats that of iteration 1
 # (a period-2 cycle); without the cycle stop it never meets rel_tol.
 CYCLING_SCENE_SEED = 2
 

@@ -141,6 +141,37 @@ class TestLoadMatches:
                 f"bad panorama spec pano_b: width must be an integer, got {value!r}")):
             parse_match_dict(data)
 
+    @pytest.mark.parametrize("pixels", [{"ua": "x"}, {"ua": None}, {"vb": float("nan")}],
+                             ids=["string", "null", "nan"])
+    def test_low_score_entry_is_skipped_unread(self, pixels):
+        # A skipped entry's pixels are not checked, so it sends the reader
+        # down the entry-by-entry path, which must give the same bearings.
+        data = _match_dict(12)
+        want = parse_match_dict(data)
+        data["matches"].insert(5, {**data["matches"][0], **pixels, "score": 0.05})
+        got = parse_match_dict(data)
+        assert got.bearings_a.tobytes() == want.bearings_a.tobytes()
+        assert got.bearings_b.tobytes() == want.bearings_b.tobytes()
+
+    def test_entry_missing_a_key_or_not_an_object(self):
+        data = _match_dict(10)
+        del data["matches"][4]["vb"]
+        with pytest.raises(MatchFileError, match=re.escape("malformed match entry 4: 'vb'")):
+            parse_match_dict(data)
+        data["matches"][2] = [1, 2, 3]
+        with pytest.raises(MatchFileError, match="^malformed match entry 2: list indices"):
+            parse_match_dict(data)
+
+    def test_integer_pixels_read_as_their_floats(self):
+        data = _match_dict(10)
+        for m in data["matches"]:
+            m.update({k: int(m[k]) for k in ("ua", "va", "ub", "vb")}, score=1)
+        floats = {**data, "matches": [{k: float(v) for k, v in m.items()}
+                                      for m in data["matches"]]}
+        got, want = parse_match_dict(data), parse_match_dict(floats)
+        assert got.bearings_a.tobytes() == want.bearings_a.tobytes()
+        assert got.bearings_b.tobytes() == want.bearings_b.tobytes()
+
     def test_missing_fields(self):
         with pytest.raises(MatchFileError, match="missing"):
             parse_match_dict({"pano_a": {"width": 8, "height": 4}})

@@ -24,8 +24,9 @@ builds its match-heavy scenes (room B sampled again with 3 mm noise,
 binary PLYs, 2,000 matches at 40 % outliers) is stitched; its ICP
 correspondences cycle, so it covers the cycle stop, and the script exits
 non-zero unless its diagnostics report stop reason "cycle". The same
-scene is stitched again with RANSAC at threshold 0.003 and 700
-iterations, a second inlier boundary and a last hypothesis batch of 188.
+scene is stitched again with RANSAC at a 1.5 px threshold and a cap of
+100 samples, a second inlier boundary and a last batch of 36 samples
+that ends at the cap.
 Every step is seeded, so two source trees that produce the same
 artifacts print the same digests.
 
@@ -106,8 +107,9 @@ STITCH_ARTIFACTS = ("merged.ply", "diagnostics.json", "scene_manifest.json")
 # iterate the cycle stop returns is not the one the 50th step lands on,
 # so the merged cloud shows the change.
 CYCLING_SEED = 2
-# RANSAC settings of the second stitch of that scene: 700 = 512 + 188.
-RANSAC_VARIANT = {"threshold": 0.003, "iterations": 700}
+# RANSAC settings of the second stitch of that scene: 100 = 64 + 36, a
+# cap inside the second batch (its inlier share asks for more samples).
+RANSAC_VARIANT = {"threshold": 1.5, "iterations": 100}
 # (label, patch, run in a child interpreter?): each replays the whole flow.
 VARIANTS = (
     ("PANOSTITCH_THREADS=1", mock.patch.dict(os.environ, PANOSTITCH_THREADS="1"), False),
