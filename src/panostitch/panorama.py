@@ -117,34 +117,33 @@ _FIELDS = ("score", "ua", "va", "ub", "vb")
 _fields = operator.itemgetter(*_FIELDS)
 
 
-def _match_table(matches: list) -> np.ndarray:
-    """(N, 5) float64 rows of each match's _FIELDS.
+def _usable_pixels(matches: list) -> np.ndarray:
+    """(M, 4) float64 rows (ua, va, ub, vb) of the matches scored at least
+    MIN_SCORE, in file order.
 
-    One itemgetter pass reads every match, one pass over the flat values
-    checks that each is an int or a float (not a bool), and numpy checks
-    that all are finite. When any of that fails, the matches are read
-    again one by one, so the first malformed entry raises MatchFileError
-    with its index; an entry whose score is below MIN_SCORE is skipped
-    there without a look at its pixels, so one whose pixels alone are
-    malformed gives a table with NaN placeholders in its row.
+    One itemgetter pass reads every match's _FIELDS, one pass over the
+    flat values checks that each is an int or a float (not a bool), and
+    numpy checks that all are finite. When any of that fails, the matches
+    are read again one by one, so the first malformed entry raises
+    MatchFileError with its index, and an entry scored below MIN_SCORE is
+    skipped without a look at its pixels.
     """
     try:
         rows = list(map(_fields, matches))
         if set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}:
             table = np.array(rows, dtype=np.float64).reshape(len(rows), len(_FIELDS))
             if np.isfinite(table).all():
-                return table
+                return table[table[:, 0] >= MIN_SCORE, 1:]
     except (KeyError, TypeError, ValueError, OverflowError):
         pass
-    table = np.full((len(matches), len(_FIELDS)), np.nan)
+    rows = []
     for i, m in enumerate(matches):
         try:
-            table[i, 0] = _number(m, "score")
-            if table[i, 0] >= MIN_SCORE:
-                table[i, 1:] = [_number(m, key) for key in _FIELDS[1:]]
+            if _number(m, "score") >= MIN_SCORE:
+                rows.append([_number(m, key) for key in _FIELDS[1:]])
         except (KeyError, TypeError, ValueError) as e:
             raise MatchFileError(f"malformed match entry {i}: {e}") from e
-    return table
+    return np.array(rows, dtype=np.float64).reshape(len(rows), 4)
 
 
 def parse_match_dict(data: dict) -> BearingMatchSet:
@@ -161,8 +160,7 @@ def parse_match_dict(data: dict) -> BearingMatchSet:
 
     matches = data["matches"]
     _require(isinstance(matches, list), "'matches' must be a list")
-    table = _match_table(matches)
-    ua, va, ub, vb = table[table[:, 0] >= MIN_SCORE, 1:].T
+    ua, va, ub, vb = _usable_pixels(matches).T
 
     _require(len(ua) >= MIN_MATCHES,
              f"insufficient matches: {len(ua)} usable, need >= {MIN_MATCHES}")
