@@ -495,6 +495,12 @@ class TestBestPlaneSupport:
         ref = reference_plane_support(pts, 201, threshold, np.random.default_rng(8))
         assert np.array_equal(got[0], ref[0]) and got[1] == ref[1]
 
+    @pytest.mark.parametrize("threads", ["1", "2", "8"])
+    def test_tie_goes_to_the_earlier_chunk_on_any_thread_count(
+            self, small_budget, rng, monkeypatch, threads):
+        monkeypatch.setenv("PANOSTITCH_THREADS", threads)
+        self.check_earlier_chunk_tie(rng)
+
     @staticmethod
     def two_planes_over_three_blocks(rng):
         """Three point blocks: a 5,000-point plane at z = 1, junk, then a
@@ -570,7 +576,9 @@ class TestBestPlaneSupport:
         assert counts[0] == 200
         assert np.all(counts[[5, 6, 8, 9]] == -1)
 
-    def test_cluttered_table_scan_matches_reference(self):
+    @pytest.mark.parametrize("threads", ["1", "2", "8"])
+    def test_table_scan_on_any_thread_count(self, monkeypatch, threads):
+        monkeypatch.setenv("PANOSTITCH_THREADS", threads)
         rng = np.random.default_rng(7)
         n = 100_000
         pts = np.column_stack([rng.uniform(-0.6, 0.6, n), rng.uniform(-0.4, 0.4, n),
