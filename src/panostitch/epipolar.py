@@ -115,9 +115,10 @@ def _eight_point(sa: np.ndarray, sb: np.ndarray) -> tuple[np.ndarray, np.ndarray
     when the 8th singular value is >= 1e-12; above _QR_ROWS rows, A is
     first replaced by the stacked R factors of QRs of its blocks of
     _QR_ROWS rows (zero-padded), which have A's singular values and
-    vectors: with the other CPU busy, OpenBLAS threads the SVD of a
-    1,100 x 9 system and took 24 ms for it instead of 0.2 ms (2-CPU
-    x86-64), while it runs blocks of 128 x 9 on the calling thread.
+    vectors. OpenBLAS threads the SVD of a system of more than about
+    1,000 rows, and a 1,117 x 9 one (a match-heavy refit) then took 16 ms
+    instead of 0.16 ms on one thread (2-CPU x86-64, OpenBLAS 0.3.31); it
+    runs blocks of 128 x 9 on the calling thread.
     """
     # Row for pair i is outer(b_b, b_a) flattened row-major, matching E.ravel().
     A = np.einsum("cni,cnj->cnij", sb, sa).reshape(sa.shape[0], sa.shape[1], 9)
@@ -286,7 +287,8 @@ def estimate_essential(matches: BearingMatchSet, cfg: RansacConfig = RansacConfi
                               _SAMPLE, 0.0)
     if top is None or best < cfg.min_inliers:
         raise EstimationError(
-            f"no model with >= {cfg.min_inliers} inliers after {drawn} hypotheses")
+            f"no model with >= {cfg.min_inliers} inliers within ransac.threshold = "
+            f"{cfg.threshold} px after {drawn} hypotheses")
 
     mask = symmetric(top[:9].reshape(3, 3))
     for _ in range(_REFITS):
